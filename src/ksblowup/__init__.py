@@ -39,13 +39,7 @@ from .datum import (
     RadialProfile,
 )
 from .geometry import SupportGeometry
-from .heatmass import (
-    HeatMassCurve,
-    InversionConfig,
-    eval_heat_mass,
-    invert_heat_mass,
-    laplace_eval,
-)
+from .heatmass import HeatMassCurve, InversionConfig
 
 __version__ = "0.1.0"
 
@@ -67,12 +61,9 @@ __all__ = [
     "RadialProfile",
     "SearchConfig",
     "SupportGeometry",
-    "eval_heat_mass",
     "f_method_bound",
     "full_report",
     "heat_constant",
-    "invert_heat_mass",
-    "laplace_eval",
     "lower_bound",
     "mass_constants",
     "tc1_bound",

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -268,32 +267,19 @@ def cmd_sweep(args):
     names = tuple(n.strip() for n in args.bounds.split(",") if n.strip()) \
         if args.bounds != "all" else bounds._ROW_ORDER[:9]
 
-    def one(value):
-        d = _with_param(density, args.param, float(value))
-        report = bounds.full_report(d, tolerance=tolerance)
-        cells = {}
-        for name in names:
-            try:
-                row = report.row(name)
-            except KeyError:
-                cells[name] = ""
-                continue
-            cells[name] = format_value(row.value) \
-                if row.status == "computed" else ""
-        return cells, report.mass
-
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        results = list(pool.map(one, values))
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     mass_col = [] if args.param == "mass" else ["mass"]
     writer.writerow([args.param, *mass_col, *names])
-    for value, (cells, mass) in zip(values, results):
+    for value in values:
+        d = _with_param(density, args.param, float(value))
+        report = bounds.full_report(d, tolerance=tolerance)
+        computed = {r.name: r.value for r in report.rows
+                    if r.status == "computed"}
         row = [format_value(float(value))]
         if mass_col:
-            row.append(format_value(mass))
-        writer.writerow(row + [cells[n] for n in names])
+            row.append(format_value(report.mass))
+        writer.writerow(row + [format_value(computed.get(n)) for n in names])
     _write_output(buf.getvalue(), args.out)
     return 0
 

@@ -6,7 +6,10 @@ tabulated radial profile (piecewise linear in r), and a uniform
 Cartesian grid of samples.  Every family exposes the same descriptor
 surface: mass, barycenter, beta-variance, Lp norms, radial cumulative
 mass about an arbitrary center, its generalized (right) inverse, and
-the enclosing-disk geometry for compactly supported data.
+the enclosing-disk geometry for compactly supported data.  Radial
+families also carry the Laplace transform of their squared-radius
+profile, and with it the closed form of the heat-weighted mass where
+one exists.
 
 All instances are immutable; cached quantities are computed at
 construction so evaluation is safe under concurrency.
@@ -32,6 +35,9 @@ TWO_PI = 2.0 * math.pi
 #: Relative tail mass kept outside truncation radii for unbounded families.
 TAIL_FRACTION = 1e-14
 
+#: extra panel reach, in units of sqrt(s), around the gaussian weight
+_WEIGHT_REACH = 10.0
+
 
 def _as_center(value):
     c = tuple(float(v) for v in value)
@@ -53,6 +59,8 @@ class InitialDatum:
     family = "abstract"
     #: radially symmetric about ``center``
     is_radial = True
+    #: the density vanishes outside a bounded set
+    has_compact_support = False
 
     # -- structure ----------------------------------------------------
 
@@ -82,6 +90,47 @@ class InitialDatum:
 
     def label(self):
         return f"{self.family}(mass={self.mass():.6g})"
+
+    def search_probes(self):
+        """Center-search starts beyond the center and the barycenter: a
+        point on the peak ring of a profile that is not non-increasing."""
+        mode = 0.0 if self.is_nonincreasing_radial else self.profile_mode_radius()
+        if mode <= 0.0:
+            return ()
+        return ((self.center[0] + mode, self.center[1]),)
+
+    # -- heat-weighted mass ----------------------------------------------
+
+    def closed_heat_mass(self, delta, s):
+        """H(s) about a point at distance ``delta`` from the center, in
+        closed form, or None when only quadrature applies."""
+        return self._central_heat_mass(s) if delta == 0.0 else None
+
+    def _central_heat_mass(self, s):
+        """Closed form of H(s) at the center where available, else None."""
+        return None
+
+    def laplace(self, v):
+        """Laplace transform of u -> profile(sqrt(u)), evaluated at v > 0.
+
+        Defined for radially symmetric data only; pi * laplace(1/(4 s))
+        is the heat-weighted mass H(s) at the symmetry center, so one
+        closed form of H serves both.
+        """
+        if v <= 0.0:
+            raise ValueError("laplace variable must be positive")
+        if not self.is_radial:
+            raise NotRadialError("laplace path requires radially symmetric data")
+        val = self.closed_heat_mass(0.0, 1.0 / (4.0 * v))
+        if val is not None:
+            return val / math.pi
+        # integrate exp(-v r^2) profile(r) 2 r dr
+        rmax = self.tail_radius()
+        edges = merged_edges(
+            panel_edges(self.radial_breakpoints(), rmax, self._scale_radius()),
+            np.linspace(0.0, min(rmax, _WEIGHT_REACH / math.sqrt(v)), 17))
+        return 2.0 * integrate_panels(
+            lambda r: np.exp(-v * r * r) * self.profile(r) * r, edges, order=48)
 
     # -- descriptors ---------------------------------------------------
 
@@ -174,6 +223,10 @@ class InitialDatum:
     def mass_fraction(self, z, rho):
         return self.radial_mass(z, rho) / self.mass()
 
+    def mass_profile(self, z, n=1024):
+        """Cumulative mass about z on a dense radius grid of about n points."""
+        return _RadialSnapshot(self, z, n)
+
     def _central_radial_mass(self, rho):
         edges = merged_edges(
             panel_edges(self.radial_breakpoints(), rho, self._scale_radius()))
@@ -263,13 +316,82 @@ class InitialDatum:
         raise UnboundedSupportError(
             f"{self.family} datum has unbounded support")
 
-    @property
-    def has_compact_support(self):
-        try:
-            self.support_geometry()
-        except UnboundedSupportError:
-            return False
-        return True
+
+class _RadialSnapshot:
+    """Dense cumulative-mass profile of a datum about a fixed point.
+
+    One vectorized angular sweep per center replaces thousands of lens
+    quadratures when the center search probes off-symmetry points; the
+    symmetric center itself always goes through the exact closed forms.
+    """
+
+    def __init__(self, density, z, n):
+        center = density.center
+        delta = math.hypot(z[0] - center[0], z[1] - center[1])
+        if density.has_compact_support:
+            umax = density.support_radius_from(z)
+        else:
+            umax = density.tail_radius(1e-13) + delta
+        us = np.linspace(0.0, umax, n)
+        # ring-density kinks sit where circles about z touch profile features
+        kinks = []
+        for b in density.radial_breakpoints():
+            kinks.extend((abs(delta - b), delta + b))
+        us = np.unique(np.concatenate(
+            [us, [u for u in kinks if 0.0 < u < umax]]))
+
+        if delta == 0.0:
+            ring = 2.0 * math.pi * us * density.profile(us)
+        else:
+            phi, wphi = _gl_nodes(96)
+            phi = 0.5 * math.pi * (phi + 1.0)
+            wphi = 0.5 * math.pi * wphi
+            dist = np.sqrt(us[:, None] ** 2 + delta ** 2
+                           + 2.0 * us[:, None] * delta * np.cos(phi)[None, :])
+            ring = 2.0 * us * (density.profile(dist.ravel())
+                               .reshape(dist.shape) @ wphi)
+        cum = np.concatenate([[0.0], np.cumsum(
+            0.5 * (ring[1:] + ring[:-1]) * np.diff(us))])
+        self._us = us
+        self._cum = cum
+        self._mass = density.mass()
+
+    def mass_at(self, rho):
+        return float(np.interp(rho, self._us, self._cum))
+
+    def inverse(self, m):
+        target = m * self._mass
+        idx = int(np.searchsorted(self._cum, target))
+        if idx >= len(self._us):
+            return float(self._us[-1])
+        if idx == 0:
+            return float(self._us[0])
+        c0, c1 = self._cum[idx - 1], self._cum[idx]
+        u0, u1 = self._us[idx - 1], self._us[idx]
+        if c1 == c0:
+            return float(u1)
+        return float(u0 + (target - c0) * (u1 - u0) / (c1 - c0))
+
+
+class _GridSnapshot:
+    """Exact sorted-distance cumulative mass for grid data about a point."""
+
+    def __init__(self, density, z):
+        xs, ys, w = density.cell_coordinates()
+        d = np.hypot(xs - z[0], ys - z[1])
+        order = np.argsort(d, kind="stable")
+        self._d = d[order]
+        self._cum = np.cumsum(w[order]) * density.cell_size ** 2
+        self._mass = density.mass()
+
+    def mass_at(self, rho):
+        idx = int(np.searchsorted(self._d, rho, side="right"))
+        return float(self._cum[idx - 1]) if idx else 0.0
+
+    def inverse(self, m):
+        target = m * self._mass * (1.0 - 1e-14)
+        idx = min(int(np.searchsorted(self._cum, target)), len(self._d) - 1)
+        return float(self._d[idx])
 
 
 @dataclass(frozen=True)
@@ -324,6 +446,13 @@ class Gaussian(InitialDatum):
     def _scale_radius(self):
         return 2.0 * math.sqrt(self.sigma)
 
+    def closed_heat_mass(self, delta, s):
+        # the heat kernel maps the bump to a wider bump, so the closed
+        # form holds about every point
+        spread = s + self.sigma
+        return (s * self.total_mass / spread) * math.exp(
+            -delta * delta / (4.0 * spread))
+
 
 @dataclass(frozen=True)
 class DiskIndicator(InitialDatum):
@@ -333,6 +462,7 @@ class DiskIndicator(InitialDatum):
     radius: float
     center: tuple = (0.0, 0.0)
     family = "disk"
+    has_compact_support = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_center(self.center))
@@ -371,6 +501,10 @@ class DiskIndicator(InitialDatum):
     def _central_generalized_inverse(self, m):
         return self.radius * math.sqrt(m)
 
+    def _central_heat_mass(self, s):
+        lam = self.radius ** 2 / (4.0 * s)
+        return self.mass() * (-math.expm1(-lam)) / lam
+
     def _scale_radius(self):
         return self.radius
 
@@ -393,6 +527,7 @@ class Annulus(InitialDatum):
     r_outer: float
     center: tuple = (0.0, 0.0)
     family = "annulus"
+    has_compact_support = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_center(self.center))
@@ -438,6 +573,11 @@ class Annulus(InitialDatum):
     def _central_generalized_inverse(self, m):
         lo2, hi2 = self.r_inner ** 2, self.r_outer ** 2
         return math.sqrt(lo2 + m * (hi2 - lo2))
+
+    def _central_heat_mass(self, s):
+        lo = self.r_inner ** 2 / (4.0 * s)
+        hi = self.r_outer ** 2 / (4.0 * s)
+        return 4.0 * math.pi * self.height * s * (math.exp(-lo) - math.exp(-hi))
 
     def _scale_radius(self):
         return self.r_outer
@@ -517,6 +657,10 @@ class PolyGaussian(InitialDatum):
         u = float(special.gammaincinv(self.power + 1.0, m))
         return math.sqrt(u / self.rate)
 
+    def _central_heat_mass(self, s):
+        u = 4.0 * self.rate * s
+        return self.mass() * (u / (1.0 + u)) ** (self.power + 1)
+
     def _scale_radius(self):
         return math.sqrt((self.power + 1.0) / self.rate)
 
@@ -577,6 +721,11 @@ class DiffGaussians(InitialDatum):
         fast = -math.expm1(-b * rr) / b
         return amp * (slow - fast)
 
+    def _central_heat_mass(self, s):
+        u = 4.0 * self.rate_slow * s
+        v = 4.0 * self.rate_fast * s
+        return self.mass() * (u / (1.0 + u)) * (v / (1.0 + v))
+
     def _scale_radius(self):
         return 1.0 / math.sqrt(self.rate_slow)
 
@@ -592,6 +741,7 @@ class RadialProfile(InitialDatum):
     values: tuple
     center: tuple = (0.0, 0.0)
     family = "radial_profile"
+    has_compact_support = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_center(self.center))
@@ -692,6 +842,7 @@ class CartesianGrid(InitialDatum):
     origin: tuple = (0.0, 0.0)
     family = "grid"
     is_radial = False
+    has_compact_support = True
 
     def __post_init__(self):
         object.__setattr__(self, "origin", _as_center(self.origin))
@@ -752,6 +903,15 @@ class CartesianGrid(InitialDatum):
             out.append(float(coords[order][min(idx, len(order) - 1)]))
         return tuple(out)
 
+    def search_probes(self):
+        return (self.weighted_median(),)
+
+    def heat_mass_sum(self, z, s):
+        """Heat-weighted mass H(s) about z, summed over the cells."""
+        dist_sq = (self._xs - z[0]) ** 2 + (self._ys - z[1]) ** 2
+        return float((self._w * np.exp(-dist_sq / (4.0 * s))).sum()
+                     * self.cell_size ** 2)
+
     def beta_moment_about(self, z, beta):
         if beta <= 0.0:
             raise ValueError("beta must be positive")
@@ -776,16 +936,15 @@ class CartesianGrid(InitialDatum):
         d = np.hypot(self._xs - z[0], self._ys - z[1])
         return float(self._w[d <= rho].sum() * self.cell_size ** 2)
 
+    def mass_profile(self, z, n=None):
+        """Exact cumulative mass about z, one step per cell; n is unused."""
+        return _GridSnapshot(self, z)
+
     def generalized_inverse(self, z, m):
         if not 0.0 < m <= 1.0:
             raise ValueError("m must lie in (0, 1]")
         z = self._bary if z is None else np.asarray(z, dtype=float)
-        d = np.hypot(self._xs - z[0], self._ys - z[1])
-        order = np.argsort(d, kind="stable")
-        csum = np.cumsum(self._w[order]) * self.cell_size ** 2
-        idx = int(np.searchsorted(csum, m * self._mass * (1.0 - 1e-14)))
-        idx = min(idx, len(order) - 1)
-        return float(d[order][idx])
+        return self.mass_profile(z).inverse(m)
 
     def tail_radius(self, fraction=TAIL_FRACTION):
         return self.support_radius_from(self._bary)

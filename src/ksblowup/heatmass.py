@@ -6,8 +6,14 @@ For a density n0 and a point z, the functional
 
 is continuous, strictly increasing in s, with range (0, M).  Its
 inverse at the supercritical threshold drives every critical-time
-bound in `bounds`.  Radial data additionally admit evaluation through
-the Laplace transform of the squared-radius profile.
+bound in `bounds`.
+
+`HeatMassCurve` evaluates H in one of two modes.  "auto" takes the
+datum's closed form where it has one (`InitialDatum.closed_heat_mass`:
+the analytic families at their symmetry center, the gaussian about
+every point) and integrates numerically elsewhere.  "quadrature"
+always integrates, to cross-validate the closed forms.  Grid data are
+summed cell by cell in both modes.
 """
 
 import math
@@ -16,17 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import datum as dt
+from .datum import _WEIGHT_REACH
 from .errors import (
     BracketFailureError,
     NonPositiveTimeError,
-    NotRadialError,
     TargetOutOfRangeError,
 )
 from .quadrature import integrate_panels, merged_edges, panel_edges
-
-#: extra panel reach, in units of sqrt(s), around the gaussian weight
-_WEIGHT_REACH = 10.0
 
 
 @dataclass(frozen=True)
@@ -42,39 +44,7 @@ class InversionConfig:
             raise ValueError("tolerance must be positive")
 
 
-def _closed_form(d, delta, s):
-    """Family closed form for H, or None when only quadrature applies."""
-    if isinstance(d, dt.Gaussian):
-        spread = s + d.sigma
-        return (s * d.total_mass / spread) * math.exp(
-            -delta * delta / (4.0 * spread))
-    if delta != 0.0:
-        return None
-    if isinstance(d, dt.DiskIndicator):
-        lam = d.radius ** 2 / (4.0 * s)
-        return d.mass() * (-math.expm1(-lam)) / lam
-    if isinstance(d, dt.Annulus):
-        lo = d.r_inner ** 2 / (4.0 * s)
-        hi = d.r_outer ** 2 / (4.0 * s)
-        return 4.0 * math.pi * d.height * s * (math.exp(-lo) - math.exp(-hi))
-    if isinstance(d, dt.PolyGaussian):
-        u = 4.0 * d.rate * s
-        return d.mass() * (u / (1.0 + u)) ** (d.power + 1)
-    if isinstance(d, dt.DiffGaussians):
-        u = 4.0 * d.rate_slow * s
-        v = 4.0 * d.rate_fast * s
-        return d.mass() * (u / (1.0 + u)) * (v / (1.0 + v))
-    return None
-
-
-def _quadrature(d, z, s):
-    if isinstance(d, dt.CartesianGrid):
-        xs, ys, w = d.cell_coordinates()
-        dist_sq = (xs - z[0]) ** 2 + (ys - z[1]) ** 2
-        return float((w * np.exp(-dist_sq / (4.0 * s))).sum()
-                     * d.cell_size ** 2)
-
-    delta = math.hypot(z[0] - d.center[0], z[1] - d.center[1])
+def _radial_quadrature(d, delta, s):
     rmax = d.tail_radius()
     edges = merged_edges(
         panel_edges(d.radial_breakpoints(), rmax, d._scale_radius()),
@@ -101,52 +71,41 @@ def _quadrature(d, z, s):
 class HeatMassCurve:
     """Evaluator for s -> H(s) at a fixed center, with monotone inversion.
 
-    ``mode`` selects the evaluation path: "auto" prefers the family
-    closed form and falls back to quadrature, "closed" insists on the
-    closed form, "quadrature" forces numerical integration (used for
-    cross-validation), "laplace" routes radial data through the Laplace
-    transform identity.
+    ``mode`` selects the evaluation path: "auto" prefers the datum's
+    closed form and falls back to quadrature, "quadrature" forces
+    numerical integration (used for cross-validation).  The center
+    defaults to the datum's center (the barycenter of a grid).
     """
 
-    MODES = ("auto", "closed", "quadrature", "laplace")
+    MODES = ("auto", "quadrature")
 
     def __init__(self, density, z=None, mode="auto"):
         if mode not in self.MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.datum = density
+        c = density.center
         if z is None:
-            z = density.barycenter() if isinstance(density, dt.CartesianGrid) \
-                else density.center
+            z = c
         self.z = (float(z[0]), float(z[1]))
         self.mode = mode
         self._mass = density.mass()
+        self._delta = math.hypot(self.z[0] - c[0], self.z[1] - c[1])
 
     @property
     def mass(self):
         return self._mass
 
-    @property
-    def _delta(self):
-        c = self.datum.barycenter() if isinstance(self.datum, dt.CartesianGrid) \
-            else self.datum.center
-        return math.hypot(self.z[0] - c[0], self.z[1] - c[1])
-
     def evaluate(self, s):
         if s <= 0.0:
             raise NonPositiveTimeError("heat-mass time must be positive")
-        if self.mode == "laplace":
-            if self._delta != 0.0:
-                raise NotRadialError(
-                    "laplace evaluation requires the symmetry center")
-            return math.pi * laplace_eval(self.datum, 1.0 / (4.0 * s))
-        if self.mode in ("auto", "closed"):
-            val = _closed_form(self.datum, self._delta, s)
+        d = self.datum
+        if self.mode == "auto":
+            val = d.closed_heat_mass(self._delta, s)
             if val is not None:
                 return val
-            if self.mode == "closed":
-                raise ValueError(
-                    f"no closed form for {self.datum.family} at this center")
-        return _quadrature(self.datum, self.z, s)
+        if not d.is_radial:
+            return d.heat_mass_sum(self.z, s)
+        return _radial_quadrature(d, self._delta, s)
 
     __call__ = evaluate
 
@@ -199,48 +158,3 @@ class HeatMassCurve:
             else:
                 hi, f_hi = cand, f_cand
         return s
-
-
-def eval_heat_mass(density, z, s, mode="auto"):
-    """Convenience wrapper: H at center z and time s."""
-    return HeatMassCurve(density, z, mode=mode).evaluate(s)
-
-
-def invert_heat_mass(curve, target, config=None):
-    """Convenience wrapper around HeatMassCurve.invert."""
-    return curve.invert(target, config)
-
-
-def laplace_eval(density, v):
-    """Laplace transform of u -> profile(sqrt(u)), evaluated at v > 0.
-
-    Defined for radially symmetric data only; satisfies
-    pi * laplace_eval(d, 1/(4 s)) = H(s) at the symmetry center.
-    """
-    if v <= 0.0:
-        raise ValueError("laplace variable must be positive")
-    if not density.is_radial:
-        raise NotRadialError("laplace path requires radially symmetric data")
-    if isinstance(density, dt.Gaussian):
-        return density.total_mass / (math.pi * (1.0 + 4.0 * density.sigma * v))
-    if isinstance(density, dt.DiskIndicator):
-        return density.height * (-math.expm1(-density.radius ** 2 * v)) / v
-    if isinstance(density, dt.Annulus):
-        return density.height * (math.exp(-density.r_inner ** 2 * v)
-                                 - math.exp(-density.r_outer ** 2 * v)) / v
-    if isinstance(density, dt.PolyGaussian):
-        n = density.power
-        return density.height * math.factorial(n) \
-            / (density.rate + v) ** (n + 1)
-    if isinstance(density, dt.DiffGaussians):
-        amp = density.height / (density.rate_fast - density.rate_slow)
-        return amp * (1.0 / (density.rate_slow + v)
-                      - 1.0 / (density.rate_fast + v))
-    # tabulated profile: integrate exp(-v r^2) profile(r) 2 r dr
-    rmax = density.tail_radius()
-    edges = merged_edges(
-        panel_edges(density.radial_breakpoints(), rmax,
-                    density._scale_radius()),
-        np.linspace(0.0, min(rmax, _WEIGHT_REACH / math.sqrt(v)), 17))
-    return 2.0 * integrate_panels(
-        lambda r: np.exp(-v * r * r) * density.profile(r) * r, edges, order=48)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 import ksblowup as ks
-from ksblowup import HeatMassCurve, bounds, laplace_eval, oracles
+from ksblowup import HeatMassCurve, bounds, oracles
 from ksblowup.errors import SubcriticalMassError
 
 from conftest import EIGHT_PI, analytic_families
@@ -126,7 +126,7 @@ def test_criterion_7_property_suites():
     for name, d in families.items():
         for s in (0.1, 1.0, 10.0):
             direct = HeatMassCurve(d, mode="quadrature").evaluate(s)
-            lap = math.pi * laplace_eval(d, 1.0 / (4.0 * s))
+            lap = math.pi * d.laplace(1.0 / (4.0 * s))
             if abs(lap - direct) / direct > 1e-8:
                 failures.append(f"laplace {name} s={s}")
 

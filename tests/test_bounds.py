@@ -10,7 +10,7 @@ from ksblowup.errors import (
     UnboundedSupportError,
 )
 
-from conftest import EIGHT_PI
+from conftest import EIGHT_PI, disk_grid
 
 LOG125 = math.log(1.25)
 
@@ -156,6 +156,21 @@ def test_tc3_disk(disk_16pi):
     enclosing, jung = bounds.tc3_bound(disk_16pi)
     assert enclosing == pytest.approx(1.0 / (4.0 * LOG125), rel=1e-12)
     assert jung == pytest.approx(1.0 / (3.0 * LOG125), rel=1e-12)
+
+
+def test_report_computes_grid_support_geometry_once(monkeypatch):
+    from ksblowup import geometry
+
+    calls = []
+    original = geometry.smallest_enclosing_disk
+
+    def counted(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(geometry, "smallest_enclosing_disk", counted)
+    bounds.full_report(disk_grid(128))
+    assert len(calls) == 1
 
 
 def test_tc3_requires_compact_support(gaussian_16pi):

@@ -256,6 +256,20 @@ def test_support_geometry_analytic():
             d.support_geometry()
 
 
+@pytest.mark.parametrize("name", FAMILY_NAMES + ("radial_profile", "grid"))
+def test_compact_support_flag_matches_geometry(name):
+    d = {**analytic_families(16.0 * math.pi),
+         "radial_profile": ks.RadialProfile((0.0, 0.5, 1.5), (30.0, 20.0, 0.0)),
+         "grid": disk_grid(16)}[name]
+    try:
+        d.support_geometry()
+    except UnboundedSupportError:
+        bounded = False
+    else:
+        bounded = True
+    assert d.has_compact_support is bounded
+
+
 def test_two_point_grid_support():
     vals = np.zeros((3, 5))
     vals[1, 0] = 1.0

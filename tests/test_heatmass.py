@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksblowup as ks
-from ksblowup import HeatMassCurve, InversionConfig, laplace_eval
+from ksblowup import HeatMassCurve, InversionConfig
 from ksblowup.errors import (
     BracketFailureError,
     NonPositiveTimeError,
@@ -81,23 +81,22 @@ def test_grid_curve_monotone(small_disk_grid):
 @given(zx=st.floats(-4, 4), zy=st.floats(-4, 4),
        s=st.floats(0.01, 100.0))
 def test_gaussian_quadrature_agreement(zx, zy, s):
+    # H(s) = s M / (s + sigma) * exp(-|z|^2 / (4 (s + sigma))) about z
     g = ks.Gaussian(16.0 * math.pi, 1.0)
-    closed = HeatMassCurve(g, (zx, zy), mode="closed").evaluate(s)
+    spread = s + 1.0
+    closed = (s * g.mass() / spread) * math.exp(
+        -(zx * zx + zy * zy) / (4.0 * spread))
     quad = HeatMassCurve(g, (zx, zy), mode="quadrature").evaluate(s)
     assert quad == pytest.approx(closed, rel=1e-8)
 
 
 @pytest.mark.parametrize("s", [0.03, 0.25, 1.0, 10.0])
 def test_disk_quadrature_agreement(disk_16pi, s):
-    closed = HeatMassCurve(disk_16pi, mode="closed").evaluate(s)
+    # H(s) = M (1 - exp(-lam)) / lam at the center, lam = R^2 / (4 s)
+    lam = 1.0 / (4.0 * s)
+    closed = disk_16pi.mass() * (-math.expm1(-lam)) / lam
     quad = HeatMassCurve(disk_16pi, mode="quadrature").evaluate(s)
     assert quad == pytest.approx(closed, rel=1e-8)
-
-
-def test_closed_mode_requires_closed_form():
-    ann = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        HeatMassCurve(ann, (0.5, 0.0), mode="closed").evaluate(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def test_laplace_identity(name):
     d = analytic_families(16.0 * math.pi)[name]
     for s in (0.05, 0.4, 2.0, 30.0):
         direct = HeatMassCurve(d, mode="quadrature").evaluate(s)
-        via_laplace = math.pi * laplace_eval(d, 1.0 / (4.0 * s))
+        via_laplace = math.pi * d.laplace(1.0 / (4.0 * s))
         assert via_laplace == pytest.approx(direct, rel=1e-8)
 
 
@@ -117,7 +116,7 @@ def test_laplace_identity_profile():
     prof = ks.RadialProfile((0.0, 0.5, 1.5), (30.0, 20.0, 0.0))
     for s in (0.1, 1.0, 10.0):
         direct = HeatMassCurve(prof).evaluate(s)
-        assert math.pi * laplace_eval(prof, 1.0 / (4.0 * s)) \
+        assert math.pi * prof.laplace(1.0 / (4.0 * s)) \
             == pytest.approx(direct, rel=1e-8)
 
 
@@ -125,26 +124,18 @@ def test_laplace_annulus_formula():
     ann = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
     v = 0.8
     expect = (16.0 / 3.0) * (math.exp(-v) - math.exp(-4.0 * v)) / v
-    assert laplace_eval(ann, v) == pytest.approx(expect, rel=1e-14)
+    assert ann.laplace(v) == pytest.approx(expect, rel=1e-14)
 
 
 def test_laplace_small_v_limit_is_mass_over_pi():
     for d in analytic_families(16.0 * math.pi).values():
-        assert laplace_eval(d, 1e-9) == pytest.approx(
+        assert d.laplace(1e-9) == pytest.approx(
             d.mass() / math.pi, rel=1e-6)
 
 
 def test_laplace_requires_radial(small_disk_grid):
     with pytest.raises(NotRadialError):
-        laplace_eval(small_disk_grid, 1.0)
-
-
-def test_laplace_mode_curve(gaussian_16pi):
-    c_lap = HeatMassCurve(gaussian_16pi, mode="laplace")
-    c_auto = HeatMassCurve(gaussian_16pi)
-    for s in (0.2, 3.0):
-        assert c_lap.evaluate(s) == pytest.approx(c_auto.evaluate(s),
-                                                  rel=1e-12)
+        small_disk_grid.laplace(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +182,6 @@ def test_invert_bracket_budget(disk_16pi):
 def test_inversion_config_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         InversionConfig(rel_tol=0.0)
-
-
-def test_invert_heat_mass_wrapper(gaussian_16pi):
-    curve = HeatMassCurve(gaussian_16pi)
-    assert ks.invert_heat_mass(curve, 12.8 * math.pi) \
-        == pytest.approx(4.0, rel=1e-7)
 
 
 def test_grid_matches_analytic_disk(small_disk_grid, disk_16pi):
