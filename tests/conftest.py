@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,14 @@ def analytic_families(mass):
         "polygaussian": ks.PolyGaussian(mass / math.pi, 1, 1.0),
         "diffgaussians": ks.DiffGaussians(2.0 * mass / math.pi, 1.0, 2.0),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def analytic_report(name, mass):
+    """``full_report`` of one analytic family at one mass, built once per
+    session: the ordering criterion and the golden rows read the same
+    reports."""
+    return ks.full_report(analytic_families(mass)[name], tolerance=1e-6)
 
 
 def disk_grid(n, height=16.0, radius=1.0, window=1.25, shift=(0.0, 0.0)):

@@ -11,7 +11,7 @@ import ksblowup as ks
 from ksblowup import HeatMassCurve, bounds, oracles
 from ksblowup.errors import SubcriticalMassError
 
-from conftest import EIGHT_PI, analytic_families
+from conftest import EIGHT_PI, analytic_families, analytic_report
 
 LOG125 = math.log(1.25)
 
@@ -171,8 +171,8 @@ def test_criterion_7_property_suites():
 def test_criterion_8_ordering_all_families():
     violations = []
     for mass in (9.0 * math.pi, 16.0 * math.pi, 100.0 * math.pi):
-        for name, d in analytic_families(mass).items():
-            report = bounds.full_report(d, tolerance=1e-6)
+        for name in analytic_families(mass):
+            report = analytic_report(name, mass)
             if not report.ordering_ok:
                 violations.append(f"{name}@{mass:.4g}: {report.violations}")
     _criterion("8 ordering lower <= tc <= uppers over 5 families x 3 masses",
