@@ -12,7 +12,6 @@ from .bounds import (
     BoundReport,
     FMethodBound,
     MassConstants,
-    SearchConfig,
     f_method_bound,
     full_report,
     heat_constant,
@@ -39,7 +38,7 @@ from .datum import (
     RadialProfile,
 )
 from .geometry import SupportGeometry
-from .heatmass import HeatMassCurve, InversionConfig
+from .heatmass import HeatMassCurve
 
 __version__ = "0.1.0"
 
@@ -55,11 +54,9 @@ __all__ = [
     "Gaussian",
     "HeatMassCurve",
     "InitialDatum",
-    "InversionConfig",
     "MassConstants",
     "PolyGaussian",
     "RadialProfile",
-    "SearchConfig",
     "SupportGeometry",
     "f_method_bound",
     "full_report",

@@ -12,7 +12,7 @@ ordering lower <= tc <= upper.
 import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     SubcriticalMassError,
     UnboundedSupportError,
 )
-from .heatmass import HeatMassCurve, InversionConfig
+from .heatmass import HeatMassCurve
 from .quadrature import _gl_nodes, merged_edges, panel_nodes
 from .searches import golden_section, grid_then_golden, minimize_over_plane
 
@@ -62,28 +62,20 @@ def mass_constants(mass):
                          log_inv_ratio=math.log(1.0 / ratio))
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the parameter searches inside the estimators."""
-
-    rel_tol: float = 1e-9
-    nm_max_iter: int = 80
-    extra_seeds: tuple = ()
-    theta_grid: int = 96
-    rho_grid: int = 96
-    qprime_grid: int = 64
-    tc1_q_values: tuple = (1.25, 1.5, 2.0, 3.0, 5.0)
-    tc1_lambda_grid: int = 9
-    inversion: InversionConfig = field(default_factory=InversionConfig)
+# The parameter searches of the estimators follow one fixed recipe.
+_NM_MAX_ITER = 80        # Nelder-Mead iterations per start (tc2 uses half)
+_THETA_GRID = 96         # coarse scan points of the tc2 theta form
+_RHO_GRID = 96           # coarse scan points of the tc2 rho form
+_QPRIME_GRID = 64        # coarse scan points of the lower bound's q'
+_TC1_Q_VALUES = (1.25, 1.5, 2.0, 3.0, 5.0)  # ascending
+_TC1_LAMBDA_GRID = 9     # log-spaced lambda values per q in the tc1 scan
 
 
-_DEFAULT = SearchConfig()
-
-
-def _search_seeds(density, config):
-    """Multi-start seeds: center, barycenter, and shape-aware probes."""
+def _search_seeds(density, extra_seeds=()):
+    """Multi-start seeds: center, barycenter, shape-aware probes, then
+    ``extra_seeds``."""
     seeds = [density.center, density.barycenter(), *density.search_probes(),
-             *config.extra_seeds]
+             *extra_seeds]
     unique = []
     for s in seeds:
         if not any(math.hypot(s[0] - u[0], s[1] - u[1]) < 1e-12 for u in unique):
@@ -95,27 +87,25 @@ def _search_seeds(density, config):
 # tc: inversion of the heat-mass curve, minimized over the center
 # ---------------------------------------------------------------------------
 
-def _tc_search(density, config=None):
-    config = config or _DEFAULT
+def _tc_search(density, extra_seeds=()):
     consts = mass_constants(density.mass())
 
     def critical_time(z):
-        return HeatMassCurve(density, z).invert(consts.threshold,
-                                                config.inversion)
+        return HeatMassCurve(density, z).invert(consts.threshold)
 
     if density.is_nonincreasing_radial:
         z = density.center
         val = critical_time(z)
         return val, z, [(z, z, val)]
-    seeds = _search_seeds(density, config)
+    seeds = _search_seeds(density, extra_seeds)
     z, val, trace = minimize_over_plane(critical_time, seeds,
-                                        max_iter=config.nm_max_iter)
+                                        max_iter=_NM_MAX_ITER)
     return val, z, trace
 
 
-def tc_bound(density, config=None):
+def tc_bound(density):
     """Best available upper bound on the blow-up time via heat-mass inversion."""
-    return _tc_search(density, config)[0]
+    return _tc_search(density)[0]
 
 
 def virial_bound(density):
@@ -171,17 +161,14 @@ def _omega_conv_grid(density, q, lam, z):
     return float((w * vals).sum() * density.cell_size ** 2)
 
 
-def _omega_conv_sup(density, q, lam, config):
+def _omega_conv_sup(density, q, lam):
     """Sup norm of the weighted convolution (exact at the center for
     non-increasing radial data; a feasible maximum elsewhere)."""
     if density.is_nonincreasing_radial:
         return float(_omega_conv_radial(density, q, lam, 0.0)[0])
-    if isinstance(density, dt.CartesianGrid):
-        xs, ys, w = density.cell_coordinates()
-        top = np.argsort(w)[-8:]
-        cands = [(xs[i], ys[i]) for i in top]
-        cands += [density.barycenter(), density.weighted_median()]
-        return max(_omega_conv_grid(density, q, lam, z) for z in cands)
+    if not density.is_radial:
+        return max(_omega_conv_grid(density, q, lam, z)
+                   for z in density.peak_candidates())
     # radial but not monotone: the sup sits on a ring |z - center| = delta;
     # a coarse batched scan plus one zoomed pass nails the peak
     mode = density.profile_mode_radius()
@@ -197,45 +184,43 @@ def _omega_conv_sup(density, q, lam, config):
     return float(vals.max())
 
 
-def tc1_value(density, q, lam, config=None):
+def tc1_value(density, q, lam):
     """The two-parameter bound at fixed (q, lam); +inf when uninformative."""
     if not q > 1.0 or not lam > 0.0:
         raise ValueError("tc1 requires q > 1 and lam > 0")
-    config = config or _DEFAULT
     consts = mass_constants(density.mass())
-    sup = _omega_conv_sup(density, q, lam, config)
+    sup = _omega_conv_sup(density, q, lam)
     log_plus = math.log(sup / consts.threshold) if sup > consts.threshold else 0.0
     if log_plus == 0.0:
         return math.inf
     return lam * q ** (-1.0 / q) * log_plus ** (-1.0 / q)
 
 
-def tc1_bound(density, config=None):
+def tc1_bound(density):
     """Infimum of tc1_value over a (q, lam) grid with local refinement."""
-    config = config or _DEFAULT
     mass_constants(density.mass())
     scale = density._scale_radius() ** 2
-    lam_grid = np.geomspace(scale / 32.0, scale * 32.0, config.tc1_lambda_grid)
+    lam_grid = np.geomspace(scale / 32.0, scale * 32.0, _TC1_LAMBDA_GRID)
 
     best = (math.inf, None, None)
-    for q in config.tc1_q_values:
+    for q in _TC1_Q_VALUES:
         for lam in lam_grid:
-            val = tc1_value(density, q, lam, config)
+            val = tc1_value(density, q, lam)
             if val < best[0]:
                 best = (val, q, lam)
     if best[1] is None:
         return math.inf
     _, q0, lam0 = best
     lam1, v1 = golden_section(
-        lambda lam: tc1_value(density, q0, lam, config),
+        lambda lam: tc1_value(density, q0, lam),
         lam0 / 4.0, lam0 * 4.0, rel_tol=1e-6)
-    qs = sorted(config.tc1_q_values)
+    qs = _TC1_Q_VALUES
     i = qs.index(q0)
     qlo = qs[max(i - 1, 0)]
     qhi = qs[min(i + 1, len(qs) - 1)]
     if qlo < qhi:
         _, v2 = golden_section(
-            lambda q: tc1_value(density, q, lam1, config), qlo, qhi,
+            lambda q: tc1_value(density, q, lam1), qlo, qhi,
             rel_tol=1e-6)
     else:
         v2 = v1
@@ -246,7 +231,7 @@ def tc1_bound(density, config=None):
 # tc2: radial cumulative mass, rho-form and theta-form
 # ---------------------------------------------------------------------------
 
-def _theta_form(consts, inverse, config):
+def _theta_form(consts, inverse):
     """(1/(4 ln(1/a))) * inf_theta inverse(a^theta)^2 / (1 - theta)."""
     a = consts.ratio
     eps = 1e-6
@@ -254,12 +239,12 @@ def _theta_form(consts, inverse, config):
     def objective(theta):
         return inverse(a ** theta) ** 2 / (1.0 - theta)
 
-    grid = np.linspace(eps, 1.0 - eps, config.theta_grid)
-    _, val = grid_then_golden(objective, grid, rel_tol=config.rel_tol)
+    grid = np.linspace(eps, 1.0 - eps, _THETA_GRID)
+    _, val = grid_then_golden(objective, grid)
     return val / (4.0 * consts.log_inv_ratio)
 
 
-def _rho_form_from(mass_at, consts, lo, hi, config):
+def _rho_form_from(mass_at, consts, lo, hi):
     """inf_rho rho^2 / (4 ln+( mass_in_disk / L )) given a mass evaluator."""
 
     def objective(rho):
@@ -268,27 +253,25 @@ def _rho_form_from(mass_at, consts, lo, hi, config):
             return math.inf
         return rho ** 2 / (4.0 * math.log(frac))
 
-    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9), hi, config.rho_grid)
-    _, val = grid_then_golden(objective, grid, rel_tol=config.rel_tol)
+    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9), hi, _RHO_GRID)
+    _, val = grid_then_golden(objective, grid)
     return val
 
 
-def _rho_form(density, consts, z, config):
+def _rho_form(density, consts, z):
     lo = density.generalized_inverse(z, consts.ratio)
     hi = density.support_radius_from(z) if density.has_compact_support \
         else density.generalized_inverse(z, 1.0 - 1e-13)
     return _rho_form_from(lambda rho: density.radial_mass(z, rho),
-                          consts, lo, hi, config)
+                          consts, lo, hi)
 
 
-def tc2_forms(density, z=None, config=None):
+def tc2_forms(density, z=None):
     """(rho_form, theta_form) of the radial-mass bound at a fixed center."""
-    config = config or _DEFAULT
     consts = mass_constants(density.mass())
     z = density.center if z is None else z
-    rho = _rho_form(density, consts, z, config)
-    theta = _theta_form(consts,
-                        lambda m: density.generalized_inverse(z, m), config)
+    rho = _rho_form(density, consts, z)
+    theta = _theta_form(consts, lambda m: density.generalized_inverse(z, m))
     return rho, theta
 
 
@@ -298,35 +281,34 @@ def _snapshot(density, z, n=1024):
     return density.mass_profile(z, n)
 
 
-def tc2_bound(density, config=None):
+def tc2_bound(density):
     """Radial cumulative-mass bound, minimized over the center."""
-    return _tc2_search(density, config)[0]
+    return _tc2_search(density)[0]
 
 
-def _tc2_search(density, config=None):
-    config = config or _DEFAULT
+def _tc2_search(density):
     consts = mass_constants(density.mass())
     center = density.center
     if density.is_nonincreasing_radial:
-        return min(tc2_forms(density, center, config)), center
+        return min(tc2_forms(density, center)), center
 
     def steering_objective(z):
         snap = _snapshot(density, z, n=512)
-        return _theta_form(consts, snap.inverse, config)
+        return _theta_form(consts, snap.inverse)
 
-    seeds = _search_seeds(density, config)
+    seeds = _search_seeds(density)
     z_best, val_best, _ = minimize_over_plane(
-        steering_objective, seeds, max_iter=config.nm_max_iter // 2)
+        steering_objective, seeds, max_iter=_NM_MAX_ITER // 2)
 
-    center_val = min(tc2_forms(density, center, config))
+    center_val = min(tc2_forms(density, center))
     off_center = math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
         > 1e-9 * (1.0 + density._scale_radius())
     if off_center and val_best < center_val:
         snap = _snapshot(density, z_best, n=4096)
-        theta = _theta_form(consts, snap.inverse, config)
+        theta = _theta_form(consts, snap.inverse)
         rho = _rho_form_from(snap.mass_at, consts,
                              snap.inverse(consts.ratio),
-                             snap.inverse(1.0 - 1e-12), config)
+                             snap.inverse(1.0 - 1e-12))
         off_val = min(rho, theta)
         if off_val < center_val:
             return off_val, z_best
@@ -337,51 +319,32 @@ def _tc2_search(density, config=None):
 # tc3: compact support through the smallest enclosing disk
 # ---------------------------------------------------------------------------
 
-class Tc3Bound(tuple):
-    """(enclosing-disk form, diameter/Jung form)."""
-
-    __slots__ = ()
-
-    def __new__(cls, enclosing, jung):
-        return super().__new__(cls, (enclosing, jung))
-
-    @property
-    def enclosing(self):
-        return self[0]
-
-    @property
-    def jung(self):
-        return self[1]
-
-
 def tc3_bound(density):
-    """Support-radius bound R0^2/(4 ln(1/a)) and the coarser D^2/(12 ln(1/a))."""
+    """(R0^2/(4 ln(1/a)), D^2/(12 ln(1/a))): the enclosing-disk form and
+    the coarser diameter (Jung) form of the support-radius bound."""
     consts = mass_constants(density.mass())
     geom = density.support_geometry()
     denom = 4.0 * consts.log_inv_ratio
-    return Tc3Bound(geom.r0 ** 2 / denom,
-                    geom.diameter ** 2 / (3.0 * denom))
+    return geom.r0 ** 2 / denom, geom.diameter ** 2 / (3.0 * denom)
 
 
 # ---------------------------------------------------------------------------
 # tc4: beta-variance bounds
 # ---------------------------------------------------------------------------
 
-def tc4_bound(density, beta=2.0, config=None):
+def tc4_bound(density, beta=2.0):
     """Variance bound V_beta/(4 ln(1/a)); for beta > 2 also the sharper
     center-optimized moment form, reporting the smaller."""
     if beta < 2.0:
         raise ValueError("beta must be >= 2")
-    config = config or _DEFAULT
     consts = mass_constants(density.mass())
     denom = 4.0 * consts.log_inv_ratio
     simple = density.beta_variance(beta) / denom
     if beta == 2.0:
         return simple
-    seeds = [density.barycenter()] + list(config.extra_seeds)
     _, moment, _ = minimize_over_plane(
-        lambda z: density.beta_moment_about(z, beta), seeds,
-        max_iter=config.nm_max_iter)
+        lambda z: density.beta_moment_about(z, beta), [density.barycenter()],
+        max_iter=_NM_MAX_ITER)
     return min(simple, moment / denom)
 
 
@@ -410,7 +373,7 @@ class FMethodBound:
 _F_OFFSET = 1e-6  # one-sided limits at a+ and 1- use this offset
 
 
-def f_method_bound(density, config=None):
+def f_method_bound(density):
     if not density.is_radial:
         raise NotRadialError("the F-method requires radial data")
     consts = mass_constants(density.mass())
@@ -517,10 +480,9 @@ class LowerBoundDetail:
     regime: str
 
 
-def lower_bound_detail(density, p=math.inf, config=None):
+def lower_bound_detail(density, p=math.inf):
     if not p > 1.0:
         raise InvalidExponentsError("lower bound requires p > 1")
-    config = config or _DEFAULT
     consts = mass_constants(density.mass())
     a = consts.ratio
     norm_p = density.lp_norm(p)
@@ -536,9 +498,8 @@ def lower_bound_detail(density, p=math.inf, config=None):
             * (consts.threshold / norm_for_qprime(qp)) ** qp
 
     qp_max = max(50.0, 4.0 / (1.0 - a))
-    grid = np.geomspace(max(p_conj, 1.0), qp_max, config.qprime_grid)
-    qp_star, neg_val = grid_then_golden(neg_objective, grid,
-                                        rel_tol=config.rel_tol)
+    grid = np.geomspace(max(p_conj, 1.0), qp_max, _QPRIME_GRID)
+    qp_star, neg_val = grid_then_golden(neg_objective, grid)
     sup_form = -neg_val
     if isinstance(density, dt.Gaussian):
         # the sharp-Young maximizer is explicit for gaussian data
@@ -565,9 +526,9 @@ def lower_bound_detail(density, p=math.inf, config=None):
                             regime=regime)
 
 
-def lower_bound(density, p=math.inf, config=None):
+def lower_bound(density, p=math.inf):
     """Best lower bound on tc from Lp data (not a bound on the blow-up time)."""
-    return lower_bound_detail(density, p, config).value
+    return lower_bound_detail(density, p).value
 
 
 # ---------------------------------------------------------------------------
@@ -634,20 +595,19 @@ _ROW_ORDER = ("lower", "tc", "virial", "tc1", "tc2", "tc3", "tc3_jung",
               "disk_asym_fixed_height")
 
 
-def full_report(density, config=None, tolerance=1e-6):
+def full_report(density, tolerance=1e-6):
     """Run every applicable estimator and assemble the ordered report."""
-    config = config or _DEFAULT
     consts = mass_constants(density.mass())
     rows = []
 
     rows.append(_run_row(
         "lower", "lower", ("finite Lp norm",),
-        lambda: lower_bound(density, math.inf, config)))
+        lambda: lower_bound(density, math.inf)))
 
     tc2_state = {}
 
     def run_tc2():
-        val, z = _tc2_search(density, config)
+        val, z = _tc2_search(density)
         tc2_state["z"] = z
         return val
 
@@ -655,20 +615,17 @@ def full_report(density, config=None, tolerance=1e-6):
 
     # seed tc with the tc2 optimizer so the report-level chain cannot be
     # broken by one search finding a better center than the other
-    tc_config = config
-    if "z" in tc2_state:
-        tc_config = dataclasses.replace(
-            config, extra_seeds=tuple(config.extra_seeds) + (tc2_state["z"],))
+    extra_seeds = (tc2_state["z"],) if "z" in tc2_state else ()
     rows.append(_run_row(
         "tc", "upper", (),
-        lambda: _tc_search(density, tc_config)[0]))
+        lambda: _tc_search(density, extra_seeds)[0]))
 
     rows.append(_run_row(
         "virial", "upper",
         ("finite 2-moment", "bounds the blow-up time only, not tc"),
         lambda: virial_bound(density)))
     rows.append(_run_row(
-        "tc1", "upper", (), lambda: tc1_bound(density, config)))
+        "tc1", "upper", (), lambda: tc1_bound(density)))
 
     # one support geometry serves both forms; the Jung row adds no time
     tc3 = _run_row("tc3", "upper", ("compact support",),
@@ -681,10 +638,10 @@ def full_report(density, config=None, tolerance=1e-6):
     rows += [tc3, jung]
     rows.append(_run_row(
         "tc4", "upper", ("finite 2-moment",),
-        lambda: tc4_bound(density, 2.0, config)))
+        lambda: tc4_bound(density, 2.0)))
 
     def run_f_method():
-        outcome = f_method_bound(density, config)
+        outcome = f_method_bound(density)
         if not outcome.applicable:
             raise HypothesisCheckError(outcome.reason)
         return outcome.value

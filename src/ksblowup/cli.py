@@ -8,11 +8,14 @@ Subcommands:
 * ``verify`` -- run the oracle-equivalence, constants, and ordering
   self-checks.
 
-Exit codes: 0 success, 1 spec/usage errors, 2 subcritical mass.
+Exit codes: 0 success, 1 spec/usage errors, 2 subcritical mass,
+3 ordering violation (``bound`` still writes the report and lists each
+violation on stderr).
 """
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -197,16 +200,27 @@ def _write_output(text, out_path):
 
 
 def _default_tolerance(args_tol):
-    if args_tol is not None:
-        return args_tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env:
+    """The ordering tolerance: the flag, else $KSBLOWUP_TOL, else 1e-6.
+
+    A NaN or infinite tolerance would switch the ordering check off,
+    since every comparison against ``tc * nan`` is false.
+    """
+    tol, source = args_tol, "--tol"
+    if tol is None:
+        env = os.environ.get(TOL_ENV_VAR)
+        if not env:
+            return 1e-6
+        source = f"environment variable {TOL_ENV_VAR}"
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
-            raise DatumSpecError(
-                f"environment variable {TOL_ENV_VAR} is not a number: {env!r}")
-    return 1e-6
+            raise DatumSpecError(f"{source} is not a number: {env!r}",
+                                 field="tol")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DatumSpecError(
+            f"{source} must be a finite non-negative number, got {tol!r}",
+            field="tol")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +242,10 @@ def cmd_bound(args):
     else:
         text = report_to_csv(report, names)
     _write_output(text, args.out)
+    if not report.ordering_ok:
+        for violation in report.violations:
+            print(f"ordering violation: {violation}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -246,11 +264,7 @@ def _with_param(density, param, value):
         raise DatumSpecError(
             f"parameter '{param}' does not apply to family "
             f"'{density.family}'", field="param")
-    kwargs = {ctor: getattr(density, ctor)
-              for _, ctor in _FAMILY_FIELDS[density.family]}
-    kwargs["center"] = density.center
-    kwargs[kwarg] = value
-    return dt.FAMILIES[density.family](**kwargs)
+    return dataclasses.replace(density, **{kwarg: value})
 
 
 def cmd_sweep(args):

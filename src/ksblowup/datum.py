@@ -307,7 +307,7 @@ class InitialDatum:
 
     # -- support ---------------------------------------------------------
 
-    def support_geometry(self, rel_threshold=0.0):
+    def support_geometry(self):
         raise UnboundedSupportError(
             f"{self.family} datum has unbounded support")
 
@@ -511,7 +511,7 @@ class DiskIndicator(InitialDatum):
     def tail_radius(self, fraction=TAIL_FRACTION):
         return self.radius
 
-    def support_geometry(self, rel_threshold=0.0):
+    def support_geometry(self):
         return SupportGeometry(self.radius, 2.0 * self.radius, self.center)
 
     def support_radius_from(self, z):
@@ -585,7 +585,7 @@ class Annulus(InitialDatum):
     def tail_radius(self, fraction=TAIL_FRACTION):
         return self.r_outer
 
-    def support_geometry(self, rel_threshold=0.0):
+    def support_geometry(self):
         return SupportGeometry(self.r_outer, 2.0 * self.r_outer, self.center)
 
     def support_radius_from(self, z):
@@ -821,7 +821,7 @@ class RadialProfile(InitialDatum):
     def tail_radius(self, fraction=TAIL_FRACTION):
         return self._support_radius()
 
-    def support_geometry(self, rel_threshold=0.0):
+    def support_geometry(self):
         r = self._support_radius()
         return SupportGeometry(r, 2.0 * r, self.center)
 
@@ -872,6 +872,21 @@ class CartesianGrid(InitialDatum):
         object.__setattr__(self, "_bary", (
             float((xs * w).sum() * h * h / m),
             float((ys * w).sum() * h * h / m)))
+        # the estimators read the mass profile about the barycenter, the
+        # weighted median and the heaviest cells on every evaluation;
+        # each is a sort of the cells, done once here
+        object.__setattr__(self, "_bary_profile",
+                           _GridSnapshot(self, self._bary))
+        median = []
+        for coords in (xs, ys):
+            order = np.argsort(coords)
+            csum = np.cumsum(w[order])
+            idx = int(np.searchsorted(csum, 0.5 * csum[-1]))
+            median.append(float(coords[order][min(idx, len(order) - 1)]))
+        object.__setattr__(self, "_median", tuple(median))
+        top = np.argsort(w)[-8:]
+        object.__setattr__(self, "_peaks", tuple(
+            [(xs[i], ys[i]) for i in top] + [self._bary, self._median]))
 
     @property
     def center(self):
@@ -893,18 +908,14 @@ class CartesianGrid(InitialDatum):
         """(x, y, weight) arrays of the cells carrying mass."""
         return self._xs, self._ys, self._w
 
-    def weighted_median(self):
-        """Componentwise mass-weighted median of the cell coordinates."""
-        out = []
-        for coords in (self._xs, self._ys):
-            order = np.argsort(coords)
-            csum = np.cumsum(self._w[order])
-            idx = int(np.searchsorted(csum, 0.5 * csum[-1]))
-            out.append(float(coords[order][min(idx, len(order) - 1)]))
-        return tuple(out)
-
     def search_probes(self):
-        return (self.weighted_median(),)
+        """The componentwise mass-weighted median of the cells."""
+        return (self._median,)
+
+    def peak_candidates(self):
+        """Points where the density smoothed by a narrow weight may peak:
+        the eight heaviest cells, the barycenter and the weighted median."""
+        return self._peaks
 
     def heat_mass_sum(self, z, s):
         """Heat-weighted mass H(s) about z, summed over the cells."""
@@ -938,6 +949,8 @@ class CartesianGrid(InitialDatum):
 
     def mass_profile(self, z, n=None):
         """Exact cumulative mass about z, one step per cell; n is unused."""
+        if (float(z[0]), float(z[1])) == self._bary:
+            return self._bary_profile
         return _GridSnapshot(self, z)
 
     def generalized_inverse(self, z, m):
@@ -949,13 +962,9 @@ class CartesianGrid(InitialDatum):
     def tail_radius(self, fraction=TAIL_FRACTION):
         return self.support_radius_from(self._bary)
 
-    def support_geometry(self, rel_threshold=0.0):
-        if rel_threshold > 0.0:
-            keep = self._w > rel_threshold * self._w.max()
-        else:
-            keep = slice(None)
-        pts = np.column_stack([self._xs[keep], self._ys[keep]])
-        return support_geometry_of_points(pts)
+    def support_geometry(self):
+        return support_geometry_of_points(
+            np.column_stack([self._xs, self._ys]))
 
     def support_radius_from(self, z):
         z = np.asarray(z, dtype=float)

