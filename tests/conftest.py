@@ -38,6 +38,20 @@ def disk_grid(n, height=16.0, radius=1.0, window=1.25, shift=(0.0, 0.0)):
     return ks.CartesianGrid(vals, h, (-window + 0.5 * h, -window + 0.5 * h))
 
 
+def two_bump_grid(n, mass=30.0 * math.pi, half=3.0):
+    """Two unequal gaussian bumps, 65% and 35% of the mass, filling an
+    n x n window; the lighter bump is the wider one."""
+    h = 2.0 * half / n
+    c = -half + h * (np.arange(n) + 0.5)
+    X, Y = np.meshgrid(c, c)
+    vals = np.zeros_like(X)
+    for (cx, cy), sigma, part in (((-0.9, 0.6), 0.35, 0.65),
+                                  ((1.1, -0.8), 0.45, 0.35)):
+        bump = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sigma ** 2))
+        vals += part * mass * bump / (bump.sum() * h * h)
+    return ks.CartesianGrid(vals, h, (float(c[0]), float(c[0])))
+
+
 @pytest.fixture(scope="session")
 def families_16pi():
     return analytic_families(16.0 * math.pi)

@@ -1,9 +1,10 @@
 """Report values pinned at 12 significant digits.
 
-``data/golden_reports.json`` holds, for a few monotone data, a disk grid
-and the three analytic families whose centre is found by Nelder-Mead
-search (annulus, power-1 polygaussian, diffgaussians), the
-``format_value`` string of every row of ``full_report``.  A
+``data/golden_reports.json`` holds, for a few monotone data, a disk grid,
+a two-bump grid (two basins for the centre search) and the three
+analytic families whose centre is found by Nelder-Mead search (annulus,
+power-1 polygaussian, diffgaussians), the ``format_value`` string of
+every row of ``full_report``.  A
 change that promises the same numbers must leave every string as it
 is.  Re-record only when a change is meant to move the bounds, and say
 so in the change:
@@ -20,7 +21,7 @@ import pytest
 import ksblowup as ks
 from ksblowup.cli import format_value
 
-from conftest import analytic_report, disk_grid
+from conftest import analytic_report, disk_grid, two_bump_grid
 
 #: golden names of the searched families, read from the session's shared
 #: reports of ``analytic_families(16 pi)``
@@ -39,6 +40,7 @@ def golden_cases():
         "radial_profile_monotone": ks.RadialProfile((0.0, 0.5, 1.5),
                                                     (30.0, 20.0, 0.0)),
         "disk_grid_128": disk_grid(128),
+        "two_bump_grid_48": two_bump_grid(48),
     }
 
 
