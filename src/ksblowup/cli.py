@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 spec/usage errors, 2 subcritical mass,
 3 ordering violation (``bound`` still writes the report and lists each
-violation on stderr).
+violation on stderr; ``sweep`` writes the whole table, then lists each
+violation as ``step k: ...``, steps counted from 1).
 """
 
 import argparse
@@ -285,9 +286,12 @@ def cmd_sweep(args):
     writer = csv.writer(buf, lineterminator="\n")
     mass_col = [] if args.param == "mass" else ["mass"]
     writer.writerow([args.param, *mass_col, *names])
-    for value in values:
+    broken = []    # (step, violations) of each step that breaks the ordering
+    for step, value in enumerate(values, start=1):
         d = _with_param(density, args.param, float(value))
         report = bounds.full_report(d, tolerance=tolerance)
+        if not report.ordering_ok:
+            broken.append((step, report.violations))
         computed = {r.name: r.value for r in report.rows
                     if r.status == "computed"}
         row = [format_value(float(value))]
@@ -295,7 +299,10 @@ def cmd_sweep(args):
             row.append(format_value(report.mass))
         writer.writerow(row + [format_value(computed.get(n)) for n in names])
     _write_output(buf.getvalue(), args.out)
-    return 0
+    for step, violations in broken:
+        for violation in violations:
+            print(f"step {step}: {violation}", file=sys.stderr)
+    return 3 if broken else 0
 
 
 # ---------------------------------------------------------------------------

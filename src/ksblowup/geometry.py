@@ -5,6 +5,7 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 # Inflation applied to containment tests so collinear/duplicate points do
 # not trip the incremental algorithm on rounding noise.
@@ -89,22 +90,28 @@ def smallest_enclosing_disk(points):
 
 
 def point_set_diameter(points):
-    """Largest pairwise distance, computed on the convex hull."""
+    """Largest pairwise distance, by brute force over the given points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(pts) == 1:
-        return 0.0
-    if len(pts) > 16:
-        try:
-            from scipy.spatial import ConvexHull
-
-            pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            pass  # degenerate (collinear) input: brute force below
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
+def _hull_vertices(pts):
+    """The convex-hull vertices of ``pts``; ``pts`` itself when there are
+    at most 16 points or the hull is degenerate (collinear input)."""
+    if len(pts) <= 16:
+        return pts
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except QhullError:
+        return pts
+
+
 def support_geometry_of_points(points):
-    cx, cy, r0 = smallest_enclosing_disk(points)
-    return SupportGeometry(r0=r0, diameter=point_set_diameter(points),
+    """Enclosing disk and diameter of a point set, both found on its convex
+    hull: a disk holds a set iff it holds the hull, and the farthest pair
+    of points are hull vertices."""
+    hull = _hull_vertices(np.atleast_2d(np.asarray(points, dtype=float)))
+    cx, cy, r0 = smallest_enclosing_disk(hull)
+    return SupportGeometry(r0=r0, diameter=point_set_diameter(hull),
                            center=(cx, cy))

@@ -13,7 +13,8 @@ datum's closed form where it has one (`InitialDatum.closed_heat_mass`:
 the analytic families at their symmetry center, the gaussian about
 every point) and integrates numerically elsewhere.  "quadrature"
 always integrates, to cross-validate the closed forms.  Grid data are
-summed cell by cell in both modes.
+summed in both modes, as one matrix-vector product over the occupied
+block of the grid (`CartesianGrid.heat_mass_sum`).
 """
 
 import math
@@ -108,30 +109,33 @@ class HeatMassCurve:
             raise TargetOutOfRangeError(
                 f"target must lie in (0, {self._mass:.6g})")
 
-        # geometric bracket growth from the natural time unit
+        # geometric bracket growth from the natural time unit; the ends
+        # are exact powers of 4, so each keeps the H value computed when
+        # it was first reached
         lo = hi = 1.0
         v = self.evaluate(1.0)
+        f_lo = f_hi = v - target
         if v < target:
             for _ in range(_BRACKET_STEPS):
+                lo, f_lo = hi, f_hi
                 hi *= 4.0
-                if self.evaluate(hi) >= target:
-                    lo = hi / 4.0
+                f_hi = self.evaluate(hi) - target
+                if f_hi >= 0.0:
                     break
             else:
                 raise BracketFailureError("bracket growth budget exhausted")
         elif v > target:
             for _ in range(_BRACKET_STEPS):
+                hi, f_hi = lo, f_lo
                 lo /= 4.0
-                if self.evaluate(lo) <= target:
-                    hi = lo * 4.0
+                f_lo = self.evaluate(lo) - target
+                if f_lo <= 0.0:
                     break
             else:
                 raise BracketFailureError("bracket shrink budget exhausted")
         else:
             return 1.0
 
-        f_lo = self.evaluate(lo) - target
-        f_hi = self.evaluate(hi) - target
         s = 0.5 * (lo + hi)
         for step in range(_REFINE_STEPS):
             # secant proposal on odd steps, guarded bisection otherwise,

@@ -193,6 +193,8 @@ def test_tc3_disk(disk_16pi):
 
 
 def test_report_computes_grid_support_geometry_once(monkeypatch):
+    from scipy.spatial import ConvexHull
+
     from ksblowup import geometry
 
     calls = []
@@ -203,8 +205,13 @@ def test_report_computes_grid_support_geometry_once(monkeypatch):
         return original(points)
 
     monkeypatch.setattr(geometry, "smallest_enclosing_disk", counted)
-    bounds.full_report(disk_grid(128))
+    grid = disk_grid(128)
+    bounds.full_report(grid)
     assert len(calls) == 1
+    # Welzl reads the convex-hull vertices only, not all 12.8k cells
+    xs, ys, _ = grid.cell_coordinates()
+    n_hull = len(ConvexHull(np.column_stack([xs, ys])).vertices)
+    assert calls[0] <= n_hull < len(xs)
 
 
 def test_tc3_requires_compact_support(gaussian_16pi):

@@ -196,6 +196,38 @@ def test_sweep_disk_near_critical_ratio(tmp_path, capsys):
     assert abs(ratios[-1] - 1.0) <= abs(ratios[0] - 1.0)
 
 
+def test_sweep_ordering_violation_exit_code(tmp_path, capsys, monkeypatch):
+    from ksblowup import bounds
+
+    steps = []
+
+    def violated_at_even_steps(report):
+        steps.append(report.mass)
+        if len(steps) % 2 == 0:
+            report.violations = (f"tc4=0.1 below tc=0.{len(steps)}",)
+            report.ordering_ok = False
+
+    monkeypatch.setattr(bounds, "_check_ordering", violated_at_even_steps)
+    code = cli.main(["sweep", disk_spec(tmp_path), "--param", "sigma",
+                     "--from", "16", "--to", "20", "--steps", "5",
+                     "--bounds", "tc,tc4"])
+    assert code == 3
+    captured = capsys.readouterr()
+    # every step is still written; the violations follow on stderr
+    _, body = parse_csv(captured.out)
+    assert len(body) == 5
+    assert captured.err.splitlines() == ["step 2: tc4=0.1 below tc=0.2",
+                                         "step 4: tc4=0.1 below tc=0.4"]
+
+
+def test_sweep_subcritical_step_exit_code(tmp_path, capsys):
+    # the disk mass pi * height drops below 8 pi at the last step
+    assert cli.main(["sweep", disk_spec(tmp_path), "--param", "sigma",
+                     "--from", "12", "--to", "6", "--steps", "3",
+                     "--bounds", "tc"]) == 2
+    assert "supercritical" in capsys.readouterr().err
+
+
 def test_sweep_zero_steps_usage_error(tmp_path, capsys):
     assert cli.main(["sweep", disk_spec(tmp_path), "--param", "sigma",
                      "--from", "1", "--to", "2", "--steps", "0"]) == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ksblowup as ks
 from ksblowup.errors import UnboundedSupportError, ZeroDatumError
+from ksblowup.geometry import support_geometry_of_points
 
 from conftest import analytic_families, disk_grid
 
@@ -190,6 +191,29 @@ def test_radial_mass_monotone_with_limits(name):
     assert vals[-1] == pytest.approx(d.mass(), rel=1e-9)
 
 
+def test_grid_radial_mass_matches_masked_sum():
+    # integer weights, symmetric about (0, 0) on an integer lattice, so the
+    # barycentre is exact and many cells tie in distance from it
+    vals = np.array([[1, 2, 3, 2, 1],
+                     [2, 5, 7, 5, 2],
+                     [3, 7, 9, 7, 3],
+                     [2, 5, 7, 5, 2],
+                     [1, 2, 3, 2, 1]], dtype=float)
+    vals = np.pad(vals, ((1, 3), (2, 0)))
+    grid = ks.CartesianGrid(vals, 1.0, (-4.0, -3.0))
+    assert grid.barycenter() == (0.0, 0.0)
+    ii, jj = np.nonzero(vals)
+    w = vals[ii, jj]
+    for z in (None, (0.0, 0.0), (0.5, -1.25)):
+        zx, zy = (0.0, 0.0) if z is None else z
+        dist = np.hypot(-4.0 + jj - zx, -3.0 + ii - zy)
+        for rho in np.unique(dist):
+            for r in (rho, np.nextafter(rho, 0.0)):
+                want = float(w[dist <= r].sum())
+                assert grid.radial_mass(z, r) == pytest.approx(
+                    want, rel=1e-13, abs=0.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(zx=st.floats(-3, 3), zy=st.floats(-3, 3),
        rho=st.floats(0.05, 8.0))
@@ -293,8 +317,6 @@ def test_grid_support_threshold():
 @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
                 min_size=2, max_size=40))
 def test_jung_inequalities_on_point_sets(points):
-    from ksblowup.geometry import support_geometry_of_points
-
     geom = support_geometry_of_points(points)
     d, r0 = geom.diameter, geom.r0
     assert d / 2.0 <= r0 * (1.0 + 1e-9) + 1e-12
@@ -304,6 +326,34 @@ def test_jung_inequalities_on_point_sets(points):
     cx, cy = geom.center
     for px, py in points:
         assert math.hypot(px - cx, py - cy) <= r0 * (1.0 + 1e-9) + 1e-12
+
+
+def _point_sets():
+    rng = np.random.default_rng(7)
+    cloud = rng.normal(size=(400, 2)) * (3.0, 1.0) + (2.0, -1.0)
+    t = rng.uniform(-2.0, 5.0, size=60)
+    collinear = np.column_stack([1.5 * t - 0.25, -0.5 * t + 3.0])
+    duplicated = np.repeat(rng.uniform(-1.0, 1.0, size=(12, 2)), 5, axis=0)
+    return {"cloud": cloud, "collinear": collinear, "duplicated": duplicated,
+            "few": cloud[:10]}
+
+
+@pytest.mark.parametrize("name", ["cloud", "collinear", "duplicated", "few"])
+def test_support_geometry_on_hull_matches_all_points(name):
+    from ksblowup.geometry import smallest_enclosing_disk
+
+    points = _point_sets()[name]
+    geom = support_geometry_of_points(points)
+    cx, cy, r0 = smallest_enclosing_disk(points)
+    assert geom.r0 == pytest.approx(r0, rel=1e-12)
+    assert math.hypot(geom.center[0] - cx, geom.center[1] - cy) \
+        <= 1e-12 * r0
+    diff = points[:, None, :] - points[None, :, :]
+    assert geom.diameter == pytest.approx(
+        float(np.sqrt((diff ** 2).sum(axis=2)).max()), rel=1e-12)
+    dist = np.hypot(points[:, 0] - geom.center[0],
+                    points[:, 1] - geom.center[1])
+    assert dist.max() <= geom.r0 * (1.0 + 1e-12)
 
 
 def test_jung_on_compact_families():

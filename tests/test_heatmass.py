@@ -13,7 +13,7 @@ from ksblowup.errors import (
     TargetOutOfRangeError,
 )
 
-from conftest import analytic_families
+from conftest import analytic_families, two_bump_grid
 
 ALL_RADIAL = ("gaussian", "disk", "annulus", "polygaussian", "diffgaussians")
 
@@ -178,6 +178,86 @@ def test_invert_bracket_budget(disk_16pi):
     curve = HeatMassCurve(disk_16pi)
     with pytest.raises(BracketFailureError):
         curve.invert(1e-200)
+
+
+def _counted_inversion(curve, target):
+    """(s, number of evaluate calls) of one inversion."""
+    calls = []
+    evaluate = curve.evaluate
+
+    def counted(s):
+        calls.append(s)
+        return evaluate(s)
+
+    curve.evaluate = counted
+    return curve.invert(target), len(calls)
+
+
+@pytest.mark.parametrize("d, z, at_parent", [
+    (ks.Gaussian(16.0 * math.pi, 1.0), (0.7, -0.4), 22),
+    (ks.DiskIndicator(16.0, 1.0), (0.5, 0.25), 21),
+    (ks.Annulus(16.0 / 3.0, 1.0, 2.0), (0.5, 0.25), 30),
+])
+def test_invert_reuses_bracket_end_values(d, z, at_parent):
+    # the bracket phase has already evaluated H at both ends; the
+    # refinement starts from those values instead of evaluating again
+    # (``at_parent`` counts the calls made when it did)
+    s, calls = _counted_inversion(HeatMassCurve(d, z), 0.5 * d.mass())
+    assert calls == at_parent - 2
+    assert HeatMassCurve(d, z).evaluate(s) == pytest.approx(
+        0.5 * d.mass(), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# grid sums
+# ---------------------------------------------------------------------------
+
+def _two_disk_grid():
+    """Two small disks in opposite corners of a 64^2 grid, with empty
+    rows and columns between them."""
+    c = np.arange(64) * 0.125
+    X, Y = np.meshgrid(c, c)
+    vals = np.where(np.hypot(X - 1.0, Y - 1.0) <= 0.6, 20.0, 0.0)
+    vals += np.where(np.hypot(X - 6.5, Y - 6.0) <= 0.4, 35.0, 0.0)
+    return ks.CartesianGrid(vals, 0.125, (0.0, 0.0))
+
+
+def _single_cell_grid():
+    vals = np.zeros((9, 7))
+    vals[4, 2] = 50.0
+    return ks.CartesianGrid(vals, 0.5, (-1.0, -2.0))
+
+
+def _diagonal_grid():
+    return ks.CartesianGrid(np.diag(np.linspace(1.0, 60.0, 80)), 0.05,
+                            (-2.0, -2.0))
+
+
+def _cell_by_cell(grid, z, s):
+    """H(s) about z as a plain loop over the non-zero cells."""
+    h = grid.cell_size
+    total = 0.0
+    for i, j in zip(*np.nonzero(grid.values)):
+        x = grid.origin[0] + j * h
+        y = grid.origin[1] + i * h
+        dist_sq = (x - z[0]) ** 2 + (y - z[1]) ** 2
+        total += grid.values[i, j] * math.exp(-dist_sq / (4.0 * s))
+    return total * h * h
+
+
+@pytest.mark.parametrize("make", [lambda: two_bump_grid(40), _two_disk_grid,
+                                  _single_cell_grid, _diagonal_grid],
+                         ids=["two_bump", "two_disk", "single_cell",
+                              "diagonal"])
+def test_grid_heat_mass_sum_matches_cell_sum(make):
+    grid = make()
+    for z in (grid.barycenter(), (0.3137, -0.2718), (60.0, -45.0)):
+        for s in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+            want = _cell_by_cell(grid, z, s)
+            got = grid.heat_mass_sum(z, s)
+            # the floor covers terms near the underflow threshold, where
+            # the per-axis factors lose relative precision
+            assert abs(got - want) <= 1e-13 * want + 1e-280, (z, s)
 
 
 def test_grid_matches_analytic_disk(small_disk_grid, disk_16pi):
