@@ -193,17 +193,17 @@ def _counted_inversion(curve, target):
     return curve.invert(target), len(calls)
 
 
-@pytest.mark.parametrize("d, z, at_parent", [
+@pytest.mark.parametrize("d, z, re_evaluating", [
     (ks.Gaussian(16.0 * math.pi, 1.0), (0.7, -0.4), 22),
     (ks.DiskIndicator(16.0, 1.0), (0.5, 0.25), 21),
     (ks.Annulus(16.0 / 3.0, 1.0, 2.0), (0.5, 0.25), 30),
 ])
-def test_invert_reuses_bracket_end_values(d, z, at_parent):
+def test_invert_reuses_bracket_end_values(d, z, re_evaluating):
     # the bracket phase has already evaluated H at both ends; the
-    # refinement starts from those values instead of evaluating again
-    # (``at_parent`` counts the calls made when it did)
+    # refinement starts from those values, two calls fewer than the
+    # ``re_evaluating`` count of a refinement that evaluates them again
     s, calls = _counted_inversion(HeatMassCurve(d, z), 0.5 * d.mass())
-    assert calls == at_parent - 2
+    assert calls == re_evaluating - 2
     assert HeatMassCurve(d, z).evaluate(s) == pytest.approx(
         0.5 * d.mass(), rel=1e-9)
 
