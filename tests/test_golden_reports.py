@@ -1,6 +1,7 @@
 """Report values pinned at 12 significant digits.
 
-``data/golden_reports.json`` holds, for a few monotone data, a disk grid,
+``data/golden_reports.json`` holds, for a few monotone data (one a disk
+just above the critical mass, with its two asymptotic rows), a disk grid,
 a two-bump grid (two basins for the centre search) and the three
 analytic families whose centre is found by Nelder-Mead search (annulus,
 power-1 polygaussian, diffgaussians), the ``format_value`` string of
@@ -36,6 +37,7 @@ def golden_cases():
     return {
         "gaussian_16pi": ks.Gaussian(16.0 * math.pi, 1.0),
         "disk_16pi": ks.DiskIndicator(16.0, 1.0),
+        "disk_near_critical": ks.DiskIndicator(8.05, 1.0),
         "polygaussian_power0": ks.PolyGaussian(16.0, 0, 1.0),
         "radial_profile_monotone": ks.RadialProfile((0.0, 0.5, 1.5),
                                                     (30.0, 20.0, 0.0)),
