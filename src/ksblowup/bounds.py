@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import datum as dt
 from .errors import (
     HypothesisCheckError,
     InvalidExponentsError,
@@ -407,10 +406,7 @@ def f_method_bound(density):
         ratio_at_one = ratio(1.0 - _F_OFFSET)
 
         if np.all(diffs >= -1e-9 * scale) and ratio_at_one >= y0:
-            if density.has_compact_support:
-                h_at_one = density.support_radius_from(density.center) ** 2
-            else:
-                h_at_one = h(1.0 - _F_OFFSET)
+            h_at_one = density.tail_radius(_F_OFFSET) ** 2
             return FMethodBound(float(h_at_one / (4.0 * y0)), "plateau")
 
         strictly_increasing = np.all(diffs > 0.0)
@@ -484,7 +480,6 @@ def lower_bound_detail(density, p=math.inf):
     if not p > 1.0:
         raise InvalidExponentsError("lower bound requires p > 1")
     consts = mass_constants(density.mass())
-    a = consts.ratio
     norm_p = density.lp_norm(p)
     p_conj = _conjugate(p)
 
@@ -497,17 +492,10 @@ def lower_bound_detail(density, p=math.inf):
         return -(qp / (4.0 * math.pi)) \
             * (consts.threshold / norm_for_qprime(qp)) ** qp
 
-    qp_max = max(50.0, 4.0 / (1.0 - a))
+    qp_max = max(50.0, 4.0 / (1.0 - consts.ratio))
     grid = np.geomspace(max(p_conj, 1.0), qp_max, _QPRIME_GRID)
     qp_star, neg_val = grid_then_golden(neg_objective, grid)
     sup_form = -neg_val
-    if isinstance(density, dt.Gaussian):
-        # the sharp-Young maximizer is explicit for gaussian data
-        qp0 = 1.0 / (1.0 - a)
-        if qp0 >= p_conj:
-            cand = -neg_objective(qp0)
-            if cand >= sup_form:
-                sup_form, qp_star = cand, qp0
 
     if math.isinf(p) or p >= LOWER_REGIME_P0 \
             or consts.mass <= EIGHT_PI / (3.0 - 2.0 * math.exp(1.0 - 1.0 / p)):
@@ -650,18 +638,9 @@ def full_report(density, tolerance=1e-6):
         "f_method", "upper", ("radial", "strictly increasing cumulative mass"),
         run_f_method))
 
-    # near-critical disk: closed asymptotic references
-    if isinstance(density, dt.DiskIndicator) \
-            and consts.mass <= EIGHT_PI * 1.01:
-        gap = consts.mass - EIGHT_PI
-        rows.append(BoundEstimate(
-            name="disk_asym_fixed_radius", kind="exact-reference",
-            value=2.0 * math.pi * density.radius ** 2 / gap,
-            assumptions=("asymptotic as mass -> 8*pi, radius fixed",)))
-        rows.append(BoundEstimate(
-            name="disk_asym_fixed_height", kind="exact-reference",
-            value=16.0 * math.pi / (density.height * gap),
-            assumptions=("asymptotic as mass -> 8*pi, height fixed",)))
+    for name, value, assumption in density.near_critical_references():
+        rows.append(BoundEstimate(name=name, kind="exact-reference",
+                                  value=value, assumptions=(assumption,)))
 
     rows.sort(key=lambda r: _ROW_ORDER.index(r.name))
 

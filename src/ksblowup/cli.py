@@ -31,18 +31,8 @@ from .errors import DatumSpecError, KSBlowupError, SubcriticalMassError
 TOL_ENV_VAR = "KSBLOWUP_TOL"
 REPORT_COLUMNS = ("name", "kind", "value", "assumptions", "status", "seconds")
 
-# spec-file field -> constructor keyword, per family
-_FAMILY_FIELDS = {
-    "gaussian": (("mass", "total_mass"), ("sigma", "sigma")),
-    "disk": (("height", "height"), ("radius", "radius")),
-    "annulus": (("height", "height"), ("r_inner", "r_inner"),
-                ("r_outer", "r_outer")),
-    "polygaussian": (("height", "height"), ("power", "power"),
-                     ("rate", "rate")),
-    "diffgaussians": (("height", "height"), ("rate_slow", "rate_slow"),
-                      ("rate_fast", "rate_fast")),
-    "radial_profile": (("radii", "radii"), ("values", "values")),
-}
+#: constructor keywords named otherwise in a spec file
+_SPEC_ALIASES = {"total_mass": "mass"}
 
 
 def format_value(v):
@@ -63,8 +53,17 @@ def _require(spec, name, caster=float):
         raise DatumSpecError(f"field '{name}' is invalid: {exc}", field=name)
 
 
+def _floats(values):
+    return tuple(float(v) for v in values)
+
+
 def datum_from_dict(spec, base_dir="."):
-    """Build an InitialDatum from a parsed spec object."""
+    """Build an InitialDatum from a parsed spec object.
+
+    The spec names each field of the family's dataclass (``mass`` for
+    ``total_mass``); tuple fields are read as tuples of floats, every
+    other field as a float, and the family checks the values.
+    """
     if not isinstance(spec, dict):
         raise DatumSpecError("datum spec must be a JSON object")
     family = spec.get("family")
@@ -72,25 +71,18 @@ def datum_from_dict(spec, base_dir="."):
         raise DatumSpecError("missing required field 'family'", field="family")
     if family == "grid":
         return _grid_from_dict(spec, base_dir)
-    if family not in _FAMILY_FIELDS:
+    if not isinstance(family, str) or family not in dt.FAMILIES:
         raise DatumSpecError(
             f"unknown family '{family}' (expected one of "
-            f"{sorted(_FAMILY_FIELDS) + ['grid']})", field="family")
+            f"{sorted(dt.FAMILIES)})", field="family")
     kwargs = {}
-    for name, kwarg in _FAMILY_FIELDS[family]:
-        if name in ("radii", "values"):
-            kwargs[kwarg] = _require(spec, name,
-                                     lambda v: tuple(float(x) for x in v))
-        elif name == "power":
-            kwargs[kwarg] = _require(spec, name, int)
-        else:
-            kwargs[kwarg] = _require(spec, name)
-    center = spec.get("center", (0.0, 0.0))
+    for field in dataclasses.fields(dt.FAMILIES[family]):
+        name = _SPEC_ALIASES.get(field.name, field.name)
+        if name in spec or field.default is dataclasses.MISSING:
+            kwargs[field.name] = _require(
+                spec, name, _floats if field.type is tuple else float)
     try:
-        kwargs["center"] = tuple(float(c) for c in center)
         return dt.FAMILIES[family](**kwargs)
-    except DatumSpecError:
-        raise
     except (TypeError, ValueError) as exc:
         raise DatumSpecError(f"invalid {family} parameters: {exc}")
 
@@ -120,7 +112,7 @@ def _grid_from_dict(spec, base_dir):
     cell = _require(ref, "cell_size")
     origin = ref.get("origin", (0.0, 0.0))
     try:
-        return dt.CartesianGrid(values, cell, tuple(float(c) for c in origin))
+        return dt.CartesianGrid(values, cell, _floats(origin))
     except (TypeError, ValueError) as exc:
         raise DatumSpecError(f"invalid grid parameters: {exc}")
 

@@ -6,17 +6,25 @@ tabulated radial profile (piecewise linear in r), and a uniform
 Cartesian grid of samples.  Every family exposes the same descriptor
 surface: mass, barycenter, beta-variance, Lp norms, radial cumulative
 mass about an arbitrary center, its generalized (right) inverse, and
-the enclosing-disk geometry for compactly supported data.  Radial
-families also carry the Laplace transform of their squared-radius
-profile, and with it the closed form of the heat-weighted mass where
-one exists.
+the enclosing-disk geometry for compactly supported data.
 
-All instances are immutable; cached quantities are computed at
-construction so evaluation is safe under concurrency.
+Every per-family decision of the estimators lives here, behind these
+methods.  The heat-weighted mass H(z, s) is evaluated here too: in
+closed form where one exists (`closed_heat_mass`), else by radial panel
+quadrature with a Bessel factor off the center (`heat_mass`); a grid
+sums it over its occupied block.  Radial families also carry the
+Laplace transform of their squared-radius profile.  A compactly
+supported radial family states only its support radius
+(`_support_radius`); its tail radius and support geometry follow from
+it.
+
+All instances are immutable and refuse NaN or infinite parameters;
+cached quantities are computed at construction so evaluation is safe
+under concurrency.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -39,6 +47,14 @@ TAIL_FRACTION = 1e-14
 _WEIGHT_REACH = 10.0
 
 
+def _require_finite(datum):
+    """Refuse NaN or infinite parameters, centers, knots and cells."""
+    for f in fields(datum):
+        if not np.all(np.isfinite(np.asarray(getattr(datum, f.name),
+                                             dtype=float))):
+            raise ValueError(f"{f.name} must be finite")
+
+
 def _as_center(value):
     c = tuple(float(v) for v in value)
     if len(c) != 2:
@@ -49,8 +65,7 @@ def _as_center(value):
 def _offset(z, center):
     if z is None:
         return 0.0
-    z = np.asarray(z, dtype=float)
-    return float(math.hypot(z[0] - center[0], z[1] - center[1]))
+    return math.hypot(z[0] - center[0], z[1] - center[1])
 
 
 class InitialDatum:
@@ -81,15 +96,15 @@ class InitialDatum:
         return ()
 
     def tail_radius(self, fraction=TAIL_FRACTION):
-        """Radius about the center holding all but ``fraction`` of the mass."""
+        """Radius about the center holding all but ``fraction`` of the
+        mass: the support radius of compactly supported data."""
+        if self.has_compact_support:
+            return self._support_radius()
         # idempotent per-instance cache; safe under the GIL
         cache = self.__dict__.setdefault("_tail_cache", {})
         if fraction not in cache:
             cache[fraction] = self.generalized_inverse(None, 1.0 - fraction)
         return cache[fraction]
-
-    def label(self):
-        return f"{self.family}(mass={self.mass():.6g})"
 
     def search_probes(self):
         """Center-search starts beyond the center and the barycenter: a
@@ -109,6 +124,36 @@ class InitialDatum:
     def _central_heat_mass(self, s):
         """Closed form of H(s) at the center where available, else None."""
         return None
+
+    def heat_mass(self, z, s):
+        """H(s) about z by panel quadrature of the radial profile."""
+        delta = _offset(z, self.center)
+        rmax = self.tail_radius()
+        edges = merged_edges(
+            panel_edges(self.radial_breakpoints(), rmax, self._scale_radius()),
+            np.clip(np.linspace(delta - _WEIGHT_REACH * math.sqrt(s),
+                                delta + _WEIGHT_REACH * math.sqrt(s), 33),
+                    0.0, rmax),
+            [min(delta, rmax)])
+
+        if delta == 0.0:
+            def integrand(r):
+                return self.profile(r) * r * np.exp(-r * r / (4.0 * s))
+        else:
+            # angular integral of the gaussian weight gives a Bessel factor;
+            # the exponentially scaled i0e keeps large arguments finite
+            def integrand(r):
+                arg = r * delta / (2.0 * s)
+                return (self.profile(r) * r
+                        * np.exp(-(r - delta) ** 2 / (4.0 * s))
+                        * special.i0e(arg))
+
+        return 2.0 * math.pi * integrate_panels(integrand, edges, order=48)
+
+    def near_critical_references(self):
+        """(name, value, assumption) of closed asymptotic critical times
+        as the mass nears 8 pi; none for most families."""
+        return ()
 
     def laplace(self, v):
         """Laplace transform of u -> profile(sqrt(u)), evaluated at v > 0.
@@ -227,11 +272,6 @@ class InitialDatum:
         """Cumulative mass about z on a dense radius grid of about n points."""
         return _RadialSnapshot(self, z, n)
 
-    def _central_radial_mass(self, rho):
-        edges = merged_edges(
-            panel_edges(self.radial_breakpoints(), rho, self._scale_radius()))
-        return TWO_PI * integrate_panels(lambda r: self.profile(r) * r, edges)
-
     def _offset_radial_mass(self, delta, rho):
         # disk about an off-center point: full circles up to rho - delta,
         # then a lens-angle strip up to rho + delta
@@ -307,14 +347,18 @@ class InitialDatum:
 
     # -- support ---------------------------------------------------------
 
-    def support_geometry(self):
+    def _support_radius(self):
+        """Radius about the center of the closed support."""
         raise UnboundedSupportError(
             f"{self.family} datum has unbounded support")
 
+    def support_geometry(self):
+        r = self._support_radius()
+        return SupportGeometry(r, 2.0 * r, self.center)
+
     def support_radius_from(self, z):
         """Distance from z to the farthest point of the (compact) support."""
-        raise UnboundedSupportError(
-            f"{self.family} datum has unbounded support")
+        return _offset(z, self.center) + self._support_radius()
 
 
 class _RadialSnapshot:
@@ -328,10 +372,7 @@ class _RadialSnapshot:
     def __init__(self, density, z, n):
         center = density.center
         delta = math.hypot(z[0] - center[0], z[1] - center[1])
-        if density.has_compact_support:
-            umax = density.support_radius_from(z)
-        else:
-            umax = density.tail_radius(1e-13) + delta
+        umax = density.tail_radius(1e-13) + delta
         us = np.linspace(0.0, umax, n)
         # ring-density kinks sit where circles about z touch profile features
         kinks = []
@@ -404,6 +445,7 @@ class Gaussian(InitialDatum):
     family = "gaussian"
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "center", _as_center(self.center))
         if self.total_mass <= 0.0:
             raise ZeroDatumError("mass must be positive")
@@ -465,6 +507,7 @@ class DiskIndicator(InitialDatum):
     has_compact_support = True
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "center", _as_center(self.center))
         if self.height <= 0.0 or self.radius <= 0.0:
             raise ValueError("height and radius must be positive")
@@ -508,14 +551,19 @@ class DiskIndicator(InitialDatum):
     def _scale_radius(self):
         return self.radius
 
-    def tail_radius(self, fraction=TAIL_FRACTION):
+    def _support_radius(self):
         return self.radius
 
-    def support_geometry(self):
-        return SupportGeometry(self.radius, 2.0 * self.radius, self.center)
-
-    def support_radius_from(self, z):
-        return _offset(z, self.center) + self.radius
+    def near_critical_references(self):
+        mass = self.mass()
+        if mass > 8.0 * math.pi * 1.01:
+            return ()
+        gap = mass - 8.0 * math.pi
+        return (
+            ("disk_asym_fixed_radius", 2.0 * math.pi * self.radius ** 2 / gap,
+             "asymptotic as mass -> 8*pi, radius fixed"),
+            ("disk_asym_fixed_height", 16.0 * math.pi / (self.height * gap),
+             "asymptotic as mass -> 8*pi, height fixed"))
 
 
 @dataclass(frozen=True)
@@ -530,6 +578,7 @@ class Annulus(InitialDatum):
     has_compact_support = True
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "center", _as_center(self.center))
         if self.height <= 0.0 or self.r_inner <= 0.0:
             raise ValueError("height and radii must be positive")
@@ -582,14 +631,8 @@ class Annulus(InitialDatum):
     def _scale_radius(self):
         return self.r_outer
 
-    def tail_radius(self, fraction=TAIL_FRACTION):
+    def _support_radius(self):
         return self.r_outer
-
-    def support_geometry(self):
-        return SupportGeometry(self.r_outer, 2.0 * self.r_outer, self.center)
-
-    def support_radius_from(self, z):
-        return _offset(z, self.center) + self.r_outer
 
 
 @dataclass(frozen=True)
@@ -603,6 +646,7 @@ class PolyGaussian(InitialDatum):
     family = "polygaussian"
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "center", _as_center(self.center))
         if self.height <= 0.0 or self.rate <= 0.0:
             raise ValueError("height and rate must be positive")
@@ -680,6 +724,7 @@ class DiffGaussians(InitialDatum):
     family = "diffgaussians"
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "center", _as_center(self.center))
         if self.height <= 0.0 or self.rate_slow <= 0.0:
             raise ValueError("height and rates must be positive")
@@ -744,6 +789,7 @@ class RadialProfile(InitialDatum):
     has_compact_support = True
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "center", _as_center(self.center))
         radii = tuple(float(r) for r in self.radii)
         values = tuple(float(v) for v in self.values)
@@ -818,16 +864,6 @@ class RadialProfile(InitialDatum):
     def _scale_radius(self):
         return 0.5 * self.radii[-1]
 
-    def tail_radius(self, fraction=TAIL_FRACTION):
-        return self._support_radius()
-
-    def support_geometry(self):
-        r = self._support_radius()
-        return SupportGeometry(r, 2.0 * r, self.center)
-
-    def support_radius_from(self, z):
-        return _offset(z, self.center) + self._support_radius()
-
 
 @dataclass(frozen=True)
 class CartesianGrid(InitialDatum):
@@ -845,6 +881,7 @@ class CartesianGrid(InitialDatum):
     has_compact_support = True
 
     def __post_init__(self):
+        _require_finite(self)
         object.__setattr__(self, "origin", _as_center(self.origin))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
@@ -924,7 +961,7 @@ class CartesianGrid(InitialDatum):
         the eight heaviest cells, the barycenter and the weighted median."""
         return self._peaks
 
-    def heat_mass_sum(self, z, s):
+    def heat_mass(self, z, s):
         """Heat-weighted mass H(s) about z, as h^2 * g_y^T V g_x.
 
         exp(-|x - z|^2 / 4s) = g_x(x) * g_y(y), so one evaluation is two

@@ -9,10 +9,6 @@ class ZeroDatumError(KSBlowupError):
     """The density is identically zero."""
 
 
-class MomentDivergenceError(KSBlowupError):
-    """A requested moment integral does not converge."""
-
-
 class NormDivergenceError(KSBlowupError):
     """A requested Lp norm is not finite."""
 

@@ -11,9 +11,6 @@ from scipy.spatial import ConvexHull, QhullError
 # not trip the incremental algorithm on rounding noise.
 _EPS = 1.0 + 1e-12
 
-#: Planar Jung constant: enclosing radius <= diameter / sqrt(3).
-JUNG_PLANE = 1.0 / math.sqrt(3.0)
-
 
 @dataclass(frozen=True)
 class SupportGeometry:
@@ -98,13 +95,19 @@ def point_set_diameter(points):
 
 def _hull_vertices(pts):
     """The convex-hull vertices of ``pts``; ``pts`` itself when there are
-    at most 16 points or the hull is degenerate (collinear input)."""
+    at most 16 points or the hull is degenerate, except that points all
+    exactly on the line through the two lexicographic extremes reduce to
+    those two."""
     if len(pts) <= 16:
         return pts
     try:
         return pts[ConvexHull(pts).vertices]
     except QhullError:
-        return pts
+        order = np.lexsort((pts[:, 1], pts[:, 0]))
+        a, b = pts[order[0]], pts[order[-1]]
+        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) \
+            - (b[1] - a[1]) * (pts[:, 0] - a[0])
+        return pts[order[[0, -1]]] if np.all(cross == 0.0) else pts
 
 
 def support_geometry_of_points(points):

@@ -8,27 +8,25 @@ is continuous, strictly increasing in s, with range (0, M).  Its
 inverse at the supercritical threshold drives every critical-time
 bound in `bounds`.
 
-`HeatMassCurve` evaluates H in one of two modes.  "auto" takes the
-datum's closed form where it has one (`InitialDatum.closed_heat_mass`:
-the analytic families at their symmetry center, the gaussian about
-every point) and integrates numerically elsewhere.  "quadrature"
-always integrates, to cross-validate the closed forms.  Grid data are
-summed in both modes, as one matrix-vector product over the occupied
-block of the grid (`CartesianGrid.heat_mass_sum`).
+`HeatMassCurve` fixes the center and inverts H; the datum evaluates it.
+In "auto" mode a curve takes the datum's closed form where it has one
+(`InitialDatum.closed_heat_mass`: the analytic families at their
+symmetry center, the gaussian about every point), else
+`InitialDatum.heat_mass`: radial panel quadrature, or for a grid one
+matrix-vector product over its occupied block.  "quadrature" mode
+always calls `heat_mass`, to cross-validate the closed forms.
 """
 
 import math
 
-import numpy as np
-from scipy import special
-
-from .datum import _WEIGHT_REACH
 from .errors import (
     BracketFailureError,
     NonPositiveTimeError,
     TargetOutOfRangeError,
 )
-from .quadrature import integrate_panels, merged_edges, panel_edges
+# unused here since H moved to `datum`; benchmarks/test_bench.py checks
+# that the span patcher replaces this name in every importing module
+from .quadrature import integrate_panels  # noqa: F401
 
 
 # The inversion stops once |H(s) - target| <= _INVERT_REL_TOL * target,
@@ -36,30 +34,6 @@ from .quadrature import integrate_panels, merged_edges, panel_edges
 _INVERT_REL_TOL = 1e-10
 _BRACKET_STEPS = 200     # factor-4 steps while growing or shrinking the bracket
 _REFINE_STEPS = 400      # secant/bisection steps inside the bracket
-
-
-def _radial_quadrature(d, delta, s):
-    rmax = d.tail_radius()
-    edges = merged_edges(
-        panel_edges(d.radial_breakpoints(), rmax, d._scale_radius()),
-        np.clip(np.linspace(delta - _WEIGHT_REACH * math.sqrt(s),
-                            delta + _WEIGHT_REACH * math.sqrt(s), 33),
-                0.0, rmax),
-        [min(delta, rmax)])
-
-    if delta == 0.0:
-        def integrand(r):
-            return d.profile(r) * r * np.exp(-r * r / (4.0 * s))
-    else:
-        # angular integral of the gaussian weight gives a Bessel factor;
-        # the exponentially scaled i0e keeps large arguments finite
-        def integrand(r):
-            arg = r * delta / (2.0 * s)
-            return (d.profile(r) * r
-                    * np.exp(-(r - delta) ** 2 / (4.0 * s))
-                    * special.i0e(arg))
-
-    return 2.0 * math.pi * integrate_panels(integrand, edges, order=48)
 
 
 class HeatMassCurve:
@@ -92,14 +66,11 @@ class HeatMassCurve:
     def evaluate(self, s):
         if s <= 0.0:
             raise NonPositiveTimeError("heat-mass time must be positive")
-        d = self.datum
         if self.mode == "auto":
-            val = d.closed_heat_mass(self._delta, s)
+            val = self.datum.closed_heat_mass(self._delta, s)
             if val is not None:
                 return val
-        if not d.is_radial:
-            return d.heat_mass_sum(self.z, s)
-        return _radial_quadrature(d, self._delta, s)
+        return self.datum.heat_mass(self.z, s)
 
     __call__ = evaluate
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -87,6 +88,12 @@ def test_bound_bad_family_exit_code(tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
+def test_bound_non_string_family_exit_code(tmp_path, capsys):
+    spec = write_spec(tmp_path, "bad.json", {"family": ["disk"]})
+    assert cli.main(["bound", spec]) == 1
+    assert "field: family" in capsys.readouterr().err
+
+
 def test_bound_missing_field_diagnostic(tmp_path, capsys):
     spec = write_spec(tmp_path, "missing.json", {"family": "disk",
                                                  "height": 16.0})
@@ -134,6 +141,57 @@ def test_bound_ordering_violation_exit_code(tmp_path, capsys, monkeypatch):
     _, body = parse_csv(captured.out)
     assert {row[0] for row in body} >= {"tc", "tc4"}
     assert "tc4=0.1 below tc=0.5" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    '{"family": "disk", "height": NaN, "radius": 1.0}',
+    '{"family": "gaussian", "mass": Infinity, "sigma": 1.0}',
+    '{"family": "annulus", "height": 5.0, "r_inner": 1.0, '
+    '"r_outer": 2.0, "center": [0.0, -Infinity]}',
+    '{"family": "radial_profile", "radii": [0.0, NaN], '
+    '"values": [30.0, 0.0]}',
+], ids=["nan_height", "inf_mass", "inf_center", "nan_knot"])
+def test_bound_refuses_non_finite_spec(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert cli.main(["bound", str(path)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_bound_refuses_non_finite_grid_cell(tmp_path, capsys):
+    vals = np.full((4, 4), 5.0)
+    vals[2, 1] = np.nan
+    np.save(tmp_path / "g.npy", vals)
+    spec = write_spec(tmp_path, "grid.json", {
+        "family": "grid",
+        "grid": {"path": "g.npy", "rows": 4, "cols": 4, "cell_size": 1.0}})
+    assert cli.main(["bound", spec]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_bound_refuses_fractional_power(tmp_path, capsys):
+    # the power is read as a number and checked by the family, not
+    # truncated to an integer on the way in
+    spec = write_spec(tmp_path, "poly.json", {
+        "family": "polygaussian", "height": 16.0, "power": 1.5, "rate": 1.0})
+    assert cli.main(["bound", spec]) == 1
+    assert "power must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_spec_fields_are_the_dataclass_fields():
+    from ksblowup import datum as dt
+
+    for d in (dt.Gaussian(50.0, 1.5, (0.5, -1.0)),
+              dt.DiskIndicator(16.0, 1.0),
+              dt.Annulus(5.0, 1.0, 2.0, (2.0, 0.0)),
+              dt.PolyGaussian(16.0, 2, 1.0),
+              dt.DiffGaussians(32.0, 1.0, 2.0),
+              dt.RadialProfile((0.0, 0.5, 1.5), (30.0, 20.0, 0.0))):
+        spec = {"family": d.family, **dataclasses.asdict(d)}
+        if "total_mass" in spec:
+            spec["mass"] = spec.pop("total_mass")
+        # through JSON, so tuples arrive as lists and integers as ints
+        assert cli.datum_from_dict(json.loads(json.dumps(spec))) == d
 
 
 def test_bound_grid_spec(tmp_path, capsys):

@@ -36,6 +36,37 @@ def test_invalid_parameters_raise():
         ks.RadialProfile((0.5, 1.0), (1.0, 0.0))  # first knot not at 0
 
 
+def _non_finite_cases(bad):
+    cell = np.ones((3, 3))
+    cell[1, 1] = bad
+    return {
+        "gaussian_mass": lambda: ks.Gaussian(bad, 1.0),
+        "gaussian_center": lambda: ks.Gaussian(60.0, 1.0, (bad, 0.0)),
+        "disk_height": lambda: ks.DiskIndicator(bad, 1.0),
+        "disk_radius": lambda: ks.DiskIndicator(16.0, bad),
+        "annulus_r_outer": lambda: ks.Annulus(1.0, 1.0, bad),
+        "polygaussian_power": lambda: ks.PolyGaussian(16.0, bad, 1.0),
+        "polygaussian_rate": lambda: ks.PolyGaussian(16.0, 1, bad),
+        "diffgaussians_rate_fast": lambda: ks.DiffGaussians(32.0, 1.0, bad),
+        "radial_profile_knot": lambda: ks.RadialProfile((0.0, bad),
+                                                        (1.0, 0.0)),
+        "radial_profile_value": lambda: ks.RadialProfile((0.0, 1.0),
+                                                         (bad, 0.0)),
+        "grid_cell": lambda: ks.CartesianGrid(cell, 0.1),
+        "grid_cell_size": lambda: ks.CartesianGrid(np.ones((3, 3)), bad),
+        "grid_origin": lambda: ks.CartesianGrid(np.ones((3, 3)), 0.1,
+                                                (0.0, bad)),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(_non_finite_cases(0.0)))
+def test_non_finite_input_raises(case, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        _non_finite_cases(bad)[case]()
+
+
 # ---------------------------------------------------------------------------
 # mass
 # ---------------------------------------------------------------------------
@@ -354,6 +385,42 @@ def test_support_geometry_on_hull_matches_all_points(name):
     dist = np.hypot(points[:, 0] - geom.center[0],
                     points[:, 1] - geom.center[1])
     assert dist.max() <= geom.r0 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 2000), (2000, 1)],
+                         ids=["one_row", "one_column"])
+def test_collinear_grid_support_uses_two_extremes(shape, monkeypatch):
+    from ksblowup import geometry
+
+    sizes = []
+    diameter = geometry.point_set_diameter
+    monkeypatch.setattr(geometry, "point_set_diameter",
+                        lambda pts: sizes.append(len(pts)) or diameter(pts))
+    h = 0.01
+    grid = ks.CartesianGrid(np.ones(shape), h, (1.0, -2.0))
+    geom = grid.support_geometry()
+    # the cell centers span (n - 1) cells along one axis
+    length = (max(shape) - 1) * h
+    assert geom.diameter == pytest.approx(length, rel=1e-12)
+    assert geom.r0 == pytest.approx(0.5 * length, rel=1e-12)
+    mid = 0.5 * length
+    want = (1.0 + mid, -2.0) if shape[0] == 1 else (1.0, -2.0 + mid)
+    assert geom.center == pytest.approx(want, rel=1e-12)
+    assert sizes == [2]
+
+
+def test_near_critical_references_only_for_the_disk():
+    disk = ks.DiskIndicator(8.05, 1.0)
+    gap = disk.mass() - 8.0 * math.pi
+    assert disk.near_critical_references() == (
+        ("disk_asym_fixed_radius", 2.0 * math.pi / gap,
+         "asymptotic as mass -> 8*pi, radius fixed"),
+        ("disk_asym_fixed_height", 16.0 * math.pi / (8.05 * gap),
+         "asymptotic as mass -> 8*pi, height fixed"))
+    # outside the 1% band above 8 pi, and for every other family, none
+    assert ks.DiskIndicator(8.1, 1.0).near_critical_references() == ()
+    assert ks.Gaussian(8.05 * math.pi, 1.0).near_critical_references() == ()
+    assert disk_grid(16).near_critical_references() == ()
 
 
 def test_jung_on_compact_families():
