@@ -26,7 +26,12 @@ import sys
 import numpy as np
 
 from . import bounds, datum as dt, oracles
-from .errors import DatumSpecError, KSBlowupError, SubcriticalMassError
+from .errors import (
+    DatumSpecError,
+    InvalidFieldError,
+    KSBlowupError,
+    SubcriticalMassError,
+)
 
 TOL_ENV_VAR = "KSBLOWUP_TOL"
 REPORT_COLUMNS = ("name", "kind", "value", "assumptions", "status", "seconds")
@@ -83,6 +88,10 @@ def datum_from_dict(spec, base_dir="."):
                 spec, name, _floats if field.type is tuple else float)
     try:
         return dt.FAMILIES[family](**kwargs)
+    except InvalidFieldError as exc:
+        name = _SPEC_ALIASES.get(exc.field, exc.field)
+        raise DatumSpecError(
+            f"invalid {family} parameters: {name} {exc.problem}", field=name)
     except (TypeError, ValueError) as exc:
         raise DatumSpecError(f"invalid {family} parameters: {exc}")
 
@@ -113,6 +122,11 @@ def _grid_from_dict(spec, base_dir):
     origin = ref.get("origin", (0.0, 0.0))
     try:
         return dt.CartesianGrid(values, cell, _floats(origin))
+    except InvalidFieldError as exc:
+        # the cells come from the file that 'grid.path' names
+        name = "path" if exc.field == "values" else exc.field
+        raise DatumSpecError(f"invalid grid parameters: {exc}",
+                             field=f"grid.{name}")
     except (TypeError, ValueError) as exc:
         raise DatumSpecError(f"invalid grid parameters: {exc}")
 

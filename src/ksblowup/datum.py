@@ -30,6 +30,7 @@ import numpy as np
 from scipy import special
 
 from .errors import (
+    InvalidFieldError,
     NormDivergenceError,
     NotRadialError,
     UnboundedSupportError,
@@ -52,7 +53,7 @@ def _require_finite(datum):
     for f in fields(datum):
         if not np.all(np.isfinite(np.asarray(getattr(datum, f.name),
                                              dtype=float))):
-            raise ValueError(f"{f.name} must be finite")
+            raise InvalidFieldError(f.name, "must be finite")
 
 
 def _as_center(value):

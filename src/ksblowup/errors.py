@@ -45,6 +45,19 @@ class HypothesisCheckError(KSBlowupError):
     """A numerical hypothesis check failed; the estimator is inapplicable."""
 
 
+class InvalidFieldError(ValueError):
+    """A datum field holds a value its family refuses.
+
+    ``field`` names the dataclass field; the message reads
+    "<field> <problem>".
+    """
+
+    def __init__(self, field, problem):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
 class DatumSpecError(KSBlowupError):
     """A datum spec file failed to parse or validate.
 

@@ -11,6 +11,9 @@ from scipy.spatial import ConvexHull, QhullError
 # not trip the incremental algorithm on rounding noise.
 _EPS = 1.0 + 1e-12
 
+#: point pairs per block of the brute-force diameter
+_PAIRS_PER_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class SupportGeometry:
@@ -87,10 +90,19 @@ def smallest_enclosing_disk(points):
 
 
 def point_set_diameter(points):
-    """Largest pairwise distance, by brute force over the given points."""
+    """Largest pairwise distance, by brute force over the given points.
+
+    Rows are taken in blocks of about ``_PAIRS_PER_BLOCK`` pairs, so the
+    memory stays linear in the number of points; every pair is computed
+    as in one n x n difference array, so the result is the same.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    step = max(1, _PAIRS_PER_BLOCK // len(pts))
+    best = 0.0
+    for i in range(0, len(pts), step):
+        diff = pts[i:i + step, None, :] - pts[None, :, :]
+        best = max(best, float(np.sqrt((diff ** 2).sum(axis=2)).max()))
+    return best
 
 
 def _hull_vertices(pts):

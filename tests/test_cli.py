@@ -158,6 +158,20 @@ def test_bound_refuses_non_finite_spec(tmp_path, capsys, text):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"family": "disk", "height": NaN, "radius": 1}',
+     "height must be finite [field: height]"),
+    ('{"family": "gaussian", "mass": Infinity, "sigma": 1}',
+     "mass must be finite [field: mass]"),
+], ids=["disk_height", "gaussian_mass"])
+def test_bound_non_finite_spec_names_its_field(tmp_path, capsys, text,
+                                               message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert cli.main(["bound", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_bound_refuses_non_finite_grid_cell(tmp_path, capsys):
     vals = np.full((4, 4), 5.0)
     vals[2, 1] = np.nan
@@ -166,7 +180,9 @@ def test_bound_refuses_non_finite_grid_cell(tmp_path, capsys):
         "family": "grid",
         "grid": {"path": "g.npy", "rows": 4, "cols": 4, "cell_size": 1.0}})
     assert cli.main(["bound", spec]) == 1
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "[field: grid.path]" in err
 
 
 def test_bound_refuses_fractional_power(tmp_path, capsys):

@@ -409,6 +409,25 @@ def test_collinear_grid_support_uses_two_extremes(shape, monkeypatch):
     assert sizes == [2]
 
 
+def test_near_collinear_grid_support_in_linear_memory():
+    import tracemalloc
+
+    # rounding keeps Qhull from reducing the diagonal to its two ends, so
+    # all 2000 cells reach the brute-force diameter
+    grid = ks.CartesianGrid(np.eye(2000), 0.01, (0.013, 0.5))
+    tracemalloc.start()
+    try:
+        geom = grid.support_geometry()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values of the all-pairs n x n difference array, bit for bit
+    assert geom.r0 == 14.135064555919088
+    assert geom.diameter == 28.270129111838173
+    assert geom.center == (10.008000000000003, 10.495000000000001)
+    assert peak < 50e6
+
+
 def test_near_critical_references_only_for_the_disk():
     disk = ks.DiskIndicator(8.05, 1.0)
     gap = disk.mass() - 8.0 * math.pi
