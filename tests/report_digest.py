@@ -18,24 +18,29 @@ that promises the same numbers prints the same digest as its parent:
     PYTHONPATH=/path/to/parent/src python tests/report_digest.py > before.txt
     diff before.txt after.txt
 
-The whole set takes a few minutes on two cores.
+A change that moves numbers compares the two digests instead:
+
+    python tests/report_digest.py --compare before.txt after.txt
+
+prints, per row name, how many values were compared, how many moved and
+the largest relative move up and down, then every status, ``ordering_ok``
+or sweep exit code that changed; it exits 1 when there is any such
+change.  Producing the digest takes a few minutes on two cores.
 """
 
 import contextlib
+import csv
 import io
 import math
 import os
 import sys
 import tempfile
-
-from ksblowup import bounds, cli, datum as dt
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "benchmarks"))
-import workloads  # noqa: E402
+from collections import defaultdict
 
 
 def _print_report(case, density):
+    from ksblowup import bounds
+
     report = bounds.full_report(density)
     print(f"# {case} {report.label} ordering_ok={report.ordering_ok!r}")
     for r in report.rows:
@@ -46,6 +51,8 @@ def _print_report(case, density):
 
 
 def _print_sweep(item):
+    from ksblowup import cli
+
     out = os.path.join(os.path.dirname(item["argv"][1]), "sweep.csv")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -58,7 +65,106 @@ def _print_sweep(item):
     sys.stdout.write(err.getvalue())
 
 
-def main():
+class _Float64:
+    """Stands in for ``np.float64`` while a digest line is read back."""
+
+    float64 = float
+
+
+_LINE_NAMES = {"__builtins__": {}, "nan": math.nan, "inf": math.inf,
+               "np": _Float64}
+
+
+def read_digest(path):
+    """(values, flags) of a digest file.
+
+    ``values`` maps (case, row name, step) to (value, status); a report row
+    has step 0, a sweep cell the step of its line and status "computed" or
+    "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
+    code.
+    """
+    values, flags = {}, {}
+    case, header = None, None
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("# "):
+                case, flag = line.split()[1], line.rsplit(" ", 1)[1]
+                flags[case] = flag
+                header = [] if flag.startswith("exit=") else None
+                step = 0
+            elif header is None and line.startswith("("):
+                name, _, value, status = eval(line, _LINE_NAMES)[:4]
+                values[(case, name, 0)] = (value, status)
+            elif header == []:
+                header = next(csv.reader([line]))
+            elif header:
+                cells = next(csv.reader([line]))
+                if len(cells) != len(header):
+                    continue  # a line of the sweep's stderr
+                step += 1
+                for name, cell in zip(header[1:], cells[1:]):
+                    values[(case, name, step)] = \
+                        (float(cell), "computed") if cell else (math.nan,
+                                                                "blank")
+    return values, flags
+
+
+def _relative_move(before, after):
+    if before == after or (math.isnan(before) and math.isnan(after)):
+        return 0.0
+    if before == 0.0 or not (math.isfinite(before) and math.isfinite(after)):
+        return math.inf if after > before else -math.inf
+    return (after - before) / abs(before)
+
+
+def compare(before_path, after_path):
+    """Print how the values of two digests differ; 1 on a status change."""
+    before, before_flags = read_digest(before_path)
+    after, after_flags = read_digest(after_path)
+    stats = defaultdict(lambda: [0, 0, 0.0, 0.0])
+    changes = []
+    for key in sorted(before.keys() | after.keys()):
+        case, name, step = key
+        where = f"{case} {name}" + (f" step {step}" if step else "")
+        if key not in before or key not in after:
+            changes.append(f"{where}: only in "
+                           f"{'after' if key in after else 'before'}")
+            continue
+        (v0, s0), (v1, s1) = before[key], after[key]
+        if s0 != s1:
+            changes.append(f"{where}: status {s0} -> {s1}")
+        if s0 != "computed" or s1 != "computed":
+            continue
+        row = stats[name]
+        move = _relative_move(v0, v1)
+        row[0] += 1
+        row[1] += move != 0.0
+        row[2] = max(row[2], move)
+        row[3] = min(row[3], move)
+    for case in sorted(before_flags.keys() | after_flags.keys()):
+        f0, f1 = before_flags.get(case), after_flags.get(case)
+        if f0 != f1:
+            changes.append(f"{case}: {f0} -> {f1}")
+
+    print(f"{'row':<24}{'compared':>9}{'moved':>7}{'max up':>11}"
+          f"{'max down':>11}")
+    for name in sorted(stats):
+        n, moved, up, down = stats[name]
+        print(f"{name:<24}{n:>9}{moved:>7}{up:>11.2g}{down:>11.2g}")
+    print(f"{len(changes)} status, ordering or exit-code changes")
+    for change in changes:
+        print(f"  {change}")
+    return 1 if changes else 0
+
+
+def print_digest():
+    from ksblowup import cli, datum as dt
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, "benchmarks"))
+    import workloads
+
     for k, density in enumerate(cli._ordering_cases()):
         _print_report(f"ordering-{k}", density)
     _print_report("near-critical-disk", dt.DiskIndicator(8.05, 1.0))
@@ -72,5 +178,14 @@ def main():
             _print_sweep(workloads.write_item("sweep_closed", key, tmp))
 
 
+def main():
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            sys.exit("usage: report_digest.py --compare BEFORE AFTER")
+        return compare(sys.argv[2], sys.argv[3])
+    print_digest()
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
