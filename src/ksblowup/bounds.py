@@ -7,6 +7,13 @@ ladder of coarser but more explicit estimators ``tc1`` .. ``tc4``, the
 F-function method, the virial bound, and Lp lower bounds on ``tc``.
 ``full_report`` evaluates every applicable estimator and checks the
 ordering lower <= tc <= upper.
+
+``tc`` and ``tc2`` are infima over the center z.  Non-increasing radial
+data take the symmetry center.  Other radial data depend on z only
+through the offset delta = |z - center|, so both are searched in one
+dimension: a scan of delta over [0, tail radius] refined about its best
+point, the ``tc`` search inside one root find of the largest H over
+delta.  Grids run multi-start Nelder-Mead over the plane.
 """
 
 import dataclasses
@@ -15,6 +22,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import (
     HypothesisCheckError,
@@ -24,7 +32,7 @@ from .errors import (
     SubcriticalMassError,
     UnboundedSupportError,
 )
-from .heatmass import HeatMassCurve
+from .heatmass import HeatMassCurve, invert_increasing
 from .quadrature import _gl_nodes, merged_edges, panel_nodes
 from .searches import golden_section, grid_then_golden, minimize_over_plane
 
@@ -68,11 +76,13 @@ _RHO_GRID = 96           # coarse scan points of the tc2 rho form
 _QPRIME_GRID = 64        # coarse scan points of the lower bound's q'
 _TC1_Q_VALUES = (1.25, 1.5, 2.0, 3.0, 5.0)  # ascending
 _TC1_LAMBDA_GRID = 9     # log-spaced lambda values per q in the tc1 scan
+_DELTA_SCAN = 17         # scan points over [0, tail radius] of radial centres
+_DELTA_XATOL = 1e-8      # refinement tolerance of delta, relative to the scan
 
 
 def _search_seeds(density, extra_seeds=()):
-    """Multi-start seeds: center, barycenter, shape-aware probes, then
-    ``extra_seeds``."""
+    """Multi-start seeds of a grid's plane searches: center, barycenter,
+    the grid's probes, then ``extra_seeds``."""
     seeds = [density.center, density.barycenter(), *density.search_probes(),
              *extra_seeds]
     unique = []
@@ -82,11 +92,31 @@ def _search_seeds(density, extra_seeds=()):
     return unique
 
 
+def _delta_scan(density):
+    """Offsets |z - center| that a radial centre search scans first."""
+    return np.linspace(0.0, density.tail_radius(), _DELTA_SCAN)
+
+
+def _ring_point(density, delta):
+    c = density.center
+    return (c[0] + float(delta), c[1])
+
+
 # ---------------------------------------------------------------------------
 # tc: inversion of the heat-mass curve, minimized over the center
 # ---------------------------------------------------------------------------
 
 def _tc_search(density, extra_seeds=()):
+    """(tc, centre) with H(centre, tc) >= L(M) as evaluated.
+
+    Radial data that is not non-increasing is searched over the offset
+    delta = |z - center|: tc = inf{s : max_delta H(delta, s) >= L}, one
+    root find over a scan of delta (plus the offsets of ``extra_seeds``)
+    refined about its best point.  The root finder returns a time at
+    which some scanned offset reached L, so a scan that misses the
+    global basin gives a looser bound, never a wrong one.  Grids run
+    multi-start Nelder-Mead over the inversions.
+    """
     consts = mass_constants(density.mass())
 
     def critical_time(z):
@@ -94,12 +124,42 @@ def _tc_search(density, extra_seeds=()):
 
     if density.is_nonincreasing_radial:
         z = density.center
-        val = critical_time(z)
-        return val, z, [(z, z, val)]
-    seeds = _search_seeds(density, extra_seeds)
-    z, val, trace = minimize_over_plane(critical_time, seeds,
-                                        max_iter=_NM_MAX_ITER)
-    return val, z, trace
+        return critical_time(z), z
+    if not density.is_radial:
+        z, val, _ = minimize_over_plane(
+            critical_time, _search_seeds(density, extra_seeds),
+            max_iter=_NM_MAX_ITER)
+        return val, z
+
+    c = density.center
+    scan = np.union1d(_delta_scan(density), [
+        math.hypot(z[0] - c[0], z[1] - c[1]) for z in extra_seeds])
+    reached = {}  # s -> the centre of the largest H evaluated at s
+
+    def sup_heat_mass(s):
+        best = [-math.inf, None]
+
+        def neg_heat_mass(delta):
+            z = _ring_point(density, delta)
+            val = HeatMassCurve(density, z).evaluate(s)
+            if val > best[0]:
+                best[:] = [val, z]
+            return -val
+
+        vals = [neg_heat_mass(d) for d in scan]
+        k = int(np.argmin(vals))
+        # H is even in the offset, so a peak at the center is refined
+        # on both sides of it
+        optimize.minimize_scalar(
+            neg_heat_mass, method="bounded",
+            bounds=(scan[k - 1] if k else -scan[1],
+                    scan[min(k + 1, len(scan) - 1)]),
+            options={"xatol": _DELTA_XATOL * scan[-1]})
+        reached[s] = best[1]
+        return best[0]
+
+    s = invert_increasing(sup_heat_mass, consts.threshold)
+    return s, reached[s]
 
 
 def tc_bound(density):
@@ -295,9 +355,15 @@ def _tc2_search(density):
         snap = _snapshot(density, z, n=512)
         return _theta_form(consts, snap.inverse)
 
-    seeds = _search_seeds(density)
-    z_best, val_best, _ = minimize_over_plane(
-        steering_objective, seeds, max_iter=_NM_MAX_ITER // 2)
+    if density.is_radial:
+        delta, val_best = grid_then_golden(
+            lambda d: steering_objective(_ring_point(density, d)),
+            _delta_scan(density))
+        z_best = _ring_point(density, delta)
+    else:
+        z_best, val_best, _ = minimize_over_plane(
+            steering_objective, _search_seeds(density),
+            max_iter=_NM_MAX_ITER // 2)
 
     center_val = min(tc2_forms(density, center))
     off_center = math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
@@ -339,7 +405,9 @@ def tc4_bound(density, beta=2.0):
     consts = mass_constants(density.mass())
     denom = 4.0 * consts.log_inv_ratio
     simple = density.beta_variance(beta) / denom
-    if beta == 2.0:
+    # the moment about z is convex in z, and for radial data symmetric
+    # about the center: its minimum is the centered moment of ``simple``
+    if beta == 2.0 or density.is_radial:
         return simple
     _, moment, _ = minimize_over_plane(
         lambda z: density.beta_moment_about(z, beta), [density.barycenter()],
@@ -601,8 +669,8 @@ def full_report(density, tolerance=1e-6):
 
     rows.append(_run_row("tc2", "upper", (), run_tc2))
 
-    # seed tc with the tc2 optimizer so the report-level chain cannot be
-    # broken by one search finding a better center than the other
+    # search tc from the tc2 optimizer too, so the report-level chain
+    # cannot be broken by one search finding a better center than the other
     extra_seeds = (tc2_state["z"],) if "z" in tc2_state else ()
     rows.append(_run_row(
         "tc", "upper", (),

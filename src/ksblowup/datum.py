@@ -107,14 +107,6 @@ class InitialDatum:
             cache[fraction] = self.generalized_inverse(None, 1.0 - fraction)
         return cache[fraction]
 
-    def search_probes(self):
-        """Center-search starts beyond the center and the barycenter: a
-        point on the peak ring of a profile that is not non-increasing."""
-        mode = 0.0 if self.is_nonincreasing_radial else self.profile_mode_radius()
-        if mode <= 0.0:
-            return ()
-        return ((self.center[0] + mode, self.center[1]),)
-
     # -- heat-weighted mass ----------------------------------------------
 
     def closed_heat_mass(self, delta, s):

@@ -1,10 +1,14 @@
 import math
+import os
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ksblowup as ks
-from ksblowup import bounds, oracles
+from ksblowup import HeatMassCurve, bounds, cli, oracles
 from ksblowup.errors import (
     InvalidExponentsError,
     SubcriticalMassError,
@@ -12,6 +16,10 @@ from ksblowup.errors import (
 )
 
 from conftest import EIGHT_PI, disk_grid
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "benchmarks"))
+import workloads  # noqa: E402
 
 LOG125 = math.log(1.25)
 
@@ -61,6 +69,113 @@ def test_tc_translation_invariant():
     base = bounds.tc_bound(ks.DiffGaussians(32.0, 1.0, 2.0))
     shifted = bounds.tc_bound(ks.DiffGaussians(32.0, 1.0, 2.0, (7.0, -4.0)))
     assert shifted == pytest.approx(base, rel=1e-6)
+
+
+def _exact_threshold(mass):
+    m = mpmath.mpf(mass)
+    return 2 * m * m / (3 * m - 8 * mpmath.pi)
+
+
+def _exact_gaussian_tc(mass, sigma):
+    """Root of H(s) = s M / (s + sigma) = L(M), at 30 digits."""
+    with mpmath.workdps(30):
+        threshold = _exact_threshold(mass)
+        return threshold * mpmath.mpf(sigma) / (mpmath.mpf(mass) - threshold)
+
+
+def _exact_disk_tc(height, radius, guess):
+    """Root of H(s) = M (1 - exp(-x)) / x = L(M), x = R^2 / 4s, at 30
+    digits, for the disk's exact mass height * pi * R^2."""
+    with mpmath.workdps(30):
+        r_sq = mpmath.mpf(radius) ** 2
+        mass = mpmath.mpf(height) * mpmath.pi * r_sq
+        ratio = 2 * mass / (3 * mass - 8 * mpmath.pi)
+        x = mpmath.findroot(lambda x: -mpmath.expm1(-x) / x - ratio,
+                            r_sq / (4 * mpmath.mpf(guess)))
+        return r_sq / (4 * x)
+
+
+# The float threshold and the float H carry a few ulps of rounding, which
+# the inversion amplifies by (3M - 8 pi)/(M - 8 pi): at most 19 from 9 pi
+# up, so 1e-14 covers it there.  The side defect of a residual-stopped
+# inversion is 3.5e-10 at 16 pi.
+@settings(max_examples=40, deadline=None)
+@given(mass=st.floats(9.0 * math.pi, 100.0 * math.pi),
+       sigma=st.floats(0.1, 10.0))
+@example(mass=16.0 * math.pi, sigma=1.0)
+def test_tc_gaussian_never_below_exact(mass, sigma):
+    tc = bounds.tc_bound(ks.Gaussian(mass, sigma))
+    exact = _exact_gaussian_tc(mass, sigma)
+    assert tc >= exact * (1 - mpmath.mpf("1e-14"))
+    assert tc <= exact * (1 + mpmath.mpf("1e-12"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mass=st.floats(9.0 * math.pi, 100.0 * math.pi),
+       radius=st.floats(0.1, 10.0))
+@example(mass=16.0 * math.pi, radius=1.0)
+def test_tc_disk_never_below_exact(mass, radius):
+    height = mass / (math.pi * radius ** 2)
+    tc = bounds.tc_bound(ks.DiskIndicator(height, radius))
+    exact = _exact_disk_tc(height, radius, tc)
+    assert tc >= exact * (1 - mpmath.mpf("1e-14"))
+    assert tc <= exact * (1 + mpmath.mpf("1e-12"))
+
+
+def test_tc_gaussian_16pi_not_below_four():
+    assert bounds.tc_bound(ks.Gaussian(16.0 * math.pi, 1.0)) >= 4.0
+
+
+def _certified_cases():
+    from test_golden_reports import golden_cases
+
+    yield from cli._ordering_cases()
+    yield from golden_cases().values()
+    for entry in (workloads.dense_grid_entry, workloads.sparse_grid_entry):
+        values, h, origin = entry(0)
+        yield ks.CartesianGrid(values, h, origin)
+    yield cli.datum_from_dict(
+        workloads.radial_entry("radial_profile", 0)[0])
+
+
+def test_tc_is_reached_at_its_centre(monkeypatch):
+    # every tc carries the centre of an evaluation that reached L; radial
+    # data find it without the plane search
+    plane_search = bounds.minimize_over_plane
+    for d in _certified_cases():
+        def guarded(*args, d=d, **kwargs):
+            assert not d.is_radial, d.label()
+            return plane_search(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "minimize_over_plane", guarded)
+        tc, z = bounds._tc_search(d)
+        threshold = bounds.mass_constants(d.mass()).threshold
+        assert HeatMassCurve(d, z).evaluate(tc) >= threshold, d.label()
+
+
+def test_radial_data_never_search_the_plane(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("plane search on radial data")
+
+    monkeypatch.setattr(bounds, "minimize_over_plane", refuse)
+    profile = ks.RadialProfile((0.0, 0.4, 0.9, 1.5), (10.0, 30.0, 12.0, 0.0))
+    report = bounds.full_report(profile)
+    assert report.ordering_ok
+    assert all(r.status != "failed" for r in report.rows)
+    for d in (ks.Annulus(16.0 / 3.0, 1.0, 2.0),
+              ks.DiffGaussians(32.0, 1.0, 2.0), profile):
+        bounds._tc2_search(d)
+        bounds.tc4_bound(d, 3.0)
+
+
+def test_radial_tc_is_the_centre_inversion_when_it_peaks_there():
+    # the annulus' largest H sits at its center, where the closed form
+    # applies; the delta search returns that inversion or a tighter one
+    d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
+    tc, _ = bounds._tc_search(d)
+    centred = ks.HeatMassCurve(d).invert(
+        bounds.mass_constants(d.mass()).threshold)
+    assert centred * (1.0 - 1e-13) <= tc <= centred
 
 
 def test_tc_diverges_at_criticality():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ksblowup as ks
 from ksblowup import HeatMassCurve
+from ksblowup.heatmass import invert_increasing
 from ksblowup.errors import (
     BracketFailureError,
     NonPositiveTimeError,
@@ -178,6 +179,32 @@ def test_invert_bracket_budget(disk_16pi):
     curve = HeatMassCurve(disk_16pi)
     with pytest.raises(BracketFailureError):
         curve.invert(1e-200)
+
+
+@pytest.mark.parametrize("d, z", [
+    (ks.Gaussian(16.0 * math.pi, 1.0), None),
+    (ks.Gaussian(16.0 * math.pi, 1.0), (0.7, -0.4)),
+    (ks.DiskIndicator(16.0, 1.0), (0.5, 0.25)),
+    (ks.Annulus(16.0 / 3.0, 1.0, 2.0), None),
+    (ks.DiffGaussians(32.0, 1.0, 2.0), (0.3, 0.0)),
+])
+def test_invert_returns_the_safe_end_of_a_narrow_bracket(d, z):
+    curve = HeatMassCurve(d, z)
+    for fraction in (0.1, 0.5, 0.8, 0.99):
+        target = fraction * d.mass()
+        evaluated = {}
+
+        def recorded(s):
+            evaluated[s] = curve.evaluate(s)
+            return evaluated[s]
+
+        s = invert_increasing(recorded, target)
+        # an evaluated time that reached the target: an exact hit, or one
+        # with an evaluated time below the target within 1e-13 beneath it
+        lo = max(t for t, h in evaluated.items() if h < target)
+        assert evaluated[s] >= target
+        assert evaluated[s] == target or 0.0 < s - lo <= 1e-13 * s
+        assert curve.invert(target) == s
 
 
 def _counted_inversion(curve, target):
