@@ -76,8 +76,8 @@ _RHO_GRID = 96           # coarse scan points of the tc2 rho form
 _QPRIME_GRID = 64        # coarse scan points of the lower bound's q'
 _TC1_Q_VALUES = (1.25, 1.5, 2.0, 3.0, 5.0)  # ascending
 _TC1_LAMBDA_GRID = 9     # log-spaced lambda values per q in the tc1 scan
-_DELTA_SCAN = 17         # scan points over [0, tail radius] of radial centres
-_DELTA_XATOL = 1e-8      # refinement tolerance of delta, relative to the scan
+_DELTA_SCAN = 17         # scan points over [0, tail radius] of radial centers
+_DELTA_XATOL = 1e-8      # refinement tolerance of delta, relative to the scanned range
 
 
 def _search_seeds(density, extra_seeds=()):
@@ -93,7 +93,7 @@ def _search_seeds(density, extra_seeds=()):
 
 
 def _delta_scan(density):
-    """Offsets |z - center| that a radial centre search scans first."""
+    """Offsets |z - center| that a radial center search scans first."""
     return np.linspace(0.0, density.tail_radius(), _DELTA_SCAN)
 
 
@@ -107,7 +107,7 @@ def _ring_point(density, delta):
 # ---------------------------------------------------------------------------
 
 def _tc_search(density, extra_seeds=()):
-    """(tc, centre) with H(centre, tc) >= L(M) as evaluated.
+    """(tc, center) with H(center, tc) >= L(M) as evaluated.
 
     Radial data that is not non-increasing is searched over the offset
     delta = |z - center|: tc = inf{s : max_delta H(delta, s) >= L}, one
@@ -134,7 +134,7 @@ def _tc_search(density, extra_seeds=()):
     c = density.center
     scan = np.union1d(_delta_scan(density), [
         math.hypot(z[0] - c[0], z[1] - c[1]) for z in extra_seeds])
-    reached = {}  # s -> the centre of the largest H evaluated at s
+    reached = {}  # s -> the center of the largest H evaluated at s
 
     def sup_heat_mass(s):
         best = [-math.inf, None]
