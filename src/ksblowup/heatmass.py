@@ -44,7 +44,7 @@ _WIDTH_REL_TOL = 1e-13
 
 
 def invert_increasing(fn, target):
-    """Smallest evaluated s with fn(s) >= target, for fn increasing in s.
+    """The upper end of a narrow bracket on fn(s) = target, fn increasing.
 
     The result is the upper end of a bracket [lo, hi] with
     fn(lo) < target <= fn(hi) and hi - lo <= _WIDTH_REL_TOL * hi, so it
@@ -161,8 +161,8 @@ class HeatMassCurve:
     __call__ = evaluate
 
     def invert(self, target):
-        """The smallest evaluated s with H(s) >= target, for target in
-        (0, M); see `invert_increasing`."""
+        """The upper end of a narrow bracket on H(s) = target, for target
+        in (0, M): H(s) >= target there; see `invert_increasing`."""
         if not 0.0 < target < self._mass:
             raise TargetOutOfRangeError(
                 f"target must lie in (0, {self._mass:.6g})")
