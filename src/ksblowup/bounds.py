@@ -32,9 +32,15 @@ from .errors import (
     SubcriticalMassError,
     UnboundedSupportError,
 )
-from .heatmass import HeatMassCurve, invert_increasing
+from .heatmass import HeatMassCurve
 from .quadrature import _gl_nodes, merged_edges, panel_nodes
-from .searches import golden_section, grid_then_golden, minimize_over_plane
+from .searches import (
+    bisect,
+    golden_section,
+    grid_then_golden,
+    invert_increasing,
+    minimize_over_plane,
+)
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -81,10 +87,9 @@ _DELTA_XATOL = 1e-8      # refinement tolerance of delta, relative to the scanne
 
 
 def _search_seeds(density, extra_seeds=()):
-    """Multi-start seeds of a grid's plane searches: center, barycenter,
-    the grid's probes, then ``extra_seeds``."""
-    seeds = [density.center, density.barycenter(), *density.search_probes(),
-             *extra_seeds]
+    """Multi-start seeds of a grid's plane searches: center (the
+    barycenter), the grid's probes, then ``extra_seeds``."""
+    seeds = [density.center, *density.search_probes(), *extra_seeds]
     unique = []
     for s in seeds:
         if not any(math.hypot(s[0] - u[0], s[1] - u[1]) < 1e-12 for u in unique):
@@ -481,16 +486,10 @@ def f_method_bound(density):
         cond_start = ratio_at_one < y0
         cond_end = ratio(a + _F_OFFSET * (1.0 - a)) > 0.0
         if strictly_increasing and cond_start and cond_end:
-            lo, hi = xs[0], xs[-1]
-            if not (f_func(lo) < y0 < f_func(hi)):
+            if not (f_func(xs[0]) < y0 < f_func(xs[-1])):
                 raise HypothesisCheckError(
                     "F does not straddle ln(1/a) on the classification window")
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if f_func(mid) < y0:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, hi = bisect(lambda x: f_func(x) >= y0, xs[0], xs[-1])
             x0 = 0.5 * (lo + hi)
             return FMethodBound(float(h(math.exp(-x0)) / (4.0 * (y0 - x0))),
                                 "interior")

@@ -9,11 +9,13 @@ mass about an arbitrary center, its generalized (right) inverse, and
 the enclosing-disk geometry for compactly supported data.
 
 Every per-family decision of the estimators lives here, behind these
-methods.  The heat-weighted mass H(z, s) is evaluated here too: in
-closed form where one exists (`closed_heat_mass`), else by radial panel
-quadrature with a Bessel factor off the center (`heat_mass`); a grid
-sums it over its occupied block.  Radial families also carry the
-Laplace transform of their squared-radius profile.  A compactly
+methods.  The heat-weighted mass H(z, s) is chosen here, in one method,
+`heat_mass`: a family's closed form at its center
+(`_central_heat_mass`), else radial panel quadrature with a Bessel
+factor off the center (`_heat_mass_quadrature`).  The gaussian's
+closed form holds about every point, and a grid sums H over its
+occupied block.  Radial families also carry the Laplace transform of
+their squared-radius profile, H at the center over pi.  A compactly
 supported radial family states only its support radius
 (`_support_radius`); its tail radius and support geometry follow from
 it.
@@ -38,6 +40,7 @@ from .errors import (
 )
 from .geometry import SupportGeometry, support_geometry_of_points
 from .quadrature import _gl_nodes, integrate_panels, merged_edges, panel_edges
+from .searches import bisect
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,16 +112,20 @@ class InitialDatum:
 
     # -- heat-weighted mass ----------------------------------------------
 
-    def closed_heat_mass(self, delta, s):
-        """H(s) about a point at distance ``delta`` from the center, in
-        closed form, or None when only quadrature applies."""
-        return self._central_heat_mass(s) if delta == 0.0 else None
+    def heat_mass(self, z, s):
+        """H(s) about z (the center if None): the closed form at the
+        center where the family has one, else panel quadrature."""
+        if _offset(z, self.center) == 0.0:
+            val = self._central_heat_mass(s)
+            if val is not None:
+                return val
+        return self._heat_mass_quadrature(z, s)
 
     def _central_heat_mass(self, s):
         """Closed form of H(s) at the center where available, else None."""
         return None
 
-    def heat_mass(self, z, s):
+    def _heat_mass_quadrature(self, z, s):
         """H(s) about z by panel quadrature of the radial profile."""
         delta = _offset(z, self.center)
         rmax = self.tail_radius()
@@ -152,23 +159,14 @@ class InitialDatum:
         """Laplace transform of u -> profile(sqrt(u)), evaluated at v > 0.
 
         Defined for radially symmetric data only; pi * laplace(1/(4 s))
-        is the heat-weighted mass H(s) at the symmetry center, so one
-        closed form of H serves both.
+        is the heat-weighted mass H(s) at the symmetry center, so it is
+        read from `heat_mass`.
         """
         if v <= 0.0:
             raise ValueError("laplace variable must be positive")
         if not self.is_radial:
             raise NotRadialError("laplace path requires radially symmetric data")
-        val = self.closed_heat_mass(0.0, 1.0 / (4.0 * v))
-        if val is not None:
-            return val / math.pi
-        # integrate exp(-v r^2) profile(r) 2 r dr
-        rmax = self.tail_radius()
-        edges = merged_edges(
-            panel_edges(self.radial_breakpoints(), rmax, self._scale_radius()),
-            np.linspace(0.0, min(rmax, _WEIGHT_REACH / math.sqrt(v)), 17))
-        return 2.0 * integrate_panels(
-            lambda r: np.exp(-v * r * r) * self.profile(r) * r, edges, order=48)
+        return self.heat_mass(None, 1.0 / (4.0 * v)) / math.pi
 
     # -- descriptors ---------------------------------------------------
 
@@ -258,9 +256,6 @@ class InitialDatum:
             return self._central_radial_mass(rho)
         return self._offset_radial_mass(delta, rho)
 
-    def mass_fraction(self, z, rho):
-        return self.radial_mass(z, rho) / self.mass()
-
     def mass_profile(self, z, n=1024):
         """Cumulative mass about z on a dense radius grid of about n points."""
         return _RadialSnapshot(self, z, n)
@@ -328,15 +323,10 @@ class InitialDatum:
             hi *= 2.0
         else:
             raise UnboundedSupportError("mass fraction never reaches m")
-        lo = 0.0
         # predicate bisection converges to the infimum even across plateaus
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if self.radial_mass(z, mid) >= target * (1.0 - 1e-14):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return bisect(
+            lambda rho: self.radial_mass(z, rho) >= target * (1.0 - 1e-14),
+            0.0, hi)[1]
 
     # -- support ---------------------------------------------------------
 
@@ -481,9 +471,10 @@ class Gaussian(InitialDatum):
     def _scale_radius(self):
         return 2.0 * math.sqrt(self.sigma)
 
-    def closed_heat_mass(self, delta, s):
+    def heat_mass(self, z, s):
         # the heat kernel maps the bump to a wider bump, so the closed
         # form holds about every point
+        delta = _offset(z, self.center)
         spread = s + self.sigma
         return (s * self.total_mass / spread) * math.exp(
             -delta * delta / (4.0 * spread))

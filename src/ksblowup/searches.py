@@ -1,10 +1,17 @@
-"""Derivative-free minimization helpers used by the bound estimators.
+"""Every one-dimensional solver and the plane search of the estimators.
 
-The one-dimensional objectives here (profile parameters of the bound
-formulas) are smooth and unimodal in every worked example, so a coarse
-deterministic grid followed by golden-section refinement certifies an
-upper envelope of the true infimum.  Plane minimization over centers
-uses multi-start Nelder-Mead and records its improvement trace.
+`invert_increasing` inverts an increasing function: factor-4 bracket
+growth from s = 1, then Brent's method (Brent, *Algorithms for
+Minimization without Derivatives*, 1973).  It returns the upper end of
+a bracket narrower than `_WIDTH_REL_TOL` times that end, a point where
+the function was evaluated and reached the target, so an upper bound
+read from it is on the safe side of the root.  `bisect` halves a
+bracket on a monotone predicate until no float lies inside it.
+
+The estimators' one-dimensional objectives are smooth and unimodal in
+every worked example, so a coarse grid then golden-section refinement
+certifies an upper envelope of the infimum.  Centers in the plane are
+searched by multi-start Nelder-Mead, which records a per-start trace.
 """
 
 import math
@@ -12,9 +19,110 @@ import math
 import numpy as np
 from scipy import optimize
 
+from .errors import BracketFailureError
+
 GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _GOLDEN_MAX_ITER = 200              # iteration cap of golden_section
 _NM_XATOL, _NM_FATOL = 1e-7, 1e-12  # Nelder-Mead stopping tolerances
+_BRACKET_STEPS = 200     # factor-4 steps while growing or shrinking the bracket
+# the root finder stops once hi - lo <= _WIDTH_REL_TOL * hi
+_WIDTH_REL_TOL = 1e-13
+
+
+def invert_increasing(fn, target):
+    """The upper end of a narrow bracket on fn(s) = target, fn increasing.
+
+    The result is the upper end of a bracket [lo, hi] with
+    fn(lo) < target <= fn(hi) and hi - lo <= _WIDTH_REL_TOL * hi, so it
+    lies above the root by at most that width.  Should ``fn`` only
+    estimate an increasing function from below, the result still
+    carries an evaluation that reached the target.
+    """
+    # geometric bracket growth from the natural time unit; the ends
+    # are exact powers of 4, so each keeps the value computed when it
+    # was first reached
+    lo = hi = 1.0
+    f_lo = f_hi = fn(1.0) - target
+    if f_hi < 0.0:
+        for _ in range(_BRACKET_STEPS):
+            lo, f_lo = hi, f_hi
+            hi *= 4.0
+            f_hi = fn(hi) - target
+            if f_hi >= 0.0:
+                break
+        else:
+            raise BracketFailureError("bracket growth budget exhausted")
+    else:
+        for _ in range(_BRACKET_STEPS):
+            hi, f_hi = lo, f_lo
+            lo /= 4.0
+            f_lo = fn(lo) - target
+            if f_lo < 0.0:
+                break
+        else:
+            raise BracketFailureError("bracket shrink budget exhausted")
+    return _brent(fn, target, lo, f_lo, hi, f_hi)
+
+
+def _brent(fn, target, a, fa, b, fb):
+    """Brent's zero finder on fa < 0 <= fb, returning the end with f >= 0.
+
+    ``b`` is the best iterate and ``c`` the opposite end of the bracket;
+    ``a`` is the previous iterate, kept for the inverse quadratic step.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * _WIDTH_REL_TOL * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b if fb >= 0.0 else c
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            # secant step when only two points are distinct, else inverse
+            # quadratic interpolation through a, b and c
+            r = fb / fa
+            if a == c:
+                p, q = 2.0 * m * r, 1.0 - r
+            else:
+                qa, rb = fa / fc, fb / fc
+                p = r * (2.0 * m * qa * (qa - rb) - (b - a) * (rb - 1.0))
+                q = (qa - 1.0) * (rb - 1.0) * (r - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = fn(b) - target
+        if (fb >= 0.0) == (fc >= 0.0):
+            c, fc = a, fa
+            d = e = b - a
+
+
+def bisect(pred, lo, hi):
+    """The narrowest float bracket (lo, hi) of a monotone predicate that
+    is false at ``lo`` and true at ``hi``.
+
+    Halves until the midpoint equals an end; from there no step could
+    move either end, so the result is the fixed point of any longer run.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def golden_section(fn, lo, hi, rel_tol=1e-9):
