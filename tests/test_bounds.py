@@ -407,6 +407,31 @@ def test_f_method_plateau_in_window_inapplicable():
     assert out.reason
 
 
+@pytest.mark.parametrize("d, inverse_calls, f_calls, capped", [
+    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 18030, (122, 93009)),
+    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 17876,
+     (122, 92964)),
+])
+def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
+                                        f_calls, capped):
+    # a bisection stops once its midpoint equals an end; ``capped`` holds
+    # the radial_mass counts of the fixed 120- and 200-step loops it
+    # replaced, which returned the same floats
+    radial_mass = ks.InitialDatum.radial_mass
+    calls = []
+
+    def counted(self, z, rho):
+        calls.append(rho)
+        return radial_mass(self, z, rho)
+
+    monkeypatch.setattr(ks.InitialDatum, "radial_mass", counted)
+    d.generalized_inverse(None, 0.9)
+    assert len(calls) == inverse_calls < capped[0]
+    calls.clear()
+    bounds.f_method_bound(d)
+    assert len(calls) == f_calls < capped[1]
+
+
 # ---------------------------------------------------------------------------
 # lower bounds and heat constants
 # ---------------------------------------------------------------------------

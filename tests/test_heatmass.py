@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 import ksblowup as ks
 from ksblowup import HeatMassCurve
@@ -119,6 +120,24 @@ def test_laplace_identity_profile():
         direct = HeatMassCurve(prof).evaluate(s)
         assert math.pi * prof.laplace(1.0 / (4.0 * s)) \
             == pytest.approx(direct, rel=1e-8)
+
+
+@pytest.mark.parametrize("prof", [
+    ks.RadialProfile((0.0, 0.5, 1.5), (30.0, 20.0, 0.0)),
+    ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)),
+    ks.RadialProfile((0.0, 1.0, 2.0, 3.0, 4.0), (90.0, 0.0, 0.0, 1.0, 0.0)),
+])
+def test_laplace_profile_matches_adaptive_quadrature(prof):
+    # an outside reference for the profile's H quadrature: scipy's
+    # adaptive quad of exp(-v r^2) profile(r) 2 r, one knot interval each
+    def integrand(r, v):
+        return math.exp(-v * r * r) * float(prof.profile(r)) * 2.0 * r
+
+    for v in (0.025, 0.25, 2.5, 40.0):
+        want = sum(integrate.quad(integrand, a, b, args=(v,), epsabs=0.0,
+                                  epsrel=1e-13)[0]
+                   for a, b in zip(prof.radii, prof.radii[1:]))
+        assert prof.laplace(v) == pytest.approx(want, rel=1e-10), v
 
 
 def test_laplace_annulus_formula():
