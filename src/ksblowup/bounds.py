@@ -85,6 +85,15 @@ _TC1_LAMBDA_GRID = 9     # log-spaced lambda values per q in the tc1 scan
 _DELTA_SCAN = 17         # scan points over [0, tail radius] of radial centers
 _DELTA_XATOL = 1e-8      # refinement tolerance of delta, relative to the scanned range
 
+# The tc search inverts H at L (1 + k u), u = 2^-53, so that H(tc) >= L
+# holds for the exact H and L.  k counts roundings, in units of u: L =
+# 2 M^2 / (3M - 8 pi) 10 (8 pi, M^2, 3M, the difference and the quotient
+# 1 each, 2 as the difference at most doubles the errors of 3M and 8 pi,
+# 4 for a computed mass such as the disk's h pi R^2); a closed-form H at
+# the center 9 (the disk: mass 4, R^2/4s 2, expm1, quotient and product
+# 1 each); the product with L 1; slack 2.  k is even: 1 + k u is exact.
+_TC_TARGET_FACTOR = 1.0 + 22 * 2.0 ** -53
+
 
 def _search_seeds(density, extra_seeds=()):
     """Multi-start seeds of a grid's plane searches: center (the
@@ -121,11 +130,14 @@ def _tc_search(density, extra_seeds=()):
     which some scanned offset reached L, so a scan that misses the
     global basin gives a looser bound, never a wrong one.  Grids run
     multi-start Nelder-Mead over the inversions.
+
+    The target is L times `_TC_TARGET_FACTOR`, which covers the rounding
+    of L and of a closed-form H but not quadrature or grid-sum error.
     """
-    consts = mass_constants(density.mass())
+    target = mass_constants(density.mass()).threshold * _TC_TARGET_FACTOR
 
     def critical_time(z):
-        return HeatMassCurve(density, z).invert(consts.threshold)
+        return HeatMassCurve(density, z).invert(target)
 
     if density.is_nonincreasing_radial:
         z = density.center
@@ -163,7 +175,7 @@ def _tc_search(density, extra_seeds=()):
         reached[s] = best[1]
         return best[0]
 
-    s = invert_increasing(sup_heat_mass, consts.threshold)
+    s = invert_increasing(sup_heat_mass, target)
     return s, reached[s]
 
 
