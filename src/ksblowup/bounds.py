@@ -8,12 +8,14 @@ F-function method, the virial bound, and Lp lower bounds on ``tc``.
 ``full_report`` evaluates every applicable estimator and checks the
 ordering lower <= tc <= upper.
 
-``tc`` and ``tc2`` are infima over the center z.  Non-increasing radial
-data take the symmetry center.  Other radial data depend on z only
-through the offset delta = |z - center|, so both are searched in one
-dimension: a scan of delta over [0, tail radius] refined about its best
-point, the ``tc`` search inside one root find of the largest H over
-delta.  Grids run multi-start Nelder-Mead over the plane.
+``tc`` and ``tc2`` are infima over the center z, and ``tc1`` reads a
+supremum over it.  Non-increasing radial data take the symmetry center.
+Other radial data depend on z only through the offset delta =
+|z - center|, so all three share one search of delta,
+`searches.maximize_even`: a scan over [0, tail radius] refined by
+bounded Brent about its best point.  ``tc`` runs it inside one root
+find of the largest H over delta.  Grids run multi-start Nelder-Mead
+over the plane (``tc1`` tries the grid's peak candidates).
 """
 
 import dataclasses
@@ -22,7 +24,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     HypothesisCheckError,
@@ -39,6 +40,7 @@ from .searches import (
     golden_section,
     grid_then_golden,
     invert_increasing,
+    maximize_even,
     minimize_over_plane,
 )
 
@@ -83,7 +85,6 @@ _QPRIME_GRID = 64        # coarse scan points of the lower bound's q'
 _TC1_Q_VALUES = (1.25, 1.5, 2.0, 3.0, 5.0)  # ascending
 _TC1_LAMBDA_GRID = 9     # log-spaced lambda values per q in the tc1 scan
 _DELTA_SCAN = 17         # scan points over [0, tail radius] of radial centers
-_DELTA_XATOL = 1e-8      # refinement tolerance of delta, relative to the scanned range
 
 # The tc search inverts H at L (1 + k u), u = 2^-53, so that H(tc) >= L
 # holds for the exact H and L.  k counts roundings, in units of u: L =
@@ -154,26 +155,11 @@ def _tc_search(density, extra_seeds=()):
     reached = {}  # s -> the center of the largest H evaluated at s
 
     def sup_heat_mass(s):
-        best = [-math.inf, None]
-
-        def neg_heat_mass(delta):
-            z = _ring_point(density, delta)
-            val = HeatMassCurve(density, z).evaluate(s)
-            if val > best[0]:
-                best[:] = [val, z]
-            return -val
-
-        vals = [neg_heat_mass(d) for d in scan]
-        k = int(np.argmin(vals))
-        # H is even in the offset, so a peak at the center is refined
-        # on both sides of it
-        optimize.minimize_scalar(
-            neg_heat_mass, method="bounded",
-            bounds=(scan[k - 1] if k else -scan[1],
-                    scan[min(k + 1, len(scan) - 1)]),
-            options={"xatol": _DELTA_XATOL * scan[-1]})
-        reached[s] = best[1]
-        return best[0]
+        val, delta = maximize_even(
+            lambda d: HeatMassCurve(density, _ring_point(density, d)).evaluate(s),
+            scan)
+        reached[s] = _ring_point(density, delta)
+        return val
 
     s = invert_increasing(sup_heat_mass, target)
     return s, reached[s]
@@ -199,33 +185,28 @@ def _omega_exponents(q, lam):
     return p, (4.0 * lam) ** (-p) / p
 
 
-def _omega_conv_radial(density, q, lam, deltas):
-    """(weight * density) for radial data at offsets |z - center| = delta.
+def _omega_conv_radial(density, q, lam, delta):
+    """(weight * density) for radial data at the offset |z - center| = delta.
 
-    Batched over ``deltas`` with one shared radial/angular grid.  The
-    result only feeds a logarithm, so moderate node counts suffice.
+    The result only feeds a logarithm, so moderate node counts suffice.
     """
     p, c = _omega_exponents(q, lam)
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     rmax = density.tail_radius()
     reach = (45.0 / c) ** (0.5 / p)  # weight below exp(-45) past this distance
-    hi = min(rmax, float(deltas.max()) + reach)
+    hi = min(rmax, delta + reach)
     edges = merged_edges([b for b in density.radial_breakpoints() if b < hi],
                          np.linspace(0.0, hi, 14))
     rs, wr = panel_nodes(edges, order=16)
     if rs.size == 0:
-        return np.zeros(len(deltas))
+        return 0.0
     phi, wphi = _gl_nodes(32)
     phi = 0.5 * math.pi * (phi + 1.0)
     wphi = math.pi * wphi  # angular range [0, 2*pi] by symmetry
-    cosphi = np.cos(phi)
-
-    dist_sq = (rs[None, :, None] ** 2 + deltas[:, None, None] ** 2
-               - 2.0 * rs[None, :, None] * deltas[:, None, None]
-               * cosphi[None, None, :])
+    dist_sq = (rs[:, None] ** 2 + delta ** 2
+               - 2.0 * rs[:, None] * delta * np.cos(phi)[None, :])
     with np.errstate(over="ignore"):
         ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ wphi
-    return (ang * (density.profile(rs) * rs * wr)[None, :]).sum(axis=1)
+    return float((ang * (density.profile(rs) * rs * wr)).sum())
 
 
 def _omega_conv_grid(density, q, lam, z):
@@ -241,23 +222,13 @@ def _omega_conv_sup(density, q, lam):
     """Sup norm of the weighted convolution (exact at the center for
     non-increasing radial data; a feasible maximum elsewhere)."""
     if density.is_nonincreasing_radial:
-        return float(_omega_conv_radial(density, q, lam, 0.0)[0])
+        return _omega_conv_radial(density, q, lam, 0.0)
     if not density.is_radial:
         return max(_omega_conv_grid(density, q, lam, z)
                    for z in density.peak_candidates())
-    # radial but not monotone: the sup sits on a ring |z - center| = delta;
-    # a coarse batched scan plus one zoomed pass nails the peak
-    mode = density.profile_mode_radius()
-    hi = max(mode * 2.0, density._scale_radius())
-    grid = np.linspace(0.0, hi, 33)
-    vals = _omega_conv_radial(density, q, lam, grid)
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    up = grid[min(k + 1, len(grid) - 1)]
-    if up > lo:
-        zoom = np.linspace(lo, up, 33)
-        vals = np.concatenate([vals, _omega_conv_radial(density, q, lam, zoom)])
-    return float(vals.max())
+    # radial but not monotone: the sup sits on a ring |z - center| = delta
+    return maximize_even(lambda d: _omega_conv_radial(density, q, lam, d),
+                         _delta_scan(density))[0]
 
 
 def tc1_value(density, q, lam):
@@ -373,9 +344,10 @@ def _tc2_search(density):
         return _theta_form(consts, snap.inverse)
 
     if density.is_radial:
-        delta, val_best = grid_then_golden(
-            lambda d: steering_objective(_ring_point(density, d)),
+        neg_val, delta = maximize_even(
+            lambda d: -steering_objective(_ring_point(density, d)),
             _delta_scan(density))
+        val_best = -neg_val
         z_best = _ring_point(density, delta)
     else:
         z_best, val_best, _ = minimize_over_plane(

@@ -91,10 +91,6 @@ class InitialDatum:
         """Radial density value(s) at |x - center| = r."""
         raise NotImplementedError
 
-    def profile_mode_radius(self):
-        """A radius where the radial profile attains its maximum."""
-        return 0.0
-
     def radial_breakpoints(self):
         """Radii where the profile is non-smooth (quadrature panel edges)."""
         return ()
@@ -581,9 +577,6 @@ class Annulus(InitialDatum):
         return np.where((r >= self.r_inner) & (r <= self.r_outer),
                         self.height, 0.0)
 
-    def profile_mode_radius(self):
-        return 0.5 * (self.r_inner + self.r_outer)
-
     def radial_breakpoints(self):
         return (self.r_inner, self.r_outer)
 
@@ -653,11 +646,6 @@ class PolyGaussian(InitialDatum):
     def profile(self, r):
         r = np.asarray(r, dtype=float)
         return self.height * r ** (2 * self.power) * np.exp(-self.rate * r * r)
-
-    def profile_mode_radius(self):
-        if self.power == 0:
-            return 0.0
-        return math.sqrt(self.power / self.rate)
 
     def _central_beta_moment(self, beta):
         n, a = self.power, self.rate
@@ -729,10 +717,6 @@ class DiffGaussians(InitialDatum):
         amp = self.height / (self.rate_fast - self.rate_slow)
         return amp * (np.exp(-self.rate_slow * rr) - np.exp(-self.rate_fast * rr))
 
-    def profile_mode_radius(self):
-        d, b = self.rate_slow, self.rate_fast
-        return math.sqrt(math.log(b / d) / (b - d))
-
     def _central_beta_moment(self, beta):
         d, b = self.rate_slow, self.rate_fast
         e = 0.5 * beta + 1.0
@@ -740,7 +724,9 @@ class DiffGaussians(InitialDatum):
         return amp * special.gamma(e) * (d ** -e - b ** -e)
 
     def _sup_norm(self):
-        return float(self.profile(self.profile_mode_radius()))
+        # the profile peaks where rate_slow e^(-d r^2) = rate_fast e^(-b r^2)
+        d, b = self.rate_slow, self.rate_fast
+        return float(self.profile(math.sqrt(math.log(b / d) / (b - d))))
 
     def _central_radial_mass(self, rho):
         d, b = self.rate_slow, self.rate_fast
@@ -815,9 +801,6 @@ class RadialProfile(InitialDatum):
     def profile(self, r):
         return np.interp(np.asarray(r, dtype=float), self.radii, self.values,
                          left=self.values[0], right=0.0)
-
-    def profile_mode_radius(self):
-        return self.radii[int(np.argmax(self.values))]
 
     def _sup_norm(self):
         return max(self.values)

@@ -8,10 +8,14 @@ the function was evaluated and reached the target, so an upper bound
 read from it is on the safe side of the root.  `bisect` halves a
 bracket on a monotone predicate until no float lies inside it.
 
-The estimators' one-dimensional objectives are smooth and unimodal in
-every worked example, so a coarse grid then golden-section refinement
-certifies an upper envelope of the infimum.  Centers in the plane are
-searched by multi-start Nelder-Mead, which records a per-start trace.
+`maximize_even` is the one offset search of radial data: ``tc``, ``tc1``
+and ``tc2`` see the center z only through delta = |z - center|, so each
+scans delta and refines about its best scan point with bounded Brent
+minimization, returning the best offset it evaluated.  The other
+one-dimensional objectives are smooth and unimodal in every worked
+example, so a coarse grid then golden-section refinement certifies an
+upper envelope of the infimum.  Centers in the plane are searched by
+multi-start Nelder-Mead, which records a per-start trace.
 """
 
 import math
@@ -27,6 +31,7 @@ _NM_XATOL, _NM_FATOL = 1e-7, 1e-12  # Nelder-Mead stopping tolerances
 _BRACKET_STEPS = 200     # factor-4 steps while growing or shrinking the bracket
 # the root finder stops once hi - lo <= _WIDTH_REL_TOL * hi
 _WIDTH_REL_TOL = 1e-13
+_DELTA_XATOL = 1e-8  # offset tolerance of maximize_even, relative to the scanned range
 
 
 def invert_increasing(fn, target):
@@ -123,6 +128,32 @@ def bisect(pred, lo, hi):
             hi = mid
         else:
             lo = mid
+
+
+def maximize_even(fn, scan):
+    """(value, delta) of the largest fn(delta) found for fn even in delta.
+
+    ``scan`` ascends from 0.  It is evaluated in order, then bounded
+    Brent minimization of -fn refines about the best scan point; a peak
+    at 0 is refined on [-scan[1], scan[1]].  ``fn`` is only called at
+    |delta|, and the result is the best point evaluated, so fn(delta)
+    equals the value returned.
+    """
+    best = [-math.inf, float(scan[0])]
+
+    def neg(delta):
+        delta = abs(float(delta))
+        val = fn(delta)
+        if val > best[0]:
+            best[:] = [val, delta]
+        return -val
+
+    k = int(np.argmin([neg(d) for d in scan]))
+    optimize.minimize_scalar(
+        neg, method="bounded",
+        bounds=(scan[k - 1] if k else -scan[1], scan[min(k + 1, len(scan) - 1)]),
+        options={"xatol": _DELTA_XATOL * scan[-1]})
+    return best[0], best[1]
 
 
 def golden_section(fn, lo, hi, rel_tol=1e-9):

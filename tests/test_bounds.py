@@ -278,6 +278,25 @@ def test_tc1_grid_sorts_no_cells(monkeypatch):
     assert sorts == []
 
 
+@pytest.mark.parametrize("d", [
+    ks.Annulus(16.0 / 3.0, 1.0, 2.0),
+    ks.PolyGaussian(16.0, 1, 1.0),
+    ks.DiffGaussians(32.0, 1.0, 2.0),
+    ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)),
+], ids=lambda d: d.family)
+def test_tc1_sup_reaches_a_dense_offset_scan(d):
+    # the offset search finds at least the largest convolution of a dense
+    # scan over [0, tail radius], narrow weights whose peak sits on a ring
+    # included; 1001 points keep the test short and still resolve the
+    # 1e-5 shortfall of a plain scan
+    scale = d._scale_radius() ** 2
+    deltas = np.linspace(0.0, d.tail_radius(), 1001)
+    for q in (1.25, 2.0, 5.0):
+        for lam in (scale / 32.0, scale / 4.0, 2.0 * scale, 16.0 * scale):
+            scan = max(bounds._omega_conv_radial(d, q, lam, x) for x in deltas)
+            assert bounds._omega_conv_sup(d, q, lam) >= scan, (q, lam)
+
+
 # ---------------------------------------------------------------------------
 # tc2
 # ---------------------------------------------------------------------------
@@ -317,6 +336,23 @@ def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
     monkeypatch.setattr(datum._GridSnapshot, "__init__", counted)
     bounds.tc2_forms(grid)
     assert len(builds) <= 1
+
+
+def test_radial_tc2_steering_snapshot_count(monkeypatch):
+    # 17 scanned offsets, the Brent refinement and no final profile: the
+    # annulus' best offset is its center
+    snapshot = bounds._snapshot
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return snapshot(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_snapshot", counted)
+    d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
+    _, z = bounds._tc2_search(d)
+    assert z == d.center
+    assert len(builds) == 43
 
 
 def test_rho_form_ignores_uninformative_radii():
