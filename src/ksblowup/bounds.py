@@ -412,7 +412,8 @@ def tc4_bound(density, beta=2.0):
 class FMethodBound:
     """Outcome of the F-function classification.
 
-    ``case`` is "plateau" (non-decreasing F, bound from h(1-)),
+    ``case`` is "plateau" (non-decreasing F, bound from h(1-), the
+    squared support radius, so compact support only),
     "interior" (strictly increasing F with an interior optimum), or
     "inapplicable" with the failed hypothesis in ``reason``.
     """
@@ -438,33 +439,29 @@ def f_method_bound(density):
     def h(t):
         return density.generalized_inverse(None, t) ** 2
 
-    def h_prime(t):
-        step = _F_OFFSET * min(t - a, 1.0 - t, 1.0)
-        step = max(step, 1e-12)
-        return (h(t + step) - h(t - step)) / (2.0 * step)
+    def ratio(t):
+        # h/h' for h = R(t)^2 with R the generalized inverse: the mass
+        # fraction grows at 2 pi R profile(R) / M, so h' = M / (pi profile(R))
+        r = density.generalized_inverse(None, t)
+        return math.pi * r * r * float(density.profile(r)) / consts.mass
+
+    def f_func(x):
+        return x + math.exp(x) * ratio(math.exp(-x))
 
     try:
-        ts = a + (1.0 - a) * np.linspace(_F_OFFSET, 1.0 - _F_OFFSET, 25)
-        hp = np.array([h_prime(t) for t in ts])
-        if np.any(hp <= 0.0):
-            raise HypothesisCheckError(
-                "h' <= 0 somewhere on (a, 1): generalized inverse has plateaus")
-
-        def ratio(t):
-            return h(t) / h_prime(t)
-
-        def f_func(x):
-            return x + math.exp(x) * ratio(math.exp(-x))
-
         xs = np.linspace(_F_OFFSET * y0, (1.0 - _F_OFFSET) * y0, 33)
+        if not math.exp(-xs[0]) < 1.0:
+            raise HypothesisCheckError(
+                "(a, 1) is too narrow to classify F in floats")
         fs = np.array([f_func(x) for x in xs])
         diffs = np.diff(fs)
         scale = max(abs(fs).max(), 1.0)
         ratio_at_one = ratio(1.0 - _F_OFFSET)
 
-        if np.all(diffs >= -1e-9 * scale) and ratio_at_one >= y0:
-            h_at_one = density.tail_radius(_F_OFFSET) ** 2
-            return FMethodBound(float(h_at_one / (4.0 * y0)), "plateau")
+        # h(1-) is the squared support radius, infinite without compact support
+        if density.has_compact_support and np.all(diffs >= -1e-9 * scale) \
+                and ratio_at_one >= y0:
+            return FMethodBound(float(h(1.0) / (4.0 * y0)), "plateau")
 
         strictly_increasing = np.all(diffs > 0.0)
         cond_start = ratio_at_one < y0

@@ -478,6 +478,33 @@ def test_f_method_plateau_in_window_inapplicable():
     assert out.reason
 
 
+_NEAR_CRITICAL_FAMILIES = {
+    "gaussian": lambda mass: ks.Gaussian(mass, 1.0),
+    "disk": lambda mass: ks.DiskIndicator(mass / math.pi, 1.0),
+    "polygaussian": lambda mass: ks.PolyGaussian(mass / math.pi, 1, 1.0),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(sorted(_NEAR_CRITICAL_FAMILIES)),
+       e=st.floats(3.0, 12.0))
+@example(family="gaussian", e=5.0)
+@example(family="disk", e=9.5)
+@example(family="polygaussian", e=12.0)
+def test_f_method_near_critical_is_a_row(family, e):
+    # near 8 pi the F-method either bounds from the safe side of tc2 or
+    # bows out with a reason; it never raises out of the report
+    report = bounds.full_report(
+        _NEAR_CRITICAL_FAMILIES[family](EIGHT_PI * (1.0 + 10.0 ** -e)))
+    row = report.row("f_method")
+    assert row.status in ("computed", "inapplicable")
+    if row.status == "inapplicable":
+        assert row.detail
+    tc2 = report.computed("tc2")
+    if row.status == "computed" and tc2 is not None:
+        assert row.value >= tc2 * (1.0 - 1e-6)
+
+
 @pytest.mark.parametrize("d, inverse_calls, f_calls, capped", [
     (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 18030, (122, 93009)),
     (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 17876,

@@ -51,6 +51,17 @@ def test_bound_disk_csv(tmp_path, capsys):
     assert all(row[4] == "computed" for row in body)
 
 
+def test_bound_near_critical_f_method_is_inapplicable(tmp_path, capsys):
+    spec = write_spec(tmp_path, "gauss.json", {
+        "family": "gaussian", "mass": EIGHT_PI * (1.0 + 1e-8), "sigma": 1.0})
+    out = tmp_path / "report.json"
+    assert cli.main(["bound", spec, "--format", "json",
+                     "--out", str(out)]) == 0
+    rows = {r["name"]: r for r in json.loads(out.read_text())["rows"]}
+    assert rows["f_method"]["status"] == "inapplicable"
+    assert rows["f_method"]["detail"]
+
+
 def test_bound_json_round_trip(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["bound", disk_spec(tmp_path), "--format", "json",
