@@ -505,16 +505,17 @@ def test_f_method_near_critical_is_a_row(family, e):
         assert row.value >= tc2 * (1.0 - 1e-6)
 
 
-@pytest.mark.parametrize("d, inverse_calls, f_calls, capped", [
-    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 18030, (122, 93009)),
-    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 17876,
-     (122, 92964)),
+@pytest.mark.parametrize("d, inverse_calls, f_calls, capped, differenced", [
+    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 5126, (122, 93009), 18030),
+    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 5143,
+     (122, 92964), 17876),
 ])
 def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
-                                        f_calls, capped):
+                                        f_calls, capped, differenced):
     # a bisection stops once its midpoint equals an end; ``capped`` holds
     # the radial_mass counts of the fixed 120- and 200-step loops it
-    # replaced, which returned the same floats
+    # replaced, which returned the same floats, and ``differenced`` the
+    # F-method's count when it took h' by central differences
     radial_mass = ks.InitialDatum.radial_mass
     calls = []
 
@@ -527,7 +528,7 @@ def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
     assert len(calls) == inverse_calls < capped[0]
     calls.clear()
     bounds.f_method_bound(d)
-    assert len(calls) == f_calls < capped[1]
+    assert len(calls) == f_calls < differenced < capped[1]
 
 
 # ---------------------------------------------------------------------------
