@@ -724,8 +724,8 @@ class DiffGaussians(InitialDatum):
         return amp * special.gamma(e) * (d ** -e - b ** -e)
 
     def _sup_norm(self):
-        # the profile peaks where rate_slow e^(-d r^2) = rate_fast e^(-b r^2)
         d, b = self.rate_slow, self.rate_fast
+        # the profile peaks where d exp(-d r^2) = b exp(-b r^2)
         return float(self.profile(math.sqrt(math.log(b / d) / (b - d))))
 
     def _central_radial_mass(self, rho):

@@ -153,7 +153,7 @@ def maximize_even(fn, scan):
         neg, method="bounded",
         bounds=(scan[k - 1] if k else -scan[1], scan[min(k + 1, len(scan) - 1)]),
         options={"xatol": _DELTA_XATOL * scan[-1]})
-    return best[0], best[1]
+    return tuple(best)
 
 
 def golden_section(fn, lo, hi, rel_tol=1e-9):

@@ -51,7 +51,7 @@ def test_bound_disk_csv(tmp_path, capsys):
     assert all(row[4] == "computed" for row in body)
 
 
-def test_bound_near_critical_f_method_is_inapplicable(tmp_path, capsys):
+def test_bound_near_critical_f_method_is_inapplicable(tmp_path):
     spec = write_spec(tmp_path, "gauss.json", {
         "family": "gaussian", "mass": EIGHT_PI * (1.0 + 1e-8), "sigma": 1.0})
     out = tmp_path / "report.json"

@@ -23,7 +23,7 @@ def _traced(fn):
 @pytest.mark.parametrize("fn, peak", [
     (lambda d: math.exp(-d * d), 0.0),
     (lambda d: math.exp(-(d - math.sqrt(2.0)) ** 2), math.sqrt(2.0)),
-])
+], ids=["peak_at_zero", "peak_on_ring"])
 def test_maximize_even_returns_its_best_evaluation(fn, peak):
     traced, calls = _traced(fn)
     scan = np.linspace(0.0, 5.0, 17)
