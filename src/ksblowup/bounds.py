@@ -16,6 +16,13 @@ Other radial data depend on z only through the offset delta =
 bounded Brent about its best point.  ``tc`` runs it inside one root
 find of the largest H over delta.  Grids run multi-start Nelder-Mead
 over the plane (``tc1`` tries the grid's peak candidates).
+
+Each search computes its invariants once.  One ``tc1`` search builds the
+radial panel nodes of each truncation radius once, and on grids each
+peak candidate's squared cell distances once and their powers once per
+q.  Each ``tc2`` probe sorts the cells (or sweeps the rings) about its
+center once and reads its 96-point theta scan from that profile in one
+call.
 """
 
 import dataclasses
@@ -185,81 +192,115 @@ def _omega_exponents(q, lam):
     return p, (4.0 * lam) ** (-p) / p
 
 
-def _omega_conv_radial(density, q, lam, delta):
-    """(weight * density) for radial data at the offset |z - center| = delta.
+class _WeightedConvolution:
+    """sup_z (omega * density)(z) for the weights omega = exp(-c |x|^(2p))
+    of the (q, lam) family, over one tc1 search.
 
-    The result only feeds a logarithm, so moderate node counts suffice.
+    The object holds what does not change between the search's probes:
+    for radial data the panel nodes, and the profile times the radial
+    weights on them, of each truncation radius; for grids each peak
+    candidate's squared cell distances and their p-th powers at the
+    current q.  Build one per search, so nothing outlives it.
     """
-    p, c = _omega_exponents(q, lam)
-    rmax = density.tail_radius()
-    reach = (45.0 / c) ** (0.5 / p)  # weight below exp(-45) past this distance
-    hi = min(rmax, delta + reach)
-    edges = merged_edges([b for b in density.radial_breakpoints() if b < hi],
-                         np.linspace(0.0, hi, 14))
-    rs, wr = panel_nodes(edges, order=16)
-    if rs.size == 0:
-        return 0.0
-    phi, wphi = _gl_nodes(32)
-    phi = 0.5 * math.pi * (phi + 1.0)
-    wphi = math.pi * wphi  # angular range [0, 2*pi] by symmetry
-    dist_sq = (rs[:, None] ** 2 + delta ** 2
-               - 2.0 * rs[:, None] * delta * np.cos(phi)[None, :])
-    with np.errstate(over="ignore"):
-        ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ wphi
-    return float((ang * (density.profile(rs) * rs * wr)).sum())
+
+    def __init__(self, density):
+        self.density = density
+        if density.is_radial:
+            self._rmax = density.tail_radius()
+            self._scan = _delta_scan(density)
+            self._panels = {}  # truncation radius -> (rs, profile * rs * wr)
+            phi, wphi = _gl_nodes(32)
+            phi = 0.5 * math.pi * (phi + 1.0)
+            self._cos_phi = np.cos(phi)
+            self._wphi = math.pi * wphi  # angular range [0, 2*pi] by symmetry
+        else:
+            xs, ys, _ = density.cell_coordinates()
+            self._dist_sq = [(xs - z[0]) ** 2 + (ys - z[1]) ** 2
+                             for z in density.peak_candidates()]
+            self._p, self._powers = None, None
+
+    def sup(self, q, lam):
+        """Exact at the center for non-increasing radial data; a feasible
+        maximum elsewhere."""
+        density = self.density
+        if density.is_nonincreasing_radial:
+            return self.radial(q, lam, 0.0)
+        if not density.is_radial:
+            return self._grid(q, lam)
+        # radial but not monotone: the sup sits on a ring |z - center| = delta
+        return maximize_even(lambda d: self.radial(q, lam, d), self._scan)[0]
+
+    def radial(self, q, lam, delta):
+        """The convolution at the offset |z - center| = delta.
+
+        The result only feeds a logarithm, so moderate node counts suffice.
+        """
+        p, c = _omega_exponents(q, lam)
+        reach = (45.0 / c) ** (0.5 / p)  # weight below exp(-45) past this distance
+        hi = min(self._rmax, delta + reach)
+        panel = self._panels.get(hi)
+        if panel is None:
+            edges = merged_edges(
+                [b for b in self.density.radial_breakpoints() if b < hi],
+                np.linspace(0.0, hi, 14))
+            rs, wr = panel_nodes(edges, order=16)
+            panel = self._panels[hi] = (rs, self.density.profile(rs) * rs * wr)
+        rs, weighted = panel
+        if rs.size == 0:
+            return 0.0
+        dist_sq = (rs[:, None] ** 2 + delta ** 2
+                   - 2.0 * rs[:, None] * delta * self._cos_phi[None, :])
+        with np.errstate(over="ignore"):
+            ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ self._wphi
+        return float((ang * weighted).sum())
+
+    def _grid(self, q, lam):
+        p, c = _omega_exponents(q, lam)
+        if p != self._p:
+            with np.errstate(over="ignore"):
+                self._powers = [d ** p for d in self._dist_sq]
+            self._p = p
+        _, _, w = self.density.cell_coordinates()
+        h2 = self.density.cell_size ** 2
+        with np.errstate(over="ignore"):
+            return max(float((w * np.exp(-c * dp)).sum() * h2)
+                       for dp in self._powers)
 
 
-def _omega_conv_grid(density, q, lam, z):
-    p, c = _omega_exponents(q, lam)
-    xs, ys, w = density.cell_coordinates()
-    dist_sq = (xs - z[0]) ** 2 + (ys - z[1]) ** 2
-    with np.errstate(over="ignore"):
-        vals = np.exp(-c * dist_sq ** p)
-    return float((w * vals).sum() * density.cell_size ** 2)
-
-
-def _omega_conv_sup(density, q, lam):
-    """Sup norm of the weighted convolution (exact at the center for
-    non-increasing radial data; a feasible maximum elsewhere)."""
-    if density.is_nonincreasing_radial:
-        return _omega_conv_radial(density, q, lam, 0.0)
-    if not density.is_radial:
-        return max(_omega_conv_grid(density, q, lam, z)
-                   for z in density.peak_candidates())
-    # radial but not monotone: the sup sits on a ring |z - center| = delta
-    return maximize_even(lambda d: _omega_conv_radial(density, q, lam, d),
-                         _delta_scan(density))[0]
-
-
-def tc1_value(density, q, lam):
-    """The two-parameter bound at fixed (q, lam); +inf when uninformative."""
+def _tc1_value(conv, q, lam):
     if not q > 1.0 or not lam > 0.0:
         raise ValueError("tc1 requires q > 1 and lam > 0")
-    consts = mass_constants(density.mass())
-    sup = _omega_conv_sup(density, q, lam)
+    consts = mass_constants(conv.density.mass())
+    sup = conv.sup(q, lam)
     log_plus = math.log(sup / consts.threshold) if sup > consts.threshold else 0.0
     if log_plus == 0.0:
         return math.inf
     return lam * q ** (-1.0 / q) * log_plus ** (-1.0 / q)
 
 
+def tc1_value(density, q, lam):
+    """The two-parameter bound at fixed (q, lam); +inf when uninformative."""
+    return _tc1_value(_WeightedConvolution(density), q, lam)
+
+
 def tc1_bound(density):
     """Infimum of tc1_value over a (q, lam) grid with local refinement."""
     mass_constants(density.mass())
+    conv = _WeightedConvolution(density)
     scale = density._scale_radius() ** 2
     lam_grid = np.geomspace(scale / 32.0, scale * 32.0, _TC1_LAMBDA_GRID)
 
     best = (math.inf, None, None)
     for q in _TC1_Q_VALUES:
         for lam in lam_grid:
-            val = tc1_value(density, q, lam)
+            val = _tc1_value(conv, q, lam)
             if val < best[0]:
                 best = (val, q, lam)
     if best[1] is None:
         return math.inf
     _, q0, lam0 = best
     lam1, v1 = golden_section(
-        lambda lam: tc1_value(density, q0, lam),
+        lambda lam: _tc1_value(conv, q0, lam),
         lam0 / 4.0, lam0 * 4.0, rel_tol=1e-6)
     qs = _TC1_Q_VALUES
     i = qs.index(q0)
@@ -267,7 +308,7 @@ def tc1_bound(density):
     qhi = qs[min(i + 1, len(qs) - 1)]
     if qlo < qhi:
         _, v2 = golden_section(
-            lambda q: tc1_value(density, q, lam1), qlo, qhi,
+            lambda q: _tc1_value(conv, q, lam1), qlo, qhi,
             rel_tol=1e-6)
     else:
         v2 = v1
@@ -279,7 +320,11 @@ def tc1_bound(density):
 # ---------------------------------------------------------------------------
 
 def _theta_form(consts, inverse):
-    """(1/(4 ln(1/a))) * inf_theta inverse(a^theta)^2 / (1 - theta)."""
+    """(1/(4 ln(1/a))) * inf_theta inverse(a^theta)^2 / (1 - theta).
+
+    ``inverse`` maps a mass fraction to its radius, and an array of
+    fractions to an array of radii, so the theta scan is one call.
+    """
     a = consts.ratio
     eps = 1e-6
 
@@ -287,7 +332,11 @@ def _theta_form(consts, inverse):
         return inverse(a ** theta) ** 2 / (1.0 - theta)
 
     grid = np.linspace(eps, 1.0 - eps, _THETA_GRID)
-    _, val = grid_then_golden(objective, grid)
+    # a^theta and r^2 as the scalars objective() computes: the array
+    # powers may round differently
+    radii = inverse(np.array([a ** theta for theta in grid])).tolist()
+    _, val = grid_then_golden(objective, grid, [
+        r ** 2 / (1.0 - theta) for r, theta in zip(radii, grid)])
     return val / (4.0 * consts.log_inv_ratio)
 
 
@@ -301,7 +350,7 @@ def _rho_form_from(mass_at, consts, lo, hi):
         return rho ** 2 / (4.0 * math.log(frac))
 
     grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9), hi, _RHO_GRID)
-    _, val = grid_then_golden(objective, grid)
+    _, val = grid_then_golden(objective, grid, [objective(r) for r in grid])
     return val
 
 
@@ -318,8 +367,14 @@ def tc2_forms(density, z=None):
     consts = mass_constants(density.mass())
     z = density.center if z is None else z
     rho = _rho_form(density, consts, z)
-    theta = _theta_form(consts, lambda m: density.generalized_inverse(z, m))
-    return rho, theta
+
+    def inverse(m):
+        # the datum inverts one fraction at a time
+        if isinstance(m, np.ndarray):
+            return np.array([density.generalized_inverse(z, x) for x in m])
+        return density.generalized_inverse(z, m)
+
+    return rho, _theta_form(consts, inverse)
 
 
 def _snapshot(density, z, n=1024):
@@ -542,7 +597,8 @@ def lower_bound_detail(density, p=math.inf):
 
     qp_max = max(50.0, 4.0 / (1.0 - consts.ratio))
     grid = np.geomspace(max(p_conj, 1.0), qp_max, _QPRIME_GRID)
-    qp_star, neg_val = grid_then_golden(neg_objective, grid)
+    qp_star, neg_val = grid_then_golden(
+        neg_objective, grid, [neg_objective(qp) for qp in grid])
     sup_form = -neg_val
 
     if math.isinf(p) or p >= LOWER_REGIME_P0 \

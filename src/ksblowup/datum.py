@@ -375,22 +375,49 @@ class _RadialSnapshot:
         self._us = us
         self._cum = cum
         self._mass = density.mass()
+        # segment i of the inverse runs from (cum[i-1], us[i-1]) to
+        # (cum[i], us[i]); the flat end segments 0 and n return us[0]
+        # below the profile and us[-1] above it
+        self._seg_cum = np.concatenate([cum[:1], cum[:-1], cum[-1:]])
+        self._seg_us = np.concatenate([us[:1], us[:-1], us[-1:]])
+        self._seg_dcum = np.concatenate([[1.0], np.diff(cum), [1.0]])
+        self._seg_dus = np.concatenate([[0.0], np.diff(us), [0.0]])
 
     def mass_at(self, rho):
         return float(np.interp(rho, self._us, self._cum))
 
     def inverse(self, m):
+        """Radius where the profile reaches the mass fraction m, linear
+        between nodes; elementwise, with an array result, for an array m.
+
+        A target above cum[i-1] and at most cum[i] picks segment i, so a
+        flat segment of the profile is never read.
+        """
         target = m * self._mass
-        idx = int(np.searchsorted(self._cum, target))
-        if idx >= len(self._us):
-            return float(self._us[-1])
-        if idx == 0:
-            return float(self._us[0])
-        c0, c1 = self._cum[idx - 1], self._cum[idx]
-        u0, u1 = self._us[idx - 1], self._us[idx]
-        if c1 == c0:
-            return float(u1)
-        return float(u0 + (target - c0) * (u1 - u0) / (c1 - c0))
+        i = self._cum.searchsorted(target)
+        rho = self._seg_us[i] \
+            + (target - self._seg_cum[i]) * self._seg_dus[i] / self._seg_dcum[i]
+        return rho if isinstance(m, np.ndarray) else float(rho)
+
+
+def _sort_stable(d):
+    """(order, d[order]) with ``order = np.argsort(d, kind="stable")``,
+    from the faster default sort.
+
+    Cells that tie in d go back to index order, as the stable sort
+    leaves them, so the cumulative sums keep their bits.  Few cells tie
+    about a point off the lattice, and the default sort takes about 40%
+    of the stable sort's time on 25.6k cells.
+    """
+    order = d.argsort()
+    ds = d[order]
+    tied = ds[1:] == ds[:-1]
+    at = np.flatnonzero(np.concatenate([tied, [False]])
+                        | np.concatenate([[False], tied]))
+    run = np.cumsum(np.diff(ds[at], prepend=-1.0) != 0.0)  # d >= 0
+    cells = order[at]
+    order[at] = cells[(run * d.size + cells).argsort()]
+    return order, ds
 
 
 class _GridSnapshot:
@@ -399,8 +426,7 @@ class _GridSnapshot:
     def __init__(self, density, z):
         xs, ys, w = density.cell_coordinates()
         d = np.hypot(xs - z[0], ys - z[1])
-        order = np.argsort(d, kind="stable")
-        self._d = d[order]
+        order, self._d = _sort_stable(d)
         self._cum = np.cumsum(w[order]) * density.cell_size ** 2
         self._mass = density.mass()
 
@@ -409,9 +435,11 @@ class _GridSnapshot:
         return float(self._cum[idx - 1]) if idx else 0.0
 
     def inverse(self, m):
-        target = m * self._mass * (1.0 - 1e-14)
-        idx = min(int(np.searchsorted(self._cum, target)), len(self._d) - 1)
-        return float(self._d[idx])
+        """Distance of the cell that completes the mass fraction m;
+        elementwise, with an array result, for an array m."""
+        idx = self._cum.searchsorted(m * self._mass * (1.0 - 1e-14))
+        radius = self._d.take(idx, mode="clip")
+        return radius if isinstance(m, np.ndarray) else float(radius)
 
 
 @dataclass(frozen=True)

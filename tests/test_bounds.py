@@ -14,8 +14,10 @@ from ksblowup.errors import (
     SubcriticalMassError,
     UnboundedSupportError,
 )
+from ksblowup.quadrature import _gl_nodes, merged_edges, panel_nodes
+from ksblowup.searches import maximize_even
 
-from conftest import EIGHT_PI, disk_grid
+from conftest import EIGHT_PI, disk_grid, two_bump_grid
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "benchmarks"))
@@ -278,6 +280,69 @@ def test_tc1_grid_sorts_no_cells(monkeypatch):
     assert sorts == []
 
 
+def _reference_tc1_value(d, q, lam):
+    """tc1 at (q, lam) from convolutions computed afresh at every point."""
+    p = q / (q - 1.0)
+    c = (4.0 * lam) ** (-p) / p
+    if d.is_radial:
+        def conv(delta):
+            reach = (45.0 / c) ** (0.5 / p)
+            hi = min(d.tail_radius(), delta + reach)
+            rs, wr = panel_nodes(merged_edges(
+                [b for b in d.radial_breakpoints() if b < hi],
+                np.linspace(0.0, hi, 14)), order=16)
+            phi, wphi = _gl_nodes(32)
+            phi = 0.5 * math.pi * (phi + 1.0)
+            dist_sq = (rs[:, None] ** 2 + delta ** 2
+                       - 2.0 * rs[:, None] * delta * np.cos(phi)[None, :])
+            ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ (math.pi * wphi)
+            return float((ang * (d.profile(rs) * rs * wr)).sum())
+
+        sup = conv(0.0) if d.is_nonincreasing_radial \
+            else maximize_even(conv, bounds._delta_scan(d))[0]
+    else:
+        xs, ys, w = d.cell_coordinates()
+        sup = max(float((w * np.exp(-c * ((xs - z[0]) ** 2
+                                          + (ys - z[1]) ** 2) ** p)).sum()
+                        * d.cell_size ** 2) for z in d.peak_candidates())
+    threshold = bounds.mass_constants(d.mass()).threshold
+    if not sup > threshold:
+        return math.inf
+    return lam * q ** (-1.0 / q) * math.log(sup / threshold) ** (-1.0 / q)
+
+
+def test_tc1_caches_do_not_leak_across_data():
+    # each search holds its own panels and distance powers: grids of two
+    # shapes and an annulus give the same bounds in either order, and
+    # tc1_value equals the convolution computed afresh
+    data = (disk_grid(32, shift=(0.2, 0.1)), two_bump_grid(40),
+            ks.Annulus(16.0 / 3.0, 1.0, 2.0))
+    forward = [bounds.tc1_bound(d) for d in data]
+    backward = [bounds.tc1_bound(d) for d in reversed(data)][::-1]
+    assert forward == backward
+    assert all(math.isfinite(v) for v in forward)
+    for d in data:
+        scale = d._scale_radius() ** 2
+        for q, lam in ((1.25, scale / 4.0), (2.0, scale), (5.0, 8.0 * scale)):
+            assert bounds.tc1_value(d, q, lam) == _reference_tc1_value(
+                d, q, lam), (d.label(), q, lam)
+
+
+def test_tc1_builds_radial_panels_once_per_truncation_radius(monkeypatch):
+    # the panel nodes depend only on the truncation radius, the last edge;
+    # one build per convolution made 3777 for this annulus
+    radii = []
+    original = bounds.panel_nodes
+
+    def counted(edges, order):
+        radii.append(float(edges[-1]))
+        return original(edges, order)
+
+    monkeypatch.setattr(bounds, "panel_nodes", counted)
+    assert math.isfinite(bounds.tc1_bound(ks.Annulus(16.0 / 3.0, 1.0, 2.0)))
+    assert len(radii) == len(set(radii)) == 14
+
+
 @pytest.mark.parametrize("d", [
     ks.Annulus(16.0 / 3.0, 1.0, 2.0),
     ks.PolyGaussian(16.0, 1, 1.0),
@@ -292,8 +357,9 @@ def test_tc1_sup_reaches_a_dense_offset_scan(d):
     deltas = np.linspace(0.0, d.tail_radius(), 1001)
     for q in (1.25, 2.0, 5.0):
         for lam in (scale / 32.0, scale / 4.0, 2.0 * scale, 16.0 * scale):
-            scan = max(bounds._omega_conv_radial(d, q, lam, x) for x in deltas)
-            assert bounds._omega_conv_sup(d, q, lam) >= scan, (q, lam)
+            conv = bounds._WeightedConvolution(d)
+            scan = max(conv.radial(q, lam, x) for x in deltas)
+            assert conv.sup(q, lam) >= scan, (q, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +401,23 @@ def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
     monkeypatch.setattr(datum._GridSnapshot, "__init__", counted)
     bounds.tc2_forms(grid)
     assert len(builds) <= 1
+
+
+def test_grid_tc2_steering_snapshot_count(monkeypatch):
+    # one cell sort per Nelder-Mead probe and none for its theta scan
+    from ksblowup import datum
+
+    grid = disk_grid(64, shift=(0.2, 0.1))
+    builds = []
+    original = datum._GridSnapshot.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        original(self, *args)
+
+    monkeypatch.setattr(datum._GridSnapshot, "__init__", counted)
+    bounds._tc2_search(grid)
+    assert len(builds) == 155
 
 
 def test_radial_tc2_steering_snapshot_count(monkeypatch):

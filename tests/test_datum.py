@@ -8,7 +8,7 @@ import ksblowup as ks
 from ksblowup.errors import UnboundedSupportError, ZeroDatumError
 from ksblowup.geometry import support_geometry_of_points
 
-from conftest import analytic_families, disk_grid
+from conftest import analytic_families, disk_grid, two_bump_grid
 
 FAMILY_NAMES = ("gaussian", "disk", "annulus", "polygaussian", "diffgaussians")
 
@@ -459,3 +459,103 @@ def test_annulus_enclosing_disk_by_center_scan():
     best = min(ann.support_radius_from((0.5 + dx, -0.25 + dy))
                for dx in grid for dy in grid)
     assert best == pytest.approx(ann.support_geometry().r0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# cumulative-mass snapshots: one inverse for a fraction or an array of them
+# ---------------------------------------------------------------------------
+
+def _stable_snapshot(grid, z):
+    """Sorted distances and cumulative mass about z, cells in stable order."""
+    xs, ys, w = grid.cell_coordinates()
+    d = np.hypot(xs - z[0], ys - z[1])
+    order = np.argsort(d, kind="stable")
+    return d[order], np.cumsum(w[order]) * grid.cell_size ** 2
+
+
+def _check_grid_snapshot(grid, z, ms):
+    d, cum = _stable_snapshot(grid, z)
+    want = [float(d[min(int(np.searchsorted(
+        cum, m * grid.mass() * (1.0 - 1e-14))), len(d) - 1)]) for m in ms]
+    snap = grid.mass_profile(z)
+    radii = snap.inverse(ms)
+    assert isinstance(radii, np.ndarray)
+    scalar = [snap.inverse(m) for m in ms]
+    assert all(type(r) is float for r in scalar)
+    assert radii.tolist() == scalar == want
+    for rho in np.unique(d):
+        idx = int(np.searchsorted(d, rho, side="right"))
+        assert snap.mass_at(rho) == float(cum[idx - 1])
+
+
+@st.composite
+def _lattice_grids(draw):
+    # a lattice with a cell center at the origin, where many cells tie in
+    # distance from any cell center; unequal weights within a tie make
+    # the cumulative sums depend on the order of the tied cells
+    n = draw(st.integers(1, 6))
+    side = 2 * n + 1
+    vals = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.7, 1.3, 2.9]),
+        min_size=side * side, max_size=side * side))).reshape(side, side)
+    vals[n, n] += 1.0
+    h = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    grid = ks.CartesianGrid(vals, h, (-n * h, -n * h))
+    i, j = draw(st.integers(0, 2 * n)), draw(st.integers(0, 2 * n))
+    return grid, (-n * h + j * h, -n * h + i * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_lattice_grids())
+def test_grid_snapshot_inverse_on_tied_lattice(case):
+    grid, z = case
+    _, cum = _stable_snapshot(grid, z)
+    # every cumulative fraction, where a tie group ends, and a fine scan
+    ms = np.concatenate([np.unique(cum) / grid.mass(),
+                         np.linspace(1e-3, 1.0, 97)])
+    _check_grid_snapshot(grid, z, ms)
+
+
+def test_grid_snapshot_inverse_on_two_bumps():
+    grid = two_bump_grid(48)
+    xs, ys, w = grid.cell_coordinates()
+    heaviest = int(np.argmax(w))
+    ms = np.concatenate([np.linspace(1e-3, 1.0, 193),
+                         0.75 ** np.linspace(1e-6, 1.0 - 1e-6, 96)])
+    for z in (grid.barycenter(), (xs[heaviest], ys[heaviest]), (0.1, -0.2)):
+        _check_grid_snapshot(grid, z, ms)
+
+
+def _reference_radial_inverse(snap, m):
+    """The radial snapshot's inverse one fraction at a time, branch by
+    branch."""
+    us, cum = snap._us, snap._cum
+    target = m * snap._mass
+    idx = int(np.searchsorted(cum, target))
+    if idx >= len(us):
+        return float(us[-1])
+    if idx == 0:
+        return float(us[0])
+    c0, c1 = cum[idx - 1], cum[idx]
+    u0, u1 = us[idx - 1], us[idx]
+    if c1 == c0:
+        return float(u1)
+    return float(u0 + (target - c0) * (u1 - u0) / (c1 - c0))
+
+
+@pytest.mark.parametrize("d, z, n", [
+    (ks.Annulus(16.0 / 3.0, 1.0, 2.0), (0.3, 0.0), 512),
+    (ks.Annulus(16.0 / 3.0, 1.0, 2.0), (0.0, 0.0), 4096),
+    (ks.Gaussian(16.0 * math.pi, 1.0), (1.1, -0.4), 512),
+], ids=["annulus_off_center", "annulus_center", "gaussian_off_center"])
+def test_radial_snapshot_inverse_matches_scalar_reference(d, z, n):
+    snap = d.mass_profile(z, n)
+    # below, across and above the profile, the annulus' empty core included
+    ms = np.concatenate([[0.0, 1e-300], np.linspace(1e-4, 1.0, 301),
+                         [1.0 + 1e-9, 2.0]])
+    radii = snap.inverse(ms)
+    assert isinstance(radii, np.ndarray)
+    scalar = [snap.inverse(m) for m in ms]
+    assert all(type(r) is float for r in scalar)
+    assert radii.tolist() == scalar == [
+        _reference_radial_inverse(snap, m) for m in ms]
