@@ -406,8 +406,7 @@ def _sort_stable(d):
 
     Cells that tie in d go back to index order, as the stable sort
     leaves them, so the cumulative sums keep their bits.  Few cells tie
-    about a point off the lattice, and the default sort takes about 40%
-    of the stable sort's time on 25.6k cells.
+    about a point off the lattice, so the repair is cheap there.
     """
     order = d.argsort()
     ds = d[order]
