@@ -236,7 +236,8 @@ class _WeightedConvolution:
         The result only feeds a logarithm, so moderate node counts suffice.
         """
         p, c = _omega_exponents(q, lam)
-        reach = (45.0 / c) ** (0.5 / p)  # weight below exp(-45) past this distance
+        # the weight is below exp(-45) past this distance
+        reach = (45.0 / c) ** (0.5 / p)
         hi = min(self._rmax, delta + reach)
         panel = self._panels.get(hi)
         if panel is None:

@@ -395,8 +395,8 @@ class _RadialSnapshot:
         """
         target = m * self._mass
         i = self._cum.searchsorted(target)
-        rho = self._seg_us[i] \
-            + (target - self._seg_cum[i]) * self._seg_dus[i] / self._seg_dcum[i]
+        rho = self._seg_us[i] + (target - self._seg_cum[i]) \
+            * self._seg_dus[i] / self._seg_dcum[i]
         return rho if isinstance(m, np.ndarray) else float(rho)
 
 
