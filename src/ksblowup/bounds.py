@@ -18,9 +18,9 @@ find of the largest H over delta.  Grids run multi-start Nelder-Mead
 over the plane (``tc1`` tries the grid's peak candidates).
 
 Each search computes its invariants once.  One ``tc1`` search builds the
-radial panel nodes of each truncation radius once, and on grids each
-peak candidate's squared cell distances once and their powers once per
-q.  Each ``tc2`` probe sorts the cells (or sweeps the rings) about its
+radial panel nodes of each truncation radius once, and on grids the
+powers of each peak candidate's squared cell distances once per q.
+Each ``tc2`` probe sorts the cells (or sweeps the rings) about its
 center once and reads its 96-point theta scan from that profile in one
 call.
 """
@@ -44,6 +44,7 @@ from .heatmass import HeatMassCurve
 from .quadrature import _gl_nodes, merged_edges, panel_nodes
 from .searches import (
     bisect,
+    golden_about_scan,
     golden_section,
     grid_then_golden,
     invert_increasing,
@@ -198,9 +199,9 @@ class _WeightedConvolution:
 
     The object holds what does not change between the search's probes:
     for radial data the panel nodes, and the profile times the radial
-    weights on them, of each truncation radius; for grids each peak
-    candidate's squared cell distances and their p-th powers at the
-    current q.  Build one per search, so nothing outlives it.
+    weights on them, of each truncation radius; for grids the p-th
+    powers of each peak candidate's squared cell distances, at the
+    current q only.  Build one per search, so nothing outlives it.
     """
 
     def __init__(self, density):
@@ -214,9 +215,7 @@ class _WeightedConvolution:
             self._cos_phi = np.cos(phi)
             self._wphi = math.pi * wphi  # angular range [0, 2*pi] by symmetry
         else:
-            xs, ys, _ = density.cell_coordinates()
-            self._dist_sq = [(xs - z[0]) ** 2 + (ys - z[1]) ** 2
-                             for z in density.peak_candidates()]
+            self._peaks = density.peak_candidates()
             self._p, self._powers = None, None
 
     def sup(self, q, lam):
@@ -257,11 +256,13 @@ class _WeightedConvolution:
 
     def _grid(self, q, lam):
         p, c = _omega_exponents(q, lam)
+        xs, ys, w = self.density.cell_coordinates()
         if p != self._p:
+            self._powers = None  # free the last q's powers first
             with np.errstate(over="ignore"):
-                self._powers = [d ** p for d in self._dist_sq]
+                self._powers = [((xs - z[0]) ** 2 + (ys - z[1]) ** 2) ** p
+                                for z in self._peaks]
             self._p = p
-        _, _, w = self.density.cell_coordinates()
         h2 = self.density.cell_size ** 2
         with np.errstate(over="ignore"):
             return max(float((w * np.exp(-c * dp)).sum() * h2)
@@ -336,7 +337,7 @@ def _theta_form(consts, inverse):
     # a^theta and r^2 as the scalars objective() computes: the array
     # powers may round differently
     radii = inverse(np.array([a ** theta for theta in grid])).tolist()
-    _, val = grid_then_golden(objective, grid, [
+    _, val = golden_about_scan(objective, grid, [
         r ** 2 / (1.0 - theta) for r, theta in zip(radii, grid)])
     return val / (4.0 * consts.log_inv_ratio)
 
@@ -351,7 +352,7 @@ def _rho_form_from(mass_at, consts, lo, hi):
         return rho ** 2 / (4.0 * math.log(frac))
 
     grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9), hi, _RHO_GRID)
-    _, val = grid_then_golden(objective, grid, [objective(r) for r in grid])
+    _, val = grid_then_golden(objective, grid)
     return val
 
 
@@ -598,8 +599,7 @@ def lower_bound_detail(density, p=math.inf):
 
     qp_max = max(50.0, 4.0 / (1.0 - consts.ratio))
     grid = np.geomspace(max(p_conj, 1.0), qp_max, _QPRIME_GRID)
-    qp_star, neg_val = grid_then_golden(
-        neg_objective, grid, [neg_objective(qp) for qp in grid])
+    qp_star, neg_val = grid_then_golden(neg_objective, grid)
     sup_form = -neg_val
 
     if math.isinf(p) or p >= LOWER_REGIME_P0 \

@@ -178,14 +178,18 @@ def golden_section(fn, lo, hi, rel_tol=1e-9):
     return d, fd
 
 
-def grid_then_golden(fn, grid, vals):
-    """Golden refinement of fn about the minimum of a coarse scan.
+def grid_then_golden(fn, grid):
+    """Coarse scan of a 1D grid, then golden refinement around the minimum.
 
-    ``vals`` holds fn on ``grid``, evaluated by the caller, in one batch
-    where fn vectorises; ``fn`` is called only at single points.
     Handles mildly multimodal objectives; the grid pins the basin and the
     golden stage polishes it.  Infinite values are allowed.
     """
+    return golden_about_scan(fn, grid, [fn(x) for x in grid])
+
+
+def golden_about_scan(fn, grid, vals):
+    """The golden stage of ``grid_then_golden``, given fn's values on the
+    grid, for a caller that evaluates its scan in one batch."""
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(vals, dtype=float)
     k = int(np.argmin(vals))

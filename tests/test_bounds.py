@@ -314,7 +314,8 @@ def _reference_tc1_value(d, q, lam):
 def test_tc1_caches_do_not_leak_across_data():
     # each search holds its own panels and distance powers: grids of two
     # shapes and an annulus give the same bounds in either order, and
-    # tc1_value equals the convolution computed afresh
+    # tc1 equals the convolution computed afresh, from a fresh search and
+    # from one search probed at changing q
     data = (disk_grid(32, shift=(0.2, 0.1)), two_bump_grid(40),
             ks.Annulus(16.0 / 3.0, 1.0, 2.0))
     forward = [bounds.tc1_bound(d) for d in data]
@@ -323,9 +324,13 @@ def test_tc1_caches_do_not_leak_across_data():
     assert all(math.isfinite(v) for v in forward)
     for d in data:
         scale = d._scale_radius() ** 2
-        for q, lam in ((1.25, scale / 4.0), (2.0, scale), (5.0, 8.0 * scale)):
-            assert bounds.tc1_value(d, q, lam) == _reference_tc1_value(
-                d, q, lam), (d.label(), q, lam)
+        conv = bounds._WeightedConvolution(d)
+        for q, lam in ((1.25, scale / 4.0), (1.25, scale), (2.0, scale),
+                       (5.0, 8.0 * scale), (1.25, scale / 4.0)):
+            want = _reference_tc1_value(d, q, lam)
+            assert bounds.tc1_value(d, q, lam) == want, (d.label(), q, lam)
+            assert bounds._tc1_value(conv, q, lam) == want, (
+                d.label(), q, lam)
 
 
 def test_tc1_builds_radial_panels_once_per_truncation_radius(monkeypatch):
