@@ -19,7 +19,9 @@ over the plane (``tc1`` tries the grid's peak candidates).
 
 Each search computes its invariants once.  One ``tc1`` search builds the
 radial panel nodes of each truncation radius once, and on grids the
-powers of each peak candidate's squared cell distances once per q.
+powers of each peak candidate's squared cell distances once per q.  At
+the symmetry center every angle of the radial kernel sees the same
+distance, so ``tc1`` computes one radial column of it, not 32.
 Each ``tc2`` probe sorts the cells (or sweeps the rings) about its
 center once and reads its 96-point theta scan from that profile in one
 call.
@@ -201,11 +203,18 @@ class _WeightedConvolution:
     for radial data the panel nodes, and the profile times the radial
     weights on them, of each truncation radius; for grids the p-th
     powers of each peak candidate's squared cell distances, at the
-    current q only.  Build one per search, so nothing outlives it.
+    current q only; and the threshold L(M) the supremum is read against.
+    Build one per search, so nothing outlives it.
+
+    At delta = 0 the radial kernel exp(-c |x|^(2p)) is one column over
+    the nodes, computed once and repeated over the 32 angles.  The
+    angular sum stays the same matrix product, so the value keeps the
+    bits of the full 32-column kernel.
     """
 
     def __init__(self, density):
         self.density = density
+        self.threshold = mass_constants(density.mass()).threshold
         if density.is_radial:
             self._rmax = density.tail_radius()
             self._scan = _delta_scan(density)
@@ -248,10 +257,17 @@ class _WeightedConvolution:
         rs, weighted = panel
         if rs.size == 0:
             return 0.0
-        dist_sq = (rs[:, None] ** 2 + delta ** 2
-                   - 2.0 * rs[:, None] * delta * self._cos_phi[None, :])
         with np.errstate(over="ignore"):
-            ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ self._wphi
+            if delta == 0.0:
+                # repeated, not broadcast or summed, so that the matrix
+                # product below keeps the bits of the full kernel
+                col = np.exp(-c * np.maximum(rs ** 2, 0.0) ** p)
+                kernel = np.repeat(col[:, None], self._wphi.size, axis=1)
+            else:
+                dist_sq = (rs[:, None] ** 2 + delta ** 2
+                           - 2.0 * rs[:, None] * delta * self._cos_phi)
+                kernel = np.exp(-c * np.maximum(dist_sq, 0.0) ** p)
+        ang = kernel @ self._wphi
         return float((ang * weighted).sum())
 
     def _grid(self, q, lam):
@@ -272,9 +288,8 @@ class _WeightedConvolution:
 def _tc1_value(conv, q, lam):
     if not q > 1.0 or not lam > 0.0:
         raise ValueError("tc1 requires q > 1 and lam > 0")
-    consts = mass_constants(conv.density.mass())
     sup = conv.sup(q, lam)
-    log_plus = math.log(sup / consts.threshold) if sup > consts.threshold else 0.0
+    log_plus = math.log(sup / conv.threshold) if sup > conv.threshold else 0.0
     if log_plus == 0.0:
         return math.inf
     return lam * q ** (-1.0 / q) * log_plus ** (-1.0 / q)
@@ -287,7 +302,6 @@ def tc1_value(density, q, lam):
 
 def tc1_bound(density):
     """Infimum of tc1_value over a (q, lam) grid with local refinement."""
-    mass_constants(density.mass())
     conv = _WeightedConvolution(density)
     scale = density._scale_radius() ** 2
     lam_grid = np.geomspace(scale / 32.0, scale * 32.0, _TC1_LAMBDA_GRID)

@@ -280,23 +280,31 @@ def test_tc1_grid_sorts_no_cells(monkeypatch):
     assert sorts == []
 
 
+def _reference_radial_conv(d, q, lam, delta):
+    """The tc1 convolution of radial data at the offset delta, from fresh
+    panels and the full 32-column angular kernel."""
+    p = q / (q - 1.0)
+    c = (4.0 * lam) ** (-p) / p
+    reach = (45.0 / c) ** (0.5 / p)
+    hi = min(d.tail_radius(), delta + reach)
+    rs, wr = panel_nodes(merged_edges(
+        [b for b in d.radial_breakpoints() if b < hi],
+        np.linspace(0.0, hi, 14)), order=16)
+    phi, wphi = _gl_nodes(32)
+    phi = 0.5 * math.pi * (phi + 1.0)
+    dist_sq = (rs[:, None] ** 2 + delta ** 2
+               - 2.0 * rs[:, None] * delta * np.cos(phi)[None, :])
+    ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ (math.pi * wphi)
+    return float((ang * (d.profile(rs) * rs * wr)).sum())
+
+
 def _reference_tc1_value(d, q, lam):
     """tc1 at (q, lam) from convolutions computed afresh at every point."""
     p = q / (q - 1.0)
     c = (4.0 * lam) ** (-p) / p
     if d.is_radial:
         def conv(delta):
-            reach = (45.0 / c) ** (0.5 / p)
-            hi = min(d.tail_radius(), delta + reach)
-            rs, wr = panel_nodes(merged_edges(
-                [b for b in d.radial_breakpoints() if b < hi],
-                np.linspace(0.0, hi, 14)), order=16)
-            phi, wphi = _gl_nodes(32)
-            phi = 0.5 * math.pi * (phi + 1.0)
-            dist_sq = (rs[:, None] ** 2 + delta ** 2
-                       - 2.0 * rs[:, None] * delta * np.cos(phi)[None, :])
-            ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ (math.pi * wphi)
-            return float((ang * (d.profile(rs) * rs * wr)).sum())
+            return _reference_radial_conv(d, q, lam, delta)
 
         sup = conv(0.0) if d.is_nonincreasing_radial \
             else maximize_even(conv, bounds._delta_scan(d))[0]
@@ -331,6 +339,35 @@ def test_tc1_caches_do_not_leak_across_data():
             assert bounds.tc1_value(d, q, lam) == want, (d.label(), q, lam)
             assert bounds._tc1_value(conv, q, lam) == want, (
                 d.label(), q, lam)
+
+
+_CENTERED = {
+    "gaussian": ks.Gaussian(16.0 * math.pi, 1.0),
+    "disk": ks.DiskIndicator(16.0, 1.0),
+    "polygaussian": ks.PolyGaussian(16.0, 0, 1.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(_CENTERED)),
+       q=st.floats(1.05, 6.0, exclude_min=True, exclude_max=True),
+       log2_lam=st.floats(-5.0, 5.0))
+@example(family="gaussian", q=2.0, log2_lam=0.0)
+@example(family="disk", q=1.25, log2_lam=-5.0)
+@example(family="polygaussian", q=5.0, log2_lam=5.0)
+def test_tc1_at_the_center_equals_the_full_kernel(family, q, log2_lam):
+    # at the symmetry center tc1 computes one radial column of the
+    # angular kernel; its value keeps the bits of all 32 columns, at q
+    # off the search grid too, and for the annulus's center convolution
+    d = _CENTERED[family]
+    lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
+    want = _reference_tc1_value(d, q, lam)
+    assert bounds.tc1_value(d, q, lam) == want
+    assert bounds._tc1_value(bounds._WeightedConvolution(d), q, lam) == want
+    annulus = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
+    lam = annulus._scale_radius() ** 2 * 2.0 ** log2_lam
+    assert bounds._WeightedConvolution(annulus).radial(q, lam, 0.0) == (
+        _reference_radial_conv(annulus, q, lam, 0.0))
 
 
 def test_tc1_builds_radial_panels_once_per_truncation_radius(monkeypatch):
