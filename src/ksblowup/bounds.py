@@ -43,7 +43,7 @@ from .errors import (
     UnboundedSupportError,
 )
 from .heatmass import HeatMassCurve
-from .quadrature import _gl_nodes, merged_edges, panel_nodes
+from .quadrature import circle_nodes, merged_edges, panel_nodes
 from .searches import (
     bisect,
     golden_about_scan,
@@ -219,10 +219,7 @@ class _WeightedConvolution:
             self._rmax = density.tail_radius()
             self._scan = _delta_scan(density)
             self._panels = {}  # truncation radius -> (rs, profile * rs * wr)
-            phi, wphi = _gl_nodes(32)
-            phi = 0.5 * math.pi * (phi + 1.0)
-            self._cos_phi = np.cos(phi)
-            self._wphi = math.pi * wphi  # angular range [0, 2*pi] by symmetry
+            self._cos_phi, self._wphi = circle_nodes(32)
         else:
             self._peaks = density.peak_candidates()
             self._p, self._powers = None, None
@@ -370,27 +367,21 @@ def _rho_form_from(mass_at, consts, lo, hi):
     return val
 
 
-def _rho_form(density, consts, z):
-    lo = density.generalized_inverse(z, consts.ratio)
-    hi = density.support_radius_from(z) if density.has_compact_support \
-        else density.generalized_inverse(z, 1.0 - 1e-13)
-    return _rho_form_from(lambda rho: density.radial_mass(z, rho),
-                          consts, lo, hi)
+def _forms(consts, mass_at, inverse, hi):
+    """(rho_form, theta_form) from the cumulative mass ``mass_at`` about
+    one center, its inverse, and the radius ``hi`` that ends the rho scan."""
+    rho = _rho_form_from(mass_at, consts, inverse(consts.ratio), hi)
+    return rho, _theta_form(consts, inverse)
 
 
 def tc2_forms(density, z=None):
     """(rho_form, theta_form) of the radial-mass bound at a fixed center."""
     consts = mass_constants(density.mass())
     z = density.center if z is None else z
-    rho = _rho_form(density, consts, z)
-
-    def inverse(m):
-        # the datum inverts one fraction at a time
-        if isinstance(m, np.ndarray):
-            return np.array([density.generalized_inverse(z, x) for x in m])
-        return density.generalized_inverse(z, m)
-
-    return rho, _theta_form(consts, inverse)
+    hi = density.support_radius_from(z) if density.has_compact_support \
+        else density.generalized_inverse(z, 1.0 - 1e-13)
+    return _forms(consts, lambda rho: density.radial_mass(z, rho),
+                  lambda m: density.generalized_inverse(z, m), hi)
 
 
 def _snapshot(density, z, n=1024):
@@ -430,11 +421,8 @@ def _tc2_search(density):
         > 1e-9 * (1.0 + density._scale_radius())
     if off_center and val_best < center_val:
         snap = _snapshot(density, z_best, n=4096)
-        theta = _theta_form(consts, snap.inverse)
-        rho = _rho_form_from(snap.mass_at, consts,
-                             snap.inverse(consts.ratio),
-                             snap.inverse(1.0 - 1e-12))
-        off_val = min(rho, theta)
+        off_val = min(_forms(consts, snap.mass_at, snap.inverse,
+                             snap.inverse(1.0 - 1e-12)))
         if off_val < center_val:
             return off_val, z_best
     return center_val, center
@@ -684,8 +672,6 @@ def _run_row(name, kind, assumptions, fn):
     try:
         value = fn()
         status, detail = "computed", ""
-        if value is None:
-            value, status, detail = math.nan, "inapplicable", "hypotheses failed"
     except (UnboundedSupportError, NotRadialError, HypothesisCheckError) as exc:
         value, status, detail = math.nan, "inapplicable", str(exc)
     except SubcriticalMassError:

@@ -36,9 +36,6 @@ from .errors import (
 TOL_ENV_VAR = "KSBLOWUP_TOL"
 REPORT_COLUMNS = ("name", "kind", "value", "assumptions", "status", "seconds")
 
-#: constructor keywords named otherwise in a spec file
-_SPEC_ALIASES = {"total_mass": "mass"}
-
 
 def format_value(v):
     """12 significant digits; literal 'inf' for infinite estimates."""
@@ -82,14 +79,14 @@ def datum_from_dict(spec, base_dir="."):
             f"{sorted(dt.FAMILIES)})", field="family")
     kwargs = {}
     for field in dataclasses.fields(dt.FAMILIES[family]):
-        name = _SPEC_ALIASES.get(field.name, field.name)
+        name = dt.SPEC_ALIASES.get(field.name, field.name)
         if name in spec or field.default is dataclasses.MISSING:
             kwargs[field.name] = _require(
                 spec, name, _floats if field.type is tuple else float)
     try:
         return dt.FAMILIES[family](**kwargs)
     except InvalidFieldError as exc:
-        name = _SPEC_ALIASES.get(exc.field, exc.field)
+        name = dt.SPEC_ALIASES.get(exc.field, exc.field)
         raise DatumSpecError(
             f"invalid {family} parameters: {name} {exc.problem}", field=name)
     except (TypeError, ValueError) as exc:

@@ -15,14 +15,16 @@ methods.  The heat-weighted mass H(z, s) is chosen here, in one method,
 factor off the center (`_heat_mass_quadrature`).  The gaussian's
 closed form holds about every point, and a grid sums H over its
 occupied block.  Radial families also carry the Laplace transform of
-their squared-radius profile, H at the center over pi.  A compactly
-supported radial family states only its support radius
-(`_support_radius`); its tail radius and support geometry follow from
-it.
+their squared-radius profile, H at the center over pi.
 
-All instances are immutable and refuse NaN or infinite parameters;
-cached quantities are computed at construction so evaluation is safe
-under concurrency.
+A radial family states its dataclass fields, checks them in
+`_validate`, and gives its closed forms: mass and profile, and where it
+has them H, the cumulative mass and its inverse at the center, moments
+and norms, and the support radius (`_support_radius`).  The base class
+derives the rest: the finite-value check, the center, the label, the
+quadrature fallbacks, every off-center quantity, the tail radius and
+the support geometry.  All instances are immutable and refuse NaN or
+infinite parameters.
 """
 
 import math
@@ -39,7 +41,7 @@ from .errors import (
     ZeroDatumError,
 )
 from .geometry import SupportGeometry, support_geometry_of_points
-from .quadrature import _gl_nodes, integrate_panels, merged_edges, panel_edges
+from .quadrature import circle_nodes, integrate_panels, merged_edges, panel_edges
 from .searches import bisect
 
 TWO_PI = 2.0 * math.pi
@@ -49,6 +51,9 @@ TAIL_FRACTION = 1e-14
 
 #: extra panel reach, in units of sqrt(s), around the gaussian weight
 _WEIGHT_REACH = 10.0
+
+#: dataclass fields named otherwise in labels and spec files
+SPEC_ALIASES = {"total_mass": "mass"}
 
 
 def _require_finite(datum):
@@ -80,12 +85,26 @@ class InitialDatum:
     is_radial = True
     #: the density vanishes outside a bounded set
     has_compact_support = False
+    #: the profile never increases in r, so every search takes the center
+    is_nonincreasing_radial = False
 
     # -- structure ----------------------------------------------------
 
-    @property
-    def is_nonincreasing_radial(self):
-        return False
+    def __post_init__(self):
+        _require_finite(self)
+        object.__setattr__(self, "center", _as_center(self.center))
+        self._validate()
+
+    def _validate(self):
+        """Refuse parameters outside the family's domain and store what
+        the family derives from them."""
+
+    def label(self):
+        """family(field=value, ...) over every field but the center."""
+        args = ", ".join(
+            f"{SPEC_ALIASES.get(f.name, f.name)}={getattr(self, f.name):.6g}"
+            for f in fields(self) if f.name != "center")
+        return f"{self.family}({args})"
 
     def profile(self, r):
         """Radial density value(s) at |x - center| = r."""
@@ -100,7 +119,7 @@ class InitialDatum:
         mass: the support radius of compactly supported data."""
         if self.has_compact_support:
             return self._support_radius()
-        # idempotent per-instance cache; safe under the GIL
+        # filled on first use per fraction
         cache = self.__dict__.setdefault("_tail_cache", {})
         if fraction not in cache:
             cache[fraction] = self.generalized_inverse(None, 1.0 - fraction)
@@ -112,21 +131,19 @@ class InitialDatum:
         """H(s) about z (the center if None): the closed form at the
         center where the family has one, else panel quadrature."""
         if _offset(z, self.center) == 0.0:
-            val = self._central_heat_mass(s)
-            if val is not None:
-                return val
+            return self._central_heat_mass(s)
         return self._heat_mass_quadrature(z, s)
 
     def _central_heat_mass(self, s):
-        """Closed form of H(s) at the center where available, else None."""
-        return None
+        """H(s) at the center: a family's closed form overrides this."""
+        return self._heat_mass_quadrature(None, s)
 
     def _heat_mass_quadrature(self, z, s):
         """H(s) about z by panel quadrature of the radial profile."""
         delta = _offset(z, self.center)
         rmax = self.tail_radius()
-        edges = merged_edges(
-            panel_edges(self.radial_breakpoints(), rmax, self._scale_radius()),
+        edges = self._radial_edges(
+            rmax,
             np.clip(np.linspace(delta - _WEIGHT_REACH * math.sqrt(s),
                                 delta + _WEIGHT_REACH * math.sqrt(s), 33),
                     0.0, rmax),
@@ -170,7 +187,7 @@ class InitialDatum:
         raise NotImplementedError
 
     def barycenter(self):
-        # radial families are symmetric about their center
+        # the symmetry center of radial data, the barycenter of a grid
         return self.center
 
     def beta_variance(self, beta):
@@ -192,32 +209,33 @@ class InitialDatum:
 
     def _central_beta_moment(self, beta):
         """integral |x - center|^beta n0 dx (closed form where available)."""
-        rmax = self.tail_radius()
-        edges = merged_edges(
-            panel_edges(self.radial_breakpoints(), rmax, self._scale_radius()))
         return TWO_PI * integrate_panels(
-            lambda r: self.profile(r) * r ** (beta + 1.0), edges)
+            lambda r: self.profile(r) * r ** (beta + 1.0),
+            self._radial_edges(self.tail_radius()))
 
     def _offset_beta_moment(self, delta, beta):
         rmax = self.tail_radius()
-        phi, wphi = _gl_nodes(64)
-        phi = 0.5 * math.pi * (phi + 1.0)
-        wphi = 0.5 * math.pi * wphi
+        cos_phi, wphi = circle_nodes(64)
 
         def integrand(r):
             rr = r[:, None]
-            dist_sq = rr ** 2 + delta ** 2 - 2.0 * rr * delta * np.cos(phi)[None, :]
-            ang = 2.0 * (np.maximum(dist_sq, 0.0) ** (0.5 * beta) @ wphi)
+            dist_sq = rr ** 2 + delta ** 2 - 2.0 * rr * delta * cos_phi[None, :]
+            ang = np.maximum(dist_sq, 0.0) ** (0.5 * beta) @ wphi
             return self.profile(r) * r * ang
 
-        edges = merged_edges(
-            panel_edges(self.radial_breakpoints(), rmax, self._scale_radius()),
-            [min(delta, rmax)])
-        return integrate_panels(integrand, edges)
+        return integrate_panels(integrand,
+                                self._radial_edges(rmax, [min(delta, rmax)]))
 
     def _scale_radius(self):
         """Characteristic radius used to grade quadrature panels."""
         return max(self.generalized_inverse(None, 0.5), 1e-30)
+
+    def _radial_edges(self, upper, *extra):
+        """Panel edges on [0, upper] graded at the scale radius, merged
+        with the ``extra`` edge sets."""
+        return merged_edges(
+            panel_edges(self.radial_breakpoints(), upper, self._scale_radius()),
+            *extra)
 
     def lp_norm(self, p):
         if p < 1.0:
@@ -232,11 +250,9 @@ class InitialDatum:
         raise NotImplementedError
 
     def _lp_norm_finite(self, p):
-        rmax = self.tail_radius()
-        edges = merged_edges(
-            panel_edges(self.radial_breakpoints(), rmax, self._scale_radius()))
         val = TWO_PI * integrate_panels(
-            lambda r: self.profile(r) ** p * r, edges)
+            lambda r: self.profile(r) ** p * r,
+            self._radial_edges(self.tail_radius()))
         return val ** (1.0 / p)
 
     # -- radial cumulative mass ----------------------------------------
@@ -277,11 +293,7 @@ class InitialDatum:
         width = hi - lo
         cluster = [lo + width * 2.0 ** -k for k in range(1, 16)]
         cluster += [hi - width * 2.0 ** -k for k in range(2, 16)]
-        edges = merged_edges(
-            panel_edges(self.radial_breakpoints(), hi, self._scale_radius()),
-            [lo],
-            cluster,
-            np.linspace(lo, hi, 9))
+        edges = self._radial_edges(hi, [lo], cluster, np.linspace(lo, hi, 9))
         edges = edges[(edges >= lo) & (edges <= hi)]
         total += integrate_panels(integrand, edges)
         return total
@@ -292,22 +304,23 @@ class InitialDatum:
         """inf{rho > 0 : mass fraction in B(z, rho) >= m}, for m in (0, 1].
 
         m = 1 is only defined for compactly supported data (the answer is
-        the farthest support point); unbounded families raise.
+        the farthest support point); unbounded families raise.  An array
+        m is inverted elementwise, one fraction at a time.
         """
+        if isinstance(m, np.ndarray):
+            return np.array([self.generalized_inverse(z, x) for x in m])
         if not 0.0 < m <= 1.0:
             raise ValueError("m must lie in (0, 1]")
         if m == 1.0:
             return self.support_radius_from(z)
         delta = _offset(z, self.center)
         if delta == 0.0:
-            rho = self._central_generalized_inverse(m)
-            if rho is not None:
-                return rho
+            return self._central_generalized_inverse(m)
         return self._bisect_generalized_inverse(z, m)
 
     def _central_generalized_inverse(self, m):
-        """Closed form where the family admits one, else None."""
-        return None
+        """The inverse at the center: a family's closed form overrides this."""
+        return self._bisect_generalized_inverse(None, m)
 
     def _bisect_generalized_inverse(self, z, m):
         total = self.mass()
@@ -363,13 +376,11 @@ class _RadialSnapshot:
         if delta == 0.0:
             ring = 2.0 * math.pi * us * density.profile(us)
         else:
-            phi, wphi = _gl_nodes(96)
-            phi = 0.5 * math.pi * (phi + 1.0)
-            wphi = 0.5 * math.pi * wphi
+            cos_phi, wphi = circle_nodes(96)
             dist = np.sqrt(us[:, None] ** 2 + delta ** 2
-                           + 2.0 * us[:, None] * delta * np.cos(phi)[None, :])
-            ring = 2.0 * us * (density.profile(dist.ravel())
-                               .reshape(dist.shape) @ wphi)
+                           + 2.0 * us[:, None] * delta * cos_phi[None, :])
+            ring = us * (density.profile(dist.ravel())
+                         .reshape(dist.shape) @ wphi)
         cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (ring[1:] + ring[:-1]) * np.diff(us))])
         self._us = us
@@ -449,21 +460,13 @@ class Gaussian(InitialDatum):
     sigma: float
     center: tuple = (0.0, 0.0)
     family = "gaussian"
+    is_nonincreasing_radial = True
 
-    def __post_init__(self):
-        _require_finite(self)
-        object.__setattr__(self, "center", _as_center(self.center))
+    def _validate(self):
         if self.total_mass <= 0.0:
             raise ZeroDatumError("mass must be positive")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-
-    @property
-    def is_nonincreasing_radial(self):
-        return True
-
-    def label(self):
-        return f"gaussian(mass={self.total_mass:.6g}, sigma={self.sigma:.6g})"
 
     def mass(self):
         return self.total_mass
@@ -512,19 +515,11 @@ class DiskIndicator(InitialDatum):
     center: tuple = (0.0, 0.0)
     family = "disk"
     has_compact_support = True
+    is_nonincreasing_radial = True
 
-    def __post_init__(self):
-        _require_finite(self)
-        object.__setattr__(self, "center", _as_center(self.center))
+    def _validate(self):
         if self.height <= 0.0 or self.radius <= 0.0:
             raise ValueError("height and radius must be positive")
-
-    @property
-    def is_nonincreasing_radial(self):
-        return True
-
-    def label(self):
-        return f"disk(height={self.height:.6g}, radius={self.radius:.6g})"
 
     def mass(self):
         return self.height * math.pi * self.radius ** 2
@@ -584,17 +579,11 @@ class Annulus(InitialDatum):
     family = "annulus"
     has_compact_support = True
 
-    def __post_init__(self):
-        _require_finite(self)
-        object.__setattr__(self, "center", _as_center(self.center))
+    def _validate(self):
         if self.height <= 0.0 or self.r_inner <= 0.0:
             raise ValueError("height and radii must be positive")
         if not self.r_inner < self.r_outer:
             raise ValueError("annulus requires r_inner < r_outer")
-
-    def label(self):
-        return (f"annulus(height={self.height:.6g}, "
-                f"r_inner={self.r_inner:.6g}, r_outer={self.r_outer:.6g})")
 
     def mass(self):
         return self.height * math.pi * (self.r_outer ** 2 - self.r_inner ** 2)
@@ -649,9 +638,7 @@ class PolyGaussian(InitialDatum):
     center: tuple = (0.0, 0.0)
     family = "polygaussian"
 
-    def __post_init__(self):
-        _require_finite(self)
-        object.__setattr__(self, "center", _as_center(self.center))
+    def _validate(self):
         if self.height <= 0.0 or self.rate <= 0.0:
             raise ValueError("height and rate must be positive")
         if self.power < 0 or self.power != int(self.power):
@@ -661,10 +648,6 @@ class PolyGaussian(InitialDatum):
     @property
     def is_nonincreasing_radial(self):
         return self.power == 0
-
-    def label(self):
-        return (f"polygaussian(height={self.height:.6g}, "
-                f"power={self.power}, rate={self.rate:.6g})")
 
     def mass(self):
         n = self.power
@@ -722,18 +705,11 @@ class DiffGaussians(InitialDatum):
     center: tuple = (0.0, 0.0)
     family = "diffgaussians"
 
-    def __post_init__(self):
-        _require_finite(self)
-        object.__setattr__(self, "center", _as_center(self.center))
+    def _validate(self):
         if self.height <= 0.0 or self.rate_slow <= 0.0:
             raise ValueError("height and rates must be positive")
         if not self.rate_slow < self.rate_fast:
             raise ValueError("family requires rate_slow < rate_fast")
-
-    def label(self):
-        return (f"diffgaussians(height={self.height:.6g}, "
-                f"rate_slow={self.rate_slow:.6g}, "
-                f"rate_fast={self.rate_fast:.6g})")
 
     def mass(self):
         return math.pi * self.height / (self.rate_slow * self.rate_fast)
@@ -785,9 +761,7 @@ class RadialProfile(InitialDatum):
     family = "radial_profile"
     has_compact_support = True
 
-    def __post_init__(self):
-        _require_finite(self)
-        object.__setattr__(self, "center", _as_center(self.center))
+    def _validate(self):
         radii = tuple(float(r) for r in self.radii)
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "radii", radii)
@@ -802,18 +776,21 @@ class RadialProfile(InitialDatum):
             raise ValueError("profile values must be non-negative")
         if all(v == 0.0 for v in values):
             raise ZeroDatumError("profile is identically zero")
-        object.__setattr__(self, "_cum", self._cumulative())
-
-    def _cumulative(self):
         # exact integral of 2*pi*r*profile(r) at every knot
-        out = [0.0]
-        for (r0, r1, v0, v1) in zip(self.radii, self.radii[1:],
-                                    self.values, self.values[1:]):
-            slope = (v1 - v0) / (r1 - r0)
-            a = v0 - slope * r0
-            seg = a * (r1 ** 2 - r0 ** 2) / 2.0 + slope * (r1 ** 3 - r0 ** 3) / 3.0
-            out.append(out[-1] + TWO_PI * seg)
-        return tuple(out)
+        cum = [0.0]
+        for i, r1 in enumerate(radii[1:]):
+            cum.append(cum[-1] + self._segment_mass(i, r1))
+        object.__setattr__(self, "_cum", tuple(cum))
+
+    def _segment_mass(self, i, rho):
+        """Exact integral of 2*pi*r*profile(r) from knot i to rho, for rho
+        up to knot i + 1."""
+        r0, v0 = self.radii[i], self.values[i]
+        r1, v1 = self.radii[i + 1], self.values[i + 1]
+        slope = (v1 - v0) / (r1 - r0)
+        a = v0 - slope * r0
+        return TWO_PI * (a * (rho ** 2 - r0 ** 2) / 2.0
+                         + slope * (rho ** 3 - r0 ** 3) / 3.0)
 
     @property
     def is_nonincreasing_radial(self):
@@ -848,12 +825,7 @@ class RadialProfile(InitialDatum):
         if rho >= radii[-1]:
             return self._cum[-1]
         i = int(np.searchsorted(radii, rho, side="right")) - 1
-        r0, v0 = radii[i], self.values[i]
-        r1, v1 = radii[i + 1], self.values[i + 1]
-        slope = (v1 - v0) / (r1 - r0)
-        a = v0 - slope * r0
-        seg = a * (rho ** 2 - r0 ** 2) / 2.0 + slope * (rho ** 3 - r0 ** 3) / 3.0
-        return self._cum[i] + TWO_PI * seg
+        return self._cum[i] + self._segment_mass(i, rho)
 
     def _scale_radius(self):
         return 0.5 * self.radii[-1]
@@ -936,9 +908,6 @@ class CartesianGrid(InitialDatum):
     def mass(self):
         return self._mass
 
-    def barycenter(self):
-        return self._bary
-
     def profile(self, r):
         raise NotRadialError("grid data has no radial profile")
 
@@ -977,13 +946,10 @@ class CartesianGrid(InitialDatum):
         moment = float((d ** beta * self._w).sum() * self.cell_size ** 2)
         return (moment / self._mass) ** (2.0 / beta)
 
-    def lp_norm(self, p):
-        if p < 1.0:
-            raise NormDivergenceError("p must lie in [1, inf]")
-        if math.isinf(p):
-            return float(self._w.max())
-        if p == 1.0:
-            return self._mass
+    def _sup_norm(self):
+        return float(self._w.max())
+
+    def _lp_norm_finite(self, p):
         return float((self._w ** p).sum() * self.cell_size ** 2) ** (1.0 / p)
 
     def radial_mass(self, z, rho):
@@ -1002,10 +968,9 @@ class CartesianGrid(InitialDatum):
         return _GridSnapshot(self, z)
 
     def generalized_inverse(self, z, m):
-        if not 0.0 < m <= 1.0:
+        if not np.all((0.0 < m) & (m <= 1.0)):
             raise ValueError("m must lie in (0, 1]")
-        z = self._bary if z is None else np.asarray(z, dtype=float)
-        return self.mass_profile(z).inverse(m)
+        return self.mass_profile(self._bary if z is None else z).inverse(m)
 
     def tail_radius(self, fraction=TAIL_FRACTION):
         return self.support_radius_from(self._bary)

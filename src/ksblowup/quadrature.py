@@ -9,6 +9,7 @@ downstream report reproducible.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -20,6 +21,14 @@ _LADDER_PANELS = 24  # points of the geometric ladder in panel_edges
 def _gl_nodes(order):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def circle_nodes(order):
+    """(cos phi, pi * w): Gauss-Legendre angles phi on (0, pi) and
+    weights that integrate an even function of phi over the full circle."""
+    nodes, weights = _gl_nodes(order)
+    return np.cos(0.5 * math.pi * (nodes + 1.0)), math.pi * weights
 
 
 def panel_nodes(edges, order=DEFAULT_NODES):
@@ -60,12 +69,12 @@ def integrate_panels(fn, edges, order=DEFAULT_NODES):
     return float(np.sum(half[:, None] * weights[None, :] * vals))
 
 
-def panel_edges(breakpoints, upper, scale=None):
+def panel_edges(breakpoints, upper, scale):
     """Build panel edges on [0, upper] for a radial integrand.
 
     ``breakpoints`` are mandatory edges (density discontinuities, knots).
-    A geometric ladder anchored at ``scale`` fills the smooth regions so
-    that sharply peaked integrands near the origin stay resolved.
+    A geometric ladder anchored at the positive ``scale`` fills the smooth
+    regions so that sharply peaked integrands near the origin stay resolved.
     """
     upper = float(upper)
     if upper <= 0.0:
@@ -74,8 +83,6 @@ def panel_edges(breakpoints, upper, scale=None):
     for b in breakpoints:
         if 0.0 < b < upper:
             pts.add(float(b))
-    if scale is None or scale <= 0.0:
-        scale = upper / 8.0
     lo = min(scale, upper) * 1e-3
     ladder = np.geomspace(lo, upper, _LADDER_PANELS)
     pts.update(ladder[:-1].tolist())

@@ -479,6 +479,37 @@ def test_radial_tc2_steering_snapshot_count(monkeypatch):
     assert len(builds) == 43
 
 
+def _pool_grid():
+    values, h, origin = workloads.dense_grid_entry(0)
+    return ks.CartesianGrid(values, h, origin)
+
+
+@pytest.mark.parametrize("d, z", [
+    (ks.DiffGaussians(32.0, 1.0, 2.0), None),
+    (ks.DiffGaussians(32.0, 1.0, 2.0), (0.7, -0.2)),
+    (ks.Annulus(16.0 / 3.0, 1.0, 2.0), None),
+    ("pool grid", None),
+    ("pool grid", (0.3, -0.45)),
+], ids=["diffgaussians", "diffgaussians-off", "annulus", "grid", "grid-off"])
+def test_array_inverse_equals_the_scalar_loop(d, z):
+    # the theta scan of tc2 inverts its 96 fractions in one call
+    d = _pool_grid() if d == "pool grid" else d
+    ms = np.array([1.0 / 3.0 ** k for k in range(12)] + [0.5, 0.9, 0.999])
+    if not d.has_compact_support:
+        ms = ms[ms < 1.0]
+    got = d.generalized_inverse(z, ms)
+    assert isinstance(got, np.ndarray)
+    assert got.tolist() == [d.generalized_inverse(z, m) for m in ms]
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
+def test_grid_array_inverse_refuses_fractions_outside_the_range(bad):
+    grid = _pool_grid()
+    for z in (None, (0.3, -0.45)):
+        with pytest.raises(ValueError):
+            grid.generalized_inverse(z, np.array([0.5, bad, 0.9]))
+
+
 def test_rho_form_ignores_uninformative_radii():
     # below the threshold the positive-part log vanishes: contribution +inf
     consts = bounds.mass_constants(16.0 * math.pi)

@@ -67,6 +67,26 @@ def test_non_finite_input_raises(case, bad):
         _non_finite_cases(bad)[case]()
 
 
+@pytest.mark.parametrize("d, label", [
+    (ks.Gaussian(50.0, 1.25), "gaussian(mass=50, sigma=1.25)"),
+    (ks.DiskIndicator(16.0 / 3.0, 1.5, (0.5, -2.0)),
+     "disk(height=5.33333, radius=1.5)"),
+    (ks.Annulus(16.0 / 3.0, 1.0, 2.0),
+     "annulus(height=5.33333, r_inner=1, r_outer=2)"),
+    (ks.PolyGaussian(16.0, 1, 1.0), "polygaussian(height=16, power=1, rate=1)"),
+    (ks.PolyGaussian(2.5e7, 12, 0.125),
+     "polygaussian(height=2.5e+07, power=12, rate=0.125)"),
+    (ks.DiffGaussians(100.0 / 7.0, 1e-3, 123456789.0),
+     "diffgaussians(height=14.2857, rate_slow=0.001, rate_fast=1.23457e+08)"),
+    (ks.RadialProfile((0.0, 0.5, 1.5), (30.0, 20.0, 0.0)),
+     "radial_profile(3 knots, mass=70.6858)"),
+    (ks.CartesianGrid(np.ones((3, 4)), 0.5), "grid(3x4, mass=3)"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_labels_are_pinned(d, label):
+    # reports and sweeps print these strings; the center never shows
+    assert d.label() == label
+
+
 # ---------------------------------------------------------------------------
 # mass
 # ---------------------------------------------------------------------------
