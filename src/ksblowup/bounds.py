@@ -18,10 +18,13 @@ find of the largest H over delta.  Grids run multi-start Nelder-Mead
 over the plane (``tc1`` tries the grid's peak candidates).
 
 Each search computes its invariants once.  One ``tc1`` search builds the
-radial panel nodes of each truncation radius once, and on grids the
-powers of each peak candidate's squared cell distances once per q.  At
-the symmetry center every angle of the radial kernel sees the same
-distance, so ``tc1`` computes one radial column of it, not 32.
+radial panel nodes of each truncation radius once.  On grids it builds
+one histogram of cell distances per peak candidate; at each (q, lam) the
+histograms bound every candidate's sum from above and below, and only
+the candidates that can hold the maximum are summed exactly, from powers
+of their squared cell distances held at the current q.  At the symmetry
+center every angle of the radial kernel sees the same distance, so
+``tc1`` computes one radial column of it, not 32.
 Each ``tc2`` probe sorts the cells (or sweeps the rings) about its
 center once and reads its 96-point theta scan from that profile in one
 call.
@@ -104,6 +107,26 @@ _DELTA_SCAN = 17         # scan points over [0, tail radius] of radial centers
 # the center 9 (the disk: mass 4, R^2/4s 2, expm1, quotient and product
 # 1 each); the product with L 1; slack 2.  k is even: 1 + k u is exact.
 _TC_TARGET_FACTOR = 1.0 + 22 * 2.0 ** -53
+
+# Grid tc1 bounds each peak candidate's sum from a histogram of its cell
+# distances, on _TC1_BINS bins of one width, and sums exactly only a peak
+# whose bound times _TC1_PRUNE_MARGIN reaches the best exact sum so far.
+# The margin counts, in units of u = 2^-53, how far the computed exact sum
+# of n cells may exceed the computed bound: the exact sum n and the
+# histogram sum n + _TC1_BINS (Higham 2002, section 4); the kernel
+# exp(-c s^p) of a cell against that of its bin's lower edge, whose
+# squared distance s is no larger (the bin is checked by comparison, so
+# the floor(d / width) assignment adds nothing): pow (8, as 4 ulp) and the
+# product with c (1) on each side, 18 u relative of the exponent, times
+# |exponent| <= 745 before exp underflows, plus 16 for the two exps (4
+# ulp each); the products with the weights and with h^2, 4.  That is
+# 2 n + 17526 <= 2 n + 2^15, which 1e-9 = 9.0e6 u covers up to n = 2^22
+# cells (a full 2048^2 grid); larger grids sum every peak.  Cells whose
+# kernel underflows escape every relative count; an absolute slack
+# covers them.
+_TC1_BINS = 4096
+_TC1_PRUNE_MARGIN = 1.0 + 1e-9
+_TC1_PRUNE_MAX_CELLS = 2 ** 22
 
 
 def _search_seeds(density, extra_seeds=()):
@@ -201,10 +224,11 @@ class _WeightedConvolution:
 
     The object holds what does not change between the search's probes:
     for radial data the panel nodes, and the profile times the radial
-    weights on them, of each truncation radius; for grids the p-th
-    powers of each peak candidate's squared cell distances, at the
-    current q only; and the threshold L(M) the supremum is read against.
-    Build one per search, so nothing outlives it.
+    weights on them, of each truncation radius; for grids one distance
+    histogram per peak candidate, and the p-th powers of the squared
+    cell distances of the candidates summed exactly, at the current q
+    only; and the threshold L(M) the supremum is read against.  Build
+    one per search, so nothing outlives it.
 
     At delta = 0 the radial kernel exp(-c |x|^(2p)) is one column over
     the nodes, computed once and repeated over the 32 angles.  The
@@ -222,7 +246,8 @@ class _WeightedConvolution:
             self._cos_phi, self._wphi = circle_nodes(32)
         else:
             self._peaks = density.peak_candidates()
-            self._p, self._powers = None, None
+            self._p, self._powers = None, {}
+            self._histograms()
 
     def sup(self, q, lam):
         """Exact at the center for non-increasing radial data; a feasible
@@ -267,19 +292,83 @@ class _WeightedConvolution:
         ang = kernel @ self._wphi
         return float((ang * weighted).sum())
 
-    def _grid(self, q, lam):
-        p, c = _omega_exponents(q, lam)
+    def _histograms(self):
+        """Each peak's cell weights binned by squared distance, on
+        _TC1_BINS bins of one width in the distance.
+
+        A cell goes to the bin whose lower edge is at most its squared
+        distance, checked by comparison after the division.  Past
+        _TC1_PRUNE_MAX_CELLS cells there are no histograms.
+        """
         xs, ys, w = self.density.cell_coordinates()
+        h = self.density.cell_size
+        self._hist, self._slack = None, 0.0
+        if xs.size > _TC1_PRUNE_MAX_CELLS:
+            return
+        # the farthest corner of the cells' bounding box from each peak;
+        # a single cell spans nothing, and the cell size keeps the width
+        # positive
+        x0, x1, y0, y1 = xs.min(), xs.max(), ys.min(), ys.max()
+        span = max([h] + [math.hypot(max(z[0] - x0, x1 - z[0]),
+                                     max(z[1] - y0, y1 - z[1]))
+                          for z in self._peaks])
+        width = span / _TC1_BINS
+        self._edges_sq = (np.arange(_TC1_BINS + 1) * width) ** 2
+        hist = []
+        for z in self._peaks:
+            dist_sq = (xs - z[0]) ** 2 + (ys - z[1]) ** 2
+            idx = np.minimum((np.sqrt(dist_sq) / width).astype(np.intp),
+                             _TC1_BINS - 1)
+            # the quotient is a few u from exact, far inside one bin
+            idx -= self._edges_sq[idx] > dist_sq
+            hist.append(np.bincount(idx, weights=w, minlength=_TC1_BINS))
+        self._hist = np.array(hist)
+        # the sums of cells whose kernel underflows, which no relative
+        # margin covers: at most 2^-1022 per unit weight, 2^-1074 per term
+        self._slack = (self.density.mass()
+                       + (xs.size + _TC1_BINS) * h * h) * 2.0 ** -1020
+
+    def _grid(self, q, lam):
+        """The largest exact sum over the peak candidates.
+
+        The kernel is non-increasing in the distance and the weights are
+        non-negative, so the histogram read at the lower edges bounds
+        each peak's sum from above, and at the upper edges from below.
+        The peaks are summed in order of falling lower bound, and a peak
+        whose upper bound, times _TC1_PRUNE_MARGIN, falls below the best
+        exact sum so far is skipped: it cannot hold the maximum.
+        """
+        p, c = _omega_exponents(q, lam)
         if p != self._p:
-            self._powers = None  # free the last q's powers first
-            with np.errstate(over="ignore"):
-                self._powers = [((xs - z[0]) ** 2 + (ys - z[1]) ** 2) ** p
-                                for z in self._peaks]
+            self._powers.clear()  # the last q's powers
             self._p = p
         h2 = self.density.cell_size ** 2
+        n = len(self._peaks)
+        if self._hist is None:
+            upper, lower = [math.inf] * n, [0.0] * n
+        else:
+            with np.errstate(over="ignore"):
+                kernel = np.exp(-c * self._edges_sq ** p)
+            upper = (self._hist @ kernel[:-1] * h2).tolist()
+            lower = (self._hist @ kernel[1:]).tolist()
+        best = -math.inf
+        for i in sorted(range(n), key=lambda i: -lower[i]):
+            if upper[i] * _TC1_PRUNE_MARGIN + self._slack < best:
+                continue
+            best = max(best, self._peak_sum(i, p, c))
+        return best
+
+    def _peak_sum(self, i, p, c):
+        """The exact weighted sum about peak candidate i."""
+        xs, ys, w = self.density.cell_coordinates()
         with np.errstate(over="ignore"):
-            return max(float((w * np.exp(-c * dp)).sum() * h2)
-                       for dp in self._powers)
+            dp = self._powers.get(i)
+            if dp is None:
+                z = self._peaks[i]
+                dp = self._powers[i] = (
+                    (xs - z[0]) ** 2 + (ys - z[1]) ** 2) ** p
+            return float((w * np.exp(-c * dp)).sum()
+                         * self.density.cell_size ** 2)
 
 
 def _tc1_value(conv, q, lam):

@@ -298,6 +298,14 @@ def _reference_radial_conv(d, q, lam, delta):
     return float((ang * (d.profile(rs) * rs * wr)).sum())
 
 
+def _reference_grid_sup(d, p, c):
+    """The largest exact sum over every peak candidate of a grid."""
+    xs, ys, w = d.cell_coordinates()
+    return max(float((w * np.exp(-c * ((xs - z[0]) ** 2
+                                       + (ys - z[1]) ** 2) ** p)).sum()
+                     * d.cell_size ** 2) for z in d.peak_candidates())
+
+
 def _reference_tc1_value(d, q, lam):
     """tc1 at (q, lam) from convolutions computed afresh at every point."""
     p = q / (q - 1.0)
@@ -309,10 +317,7 @@ def _reference_tc1_value(d, q, lam):
         sup = conv(0.0) if d.is_nonincreasing_radial \
             else maximize_even(conv, bounds._delta_scan(d))[0]
     else:
-        xs, ys, w = d.cell_coordinates()
-        sup = max(float((w * np.exp(-c * ((xs - z[0]) ** 2
-                                          + (ys - z[1]) ** 2) ** p)).sum()
-                        * d.cell_size ** 2) for z in d.peak_candidates())
+        sup = _reference_grid_sup(d, p, c)
     threshold = bounds.mass_constants(d.mass()).threshold
     if not sup > threshold:
         return math.inf
@@ -339,6 +344,106 @@ def test_tc1_caches_do_not_leak_across_data():
             assert bounds.tc1_value(d, q, lam) == want, (d.label(), q, lam)
             assert bounds._tc1_value(conv, q, lam) == want, (
                 d.label(), q, lam)
+
+
+def _mirror_grid(n=32, h=0.125):
+    """Two equal gaussian bumps, mirror images across x = 0 to the bit:
+    with h a power of two the cell coordinates are exact, so mirrored
+    peak candidates see the same cell distances, summed in another order."""
+    c = h * (np.arange(n) - 0.5 * (n - 1))
+    X, Y = np.meshgrid(c, c)
+    left = 40.0 * np.exp(-((X + 1.0) ** 2 + (Y - 0.25) ** 2) / 0.18)
+    return ks.CartesianGrid(left + left[:, ::-1], h, (float(c[0]), float(c[0])))
+
+
+def _two_disk_grid(n=96, half=4.0):
+    """Two small disks far apart on a mostly empty grid."""
+    h = 2.0 * half / n
+    c = -half + h * (np.arange(n) + 0.5)
+    X, Y = np.meshgrid(c, c)
+    vals = np.zeros_like(X)
+    for (cx, cy), r, height in (((-2.0, 1.5), 0.4, 60.0),
+                                ((1.5, -2.0), 0.5, 40.0)):
+        vals[np.hypot(X - cx, Y - cy) <= r] = height
+    return ks.CartesianGrid(vals, h, (float(c[0]), float(c[0])))
+
+
+_PRUNED_GRIDS = {
+    "mirror": _mirror_grid(),
+    "two_bump": two_bump_grid(40),
+    "shifted_disk": disk_grid(32, shift=(0.2, 0.1)),
+    "two_disks": _two_disk_grid(),
+}
+# one search per grid, probed at every example's q: the powers it holds
+# at one q must not leak into the next
+_PRUNED_CONVS = {k: bounds._WeightedConvolution(d)
+                 for k, d in _PRUNED_GRIDS.items()}
+
+
+def test_mirror_grid_peaks_tie():
+    # the mirrored heaviest cells see the same distances
+    d = _PRUNED_GRIDS["mirror"]
+    xs, ys, _ = d.cell_coordinates()
+    peaks = d.peak_candidates()[:8]
+    dists = {tuple(np.sort((xs - z[0]) ** 2 + (ys - z[1]) ** 2)) for z in peaks}
+    assert len(dists) < len(peaks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=st.sampled_from(sorted(_PRUNED_GRIDS)),
+       q=st.floats(1.05, 6.0, exclude_min=True, exclude_max=True),
+       log2_lam=st.floats(-5.0, 5.0))
+@example(grid="mirror", q=2.0, log2_lam=0.0)
+@example(grid="mirror", q=1.25, log2_lam=-5.0)
+@example(grid="mirror", q=1.5, log2_lam=-2.5)  # mirrored peaks 1 ulp apart
+@example(grid="two_disks", q=5.0, log2_lam=5.0)
+@example(grid="shifted_disk", q=1.0500001, log2_lam=-5.0)
+def test_tc1_grid_pruning_never_changes_the_sup(grid, q, log2_lam):
+    # the histogram only rules peaks out: tc1 keeps the bits of the
+    # largest exact sum over every peak candidate
+    d = _PRUNED_GRIDS[grid]
+    lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
+    want = _reference_tc1_value(d, q, lam)
+    assert bounds._tc1_value(bounds._WeightedConvolution(d), q, lam) == want
+    assert bounds._tc1_value(_PRUNED_CONVS[grid], q, lam) == want
+    # the sup itself, which ties to the ulp on the mirror grid
+    sup = _reference_grid_sup(d, *bounds._omega_exponents(q, lam))
+    assert _PRUNED_CONVS[grid].sup(q, lam) == sup
+
+
+def test_tc1_grid_prune_stays_effective(monkeypatch):
+    # most evaluations sum one peak exactly, and a search holds the
+    # powers of few peaks per q, against 10 each without the histograms
+    evals, sums, powers = [], [], {}
+
+    class Counted(bounds._WeightedConvolution):
+        def _grid(self, q, lam):
+            evals.append(q)
+            return super()._grid(q, lam)
+
+        def _peak_sum(self, i, p, c):
+            sums.append(i)
+            if i not in self._powers:
+                powers[p] = powers.get(p, 0) + 1
+            return super()._peak_sum(i, p, c)
+
+    monkeypatch.setattr(bounds, "_WeightedConvolution", Counted)
+    assert math.isfinite(bounds.tc1_bound(two_bump_grid(40)))
+    assert len(sums) < 2 * len(evals)
+    assert len(powers) > 30
+    assert sum(powers.values()) <= 3 * len(powers)
+
+
+@pytest.mark.parametrize("cells, mass, want", [
+    (((2, 2),), 40.0, 8.066328842109262e-63),
+    (((1, 1), (3, 3)), 20.0, 0.02933377074165887),
+])
+def test_tc1_degenerate_grids(cells, mass, want):
+    # one occupied cell puts every peak at distance 0 from all the mass
+    vals = np.zeros((5, 5))
+    for cell in cells:
+        vals[cell] = 100.0 * mass  # the cell size is 0.1
+    assert bounds.tc1_bound(ks.CartesianGrid(vals, 0.1)) == want
 
 
 _CENTERED = {
