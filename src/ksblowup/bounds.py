@@ -25,9 +25,12 @@ the candidates that can hold the maximum are summed exactly, from powers
 of their squared cell distances held at the current q.  At the symmetry
 center every angle of the radial kernel sees the same distance, so
 ``tc1`` computes one radial column of it, not 32.
-Each ``tc2`` probe sorts the cells (or sweeps the rings) about its
-center once and reads its 96-point theta scan from that profile in one
-call.
+One ``tc2`` search computes its 96 theta-scan fractions once.  Each
+radial probe sweeps the rings about its center once and reads the scan
+from that profile in one call.  Each grid probe bins the cells by
+distance, as ``tc1`` does, and sorts only the cells of the bins its
+reads fall in; every cell is sorted once per search, at the winner,
+whose exact form decides the result.
 """
 
 import dataclasses
@@ -293,39 +296,28 @@ class _WeightedConvolution:
         return float((ang * weighted).sum())
 
     def _histograms(self):
-        """Each peak's cell weights binned by squared distance, on
-        _TC1_BINS bins of one width in the distance.
-
-        A cell goes to the bin whose lower edge is at most its squared
-        distance, checked by comparison after the division.  Past
-        _TC1_PRUNE_MAX_CELLS cells there are no histograms.
+        """Each peak's cell weights binned by distance
+        (`CartesianGrid.distance_histogram`), on _TC1_BINS bins of one
+        width, so every cell's squared distance is at least its bin's
+        lower edge.  Past _TC1_PRUNE_MAX_CELLS cells there are no
+        histograms.
         """
-        xs, ys, w = self.density.cell_coordinates()
-        h = self.density.cell_size
+        density = self.density
+        xs, ys, _ = density.cell_coordinates()
+        h = density.cell_size
         self._hist, self._slack = None, 0.0
         if xs.size > _TC1_PRUNE_MAX_CELLS:
             return
-        # the farthest corner of the cells' bounding box from each peak;
-        # a single cell spans nothing, and the cell size keeps the width
-        # positive
-        x0, x1, y0, y1 = xs.min(), xs.max(), ys.min(), ys.max()
-        span = max([h] + [math.hypot(max(z[0] - x0, x1 - z[0]),
-                                     max(z[1] - y0, y1 - z[1]))
-                          for z in self._peaks])
-        width = span / _TC1_BINS
+        # the farthest corner of the cells' bounding box from any peak
+        width = max(density.corner_distance(z) for z in self._peaks) \
+            / _TC1_BINS
         self._edges_sq = (np.arange(_TC1_BINS + 1) * width) ** 2
-        hist = []
-        for z in self._peaks:
-            dist_sq = (xs - z[0]) ** 2 + (ys - z[1]) ** 2
-            idx = np.minimum((np.sqrt(dist_sq) / width).astype(np.intp),
-                             _TC1_BINS - 1)
-            # the quotient is a few u from exact, far inside one bin
-            idx -= self._edges_sq[idx] > dist_sq
-            hist.append(np.bincount(idx, weights=w, minlength=_TC1_BINS))
-        self._hist = np.array(hist)
+        self._hist = np.array([density.distance_histogram(
+            (xs - z[0]) ** 2 + (ys - z[1]) ** 2, width, _TC1_BINS)[1]
+            for z in self._peaks])
         # the sums of cells whose kernel underflows, which no relative
         # margin covers: at most 2^-1022 per unit weight, 2^-1074 per term
-        self._slack = (self.density.mass()
+        self._slack = (density.mass()
                        + (xs.size + _TC1_BINS) * h * h) * 2.0 ** -1020
 
     def _grid(self, q, lam):
@@ -421,25 +413,37 @@ def tc1_bound(density):
 # tc2: radial cumulative mass, rho-form and theta-form
 # ---------------------------------------------------------------------------
 
-def _theta_form(consts, inverse):
-    """(1/(4 ln(1/a))) * inf_theta inverse(a^theta)^2 / (1 - theta).
+class _ThetaScan:
+    """The theta form of one mass,
+    (1/(4 ln(1/a))) * inf_theta inverse(a^theta)^2 / (1 - theta).
 
-    ``inverse`` maps a mass fraction to its radius, and an array of
-    fractions to an array of radii, so the theta scan is one call.
+    The 96 scan points and their fractions a^theta are computed once,
+    as the scalar powers the golden stage computes: array powers may
+    round differently.  Build one per search.
     """
-    a = consts.ratio
-    eps = 1e-6
 
-    def objective(theta):
-        return inverse(a ** theta) ** 2 / (1.0 - theta)
+    def __init__(self, consts):
+        self.consts = consts
+        eps = 1e-6
+        self.grid = np.linspace(eps, 1.0 - eps, _THETA_GRID)
+        a = consts.ratio
+        self.fractions = np.array([a ** theta for theta in self.grid])
+        self._one_minus = (1.0 - self.grid).tolist()
 
-    grid = np.linspace(eps, 1.0 - eps, _THETA_GRID)
-    # a^theta and r^2 as the scalars objective() computes: the array
-    # powers may round differently
-    radii = inverse(np.array([a ** theta for theta in grid])).tolist()
-    _, val = golden_about_scan(objective, grid, [
-        r ** 2 / (1.0 - theta) for r, theta in zip(radii, grid)])
-    return val / (4.0 * consts.log_inv_ratio)
+    def form(self, inverse):
+        """The form over the cumulative-mass inverse ``inverse``, which
+        maps a mass fraction to its radius and an array of fractions to
+        an array of radii, so the scan is one call."""
+        a = self.consts.ratio
+
+        def objective(theta):
+            return inverse(a ** theta) ** 2 / (1.0 - theta)
+
+        # r^2 as the scalar objective() computes
+        radii = inverse(self.fractions).tolist()
+        _, val = golden_about_scan(objective, self.grid, [
+            r ** 2 / q for r, q in zip(radii, self._one_minus)])
+        return val / (4.0 * self.consts.log_inv_ratio)
 
 
 def _rho_form_from(mass_at, consts, lo, hi):
@@ -456,20 +460,24 @@ def _rho_form_from(mass_at, consts, lo, hi):
     return val
 
 
-def _forms(consts, mass_at, inverse, hi):
+def _forms(scan, mass_at, inverse, hi):
     """(rho_form, theta_form) from the cumulative mass ``mass_at`` about
     one center, its inverse, and the radius ``hi`` that ends the rho scan."""
-    rho = _rho_form_from(mass_at, consts, inverse(consts.ratio), hi)
-    return rho, _theta_form(consts, inverse)
+    rho = _rho_form_from(mass_at, scan.consts, inverse(scan.consts.ratio), hi)
+    return rho, scan.form(inverse)
 
 
 def tc2_forms(density, z=None):
     """(rho_form, theta_form) of the radial-mass bound at a fixed center."""
-    consts = mass_constants(density.mass())
-    z = density.center if z is None else z
+    scan = _ThetaScan(mass_constants(density.mass()))
+    return _forms_about(scan, density, density.center if z is None else z)
+
+
+def _forms_about(scan, density, z):
+    """`tc2_forms` at z, with the search's theta scan."""
     hi = density.support_radius_from(z) if density.has_compact_support \
         else density.generalized_inverse(z, 1.0 - 1e-13)
-    return _forms(consts, lambda rho: density.radial_mass(z, rho),
+    return _forms(scan, lambda rho: density.radial_mass(z, rho),
                   lambda m: density.generalized_inverse(z, m), hi)
 
 
@@ -485,32 +493,45 @@ def tc2_bound(density):
 
 
 def _tc2_search(density):
-    consts = mass_constants(density.mass())
-    center = density.center
-    if density.is_nonincreasing_radial:
-        return min(tc2_forms(density, center)), center
+    """(tc2, center): the smaller of the form at the center and the form
+    at the center that minimizes the theta form.
 
-    def steering_objective(z):
-        snap = _snapshot(density, z, n=512)
-        return _theta_form(consts, snap.inverse)
+    Radial data steer on 512-point ring profiles.  Grids steer on binned
+    profiles, whose sums are good to their rounding, and sort every cell
+    once, at the winner: the exact theta form there decides, as it
+    would had every probe been exact.
+    """
+    scan = _ThetaScan(mass_constants(density.mass()))
+    center = density.center
+    center_val = min(_forms_about(scan, density, center))
+    if density.is_nonincreasing_radial:
+        return center_val, center
 
     if density.is_radial:
         neg_val, delta = maximize_even(
-            lambda d: -steering_objective(_ring_point(density, d)),
+            lambda d: -scan.form(_snapshot(
+                density, _ring_point(density, d), n=512).inverse),
             _delta_scan(density))
         val_best = -neg_val
         z_best = _ring_point(density, delta)
     else:
-        z_best, val_best, _ = minimize_over_plane(
-            steering_objective, _search_seeds(density),
-            max_iter=_NM_MAX_ITER // 2)
+        z_best, _, _ = minimize_over_plane(
+            lambda z: scan.form(density.binned_profile(z).inverse),
+            _search_seeds(density), max_iter=_NM_MAX_ITER // 2)
 
-    center_val = min(tc2_forms(density, center))
-    off_center = math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
-        > 1e-9 * (1.0 + density._scale_radius())
-    if off_center and val_best < center_val:
+    if math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
+            <= 1e-9 * (1.0 + density._scale_radius()):
+        return center_val, center
+    if not density.is_radial:
+        # the probes read sums good to their rounding; the exact theta
+        # form at the winner decides, from the search's one sort of
+        # every cell
+        snap = _snapshot(density, z_best)
+        val_best = scan.form(snap.inverse)
+    elif val_best < center_val:
         snap = _snapshot(density, z_best, n=4096)
-        off_val = min(_forms(consts, snap.mass_at, snap.inverse,
+    if val_best < center_val:
+        off_val = min(_forms(scan, snap.mass_at, snap.inverse,
                              snap.inverse(1.0 - 1e-12)))
         if off_val < center_val:
             return off_val, z_best

@@ -55,6 +55,9 @@ _WEIGHT_REACH = 10.0
 #: dataclass fields named otherwise in labels and spec files
 SPEC_ALIASES = {"total_mass": "mass"}
 
+#: distance bins of a grid's binned cumulative-mass profile
+_PROFILE_BINS = 4096
+
 
 def _require_finite(datum):
     """Refuse NaN or infinite parameters, centers, knots and cells."""
@@ -417,11 +420,14 @@ def _sort_stable(d):
 
     Cells that tie in d go back to index order, as the stable sort
     leaves them, so the cumulative sums keep their bits.  Few cells tie
-    about a point off the lattice, so the repair is cheap there.
+    about a point off the lattice, so the repair is cheap there, and
+    skipped when nothing ties.
     """
     order = d.argsort()
     ds = d[order]
     tied = ds[1:] == ds[:-1]
+    if not tied.any():
+        return order, ds
     at = np.flatnonzero(np.concatenate([tied, [False]])
                         | np.concatenate([[False], tied]))
     run = np.cumsum(np.diff(ds[at], prepend=-1.0) != 0.0)  # d >= 0
@@ -431,7 +437,12 @@ def _sort_stable(d):
 
 
 class _GridSnapshot:
-    """Exact sorted-distance cumulative mass for grid data about a point."""
+    """Exact cumulative mass of grid data about a point: every cell
+    sorted by distance, one step per cell.
+
+    A grid builds one about its barycenter, and a tc2 search one more at
+    its winning center; the search's probes read `_BinnedGridProfile`.
+    """
 
     def __init__(self, density, z):
         xs, ys, w = density.cell_coordinates()
@@ -450,6 +461,135 @@ class _GridSnapshot:
         idx = self._cum.searchsorted(m * self._mass * (1.0 - 1e-14))
         radius = self._d.take(idx, mode="clip")
         return radius if isinstance(m, np.ndarray) else float(radius)
+
+
+class _BinnedGridProfile:
+    """The inverse of `_GridSnapshot` about a point, read from one
+    distance histogram and exactly sorted blocks of cells.
+
+    The cells are binned by distance once
+    (`CartesianGrid.distance_histogram`).  A read finds the bins whose
+    prefix sums reach its target within ``eta``, relative, and sorts
+    only their cells, as the snapshot sorts them; each cumulative mass
+    starts from the histogram prefix of the bins before the target's
+    first bin.  ``eta`` bounds, in units of u = 2^-53, the error of that
+    sum and of the snapshot's, for non-negative terms (Higham 2002,
+    section 4): the histogram n + bins, the block's sum and its start
+    2 n, the snapshot n, and the few operations on the target.  So the
+    crossing of a target always lies inside its block, and a radius
+    differs from the snapshot's only where the target lies within
+    ``eta`` of a step of the cumulative mass.
+
+    The bins follow squared distances, the snapshot's order the
+    distances, and the two orders differ only between cells within a
+    few ulps of each other.  A block with a cell that close to a bin
+    edge (cells of a lattice about a lattice point, which tie exactly,
+    can sit on one) bins every cell again by its distance, so that bins
+    never split the snapshot's order.
+
+    An array of fractions (the theta scan) is read from one block.  The
+    first scalar read gathers one more, from the second scan fraction
+    below it to the second above, which holds the golden stage's
+    bracket; a later read outside that block gathers again.
+    """
+
+    def __init__(self, density, z):
+        self._xs, self._ys, self._w = density.cell_coordinates()
+        self._z = z
+        self._density = density
+        self._width = density.corner_distance(z) / _PROFILE_BINS
+        self._h2 = density.cell_size ** 2
+        self._mass = density.mass()
+        dist_sq = self._xs - z[0]
+        dist_sq *= dist_sq
+        dy_sq = self._ys - z[1]
+        dy_sq *= dy_sq
+        dist_sq += dy_sq  # (x - z0)^2 + (y - z1)^2, as tc1 bins it
+        self._bin_cells(dist_sq)
+        self._by_distance = False
+        self.eta = 4.0 * (self._w.size + _PROFILE_BINS + 1) * 2.0 ** -53
+        self._scan = None   # the scan's targets, ascending
+        self._covers = (math.inf, -math.inf)  # targets of the scalar block
+        self.block = None   # (cells, distances) of the last block gathered
+
+    def _bin_cells(self, dist_sq):
+        self._bin, hist = self._density.distance_histogram(
+            dist_sq, self._width, _PROFILE_BINS)
+        # the weight of the bins before each bin, and the mass up to the
+        # end of each
+        prefix = np.cumsum(hist)
+        self._before = np.concatenate(([0.0], prefix))
+        self._reach = prefix * self._h2
+        self._last = int(np.flatnonzero(hist)[-1])
+
+    def _gather(self, low, high):
+        """(first bins, last bins, cells, distances) of the block of the
+        bins that may hold the targets from each of ``low`` to its
+        ``high``, the cells sorted as the snapshot sorts them."""
+        while True:
+            lo = np.minimum(self._reach.searchsorted(low * (1.0 - self.eta)),
+                            self._last)
+            hi = np.minimum(self._reach.searchsorted(high * (1.0 + self.eta)),
+                            self._last)
+            in_block = np.zeros(_PROFILE_BINS, dtype=bool)
+            in_block[lo] = in_block[hi] = True
+            for i in np.flatnonzero(hi - lo > 1):  # wide windows are rare
+                in_block[lo[i]:hi[i]] = True
+            cells = np.flatnonzero(in_block[self._bin])
+            order, d = _sort_stable(np.hypot(self._xs[cells] - self._z[0],
+                                             self._ys[cells] - self._z[1]))
+            # each cell's distance in bin widths, against the nearest edge
+            # between two bins
+            q = d / self._width
+            edge = np.clip(np.rint(q), 1.0, _PROFILE_BINS - 1)
+            if self._by_distance \
+                    or not np.any(np.abs(q - edge) <= 2.0 ** -40 * edge):
+                break
+            self._by_distance = True
+            self._bin_cells(np.hypot(self._xs - self._z[0],
+                                     self._ys - self._z[1]) ** 2)
+        cells = cells[order]
+        self.block = cells, d
+        return lo, hi, cells, d
+
+    def inverse(self, m):
+        """Distance of the cell that completes the mass fraction m, to
+        the sums' rounding; elementwise, with an array result, for an
+        array m."""
+        target = m * self._mass * (1.0 - 1e-14)
+        if isinstance(m, np.ndarray):
+            self._scan, self._covers = np.sort(target), (math.inf, -math.inf)
+            lo, _, cells, d = self._gather(target, target)
+            csum = np.concatenate([[0.0], np.cumsum(self._w[cells])])
+            # a target's sum starts from the histogram prefix of its
+            # first bin, at that bin's first cell in the block
+            start = self._bin[cells].searchsorted(lo)
+            return d.take(csum[1:].searchsorted(
+                target / self._h2 - self._before[lo] + csum[start]),
+                mode="clip")
+        if not self._covers[0] < target <= self._covers[1]:
+            self._gather_scalar(target)
+        return float(self._radius[self._cum.searchsorted(target)])
+
+    def _gather_scalar(self, target):
+        """The block of the scalar reads about ``target``."""
+        low = high = target
+        scan = self._scan if self._scan is not None else np.empty(0)
+        j = int(scan.searchsorted(target))
+        if 0 < j < scan.size:
+            low, high = scan[max(j - 2, 0)], scan[min(j + 1, scan.size - 1)]
+        (lo,), (hi,), cells, d = self._gather(np.array([low]),
+                                              np.array([high]))
+        self._cum = np.cumsum(np.concatenate(
+            [[self._before[lo]], self._w[cells]]))[1:] * self._h2
+        # a read past the block's last cell takes it, as the snapshot's
+        # clipped read takes the farthest cell
+        self._radius = np.append(d, d[-1])
+        # the targets whose every bin lies in the block
+        self._covers = (
+            self._reach[lo - 1] / (1.0 - self.eta) if lo else -math.inf,
+            self._reach[hi] / (1.0 + self.eta) if hi < self._last
+            else math.inf)
 
 
 @dataclass(frozen=True)
@@ -882,9 +1022,11 @@ class CartesianGrid(InitialDatum):
         object.__setattr__(self, "_bary", (
             float((xs * w).sum() * h * h / m),
             float((ys * w).sum() * h * h / m)))
-        # the estimators read the mass profile about the barycenter, the
-        # weighted median and the heaviest cells on every evaluation;
-        # each is a sort of the cells, done once here
+        # the estimators read the mass profile about the barycenter on
+        # every evaluation at the center, so its one sort of the cells is
+        # done here, with the weighted median and the heaviest cells;
+        # elsewhere a center search reads binned profiles and sorts every
+        # cell once, at its winner
         object.__setattr__(self, "_bary_profile",
                            _GridSnapshot(self, self._bary))
         median = []
@@ -923,6 +1065,34 @@ class CartesianGrid(InitialDatum):
         """Points where the density smoothed by a narrow weight may peak:
         the eight heaviest cells, the barycenter and the weighted median."""
         return self._peaks
+
+    def corner_distance(self, z):
+        """Distance from z to the farthest corner of the box of the
+        occupied cell centers, at least the cell size."""
+        return max(self.cell_size, math.hypot(
+            max(z[0] - self._block_xs[0], self._block_xs[-1] - z[0]),
+            max(z[1] - self._block_ys[0], self._block_ys[-1] - z[1])))
+
+    def distance_histogram(self, dist_sq, width, bins):
+        """(bin of each cell, cell weights summed per bin) for the squared
+        distances ``dist_sq`` of the cells from a point, on ``bins`` bins
+        of one ``width`` in the distance.
+
+        A cell goes to the bin whose lower edge is at most its distance,
+        checked in squares after the division, so bins never decrease
+        with the squared distance; the last bin also takes the cells
+        past it.  tc1's peak bounds and the binned profile bin this way.
+        """
+        buf = np.sqrt(dist_sq)
+        buf /= width
+        idx = buf.astype(np.intp)
+        np.minimum(idx, bins - 1, out=idx)
+        # the quotient is a few u from exact, far inside one bin; the
+        # squared lower edge is (idx * width)^2
+        np.multiply(idx, width, out=buf)
+        buf *= buf
+        idx -= buf > dist_sq
+        return idx, np.bincount(idx, weights=self._w, minlength=bins)
 
     def heat_mass(self, z, s):
         """Heat-weighted mass H(s) about z, as h^2 * g_y^T V g_x.
@@ -966,6 +1136,12 @@ class CartesianGrid(InitialDatum):
         if (float(z[0]), float(z[1])) == self._bary:
             return self._bary_profile
         return _GridSnapshot(self, z)
+
+    def binned_profile(self, z):
+        """The inverse of the cumulative mass about z to the rounding of
+        its sums, read without sorting every cell: a center search's
+        steering profile."""
+        return _BinnedGridProfile(self, z)
 
     def generalized_inverse(self, z, m):
         if not np.all((0.0 < m) & (m <= 1.0)):

@@ -8,7 +8,10 @@ For each case it prints the ``repr`` of every ``full_report`` row as
   ``Gaussian(8.05 pi, 1)``;
 * the 56 ``bound`` entries of the benchmark pools (32 radial, 12 dense
   grids, 12 sparse grids), built from the spec files that
-  ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``.
+  ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``;
+  after each grid's report, the winning center of its ``tc2`` search,
+  so a change that moves a winner shows even where no printed value
+  moves.
 
 Then it prints the ``ksblowup sweep`` CSV, exit code and stderr of each of
 the 18 sweep pool entries.  Pytest does not collect this file.  A change
@@ -23,9 +26,9 @@ A change that moves numbers compares the two digests instead:
     python tests/report_digest.py --compare before.txt after.txt
 
 prints, per row name, how many values were compared, how many moved and
-the largest relative move up and down, then every status, ``ordering_ok``
-or sweep exit code that changed; it exits 1 when there is any such
-change.  Producing the digest takes a few minutes on two cores.
+the largest relative move up and down, then every status, ``ordering_ok``,
+``tc2`` center or sweep exit code that changed; it exits 1 when there is
+any such change.  Producing the digest takes a few minutes on two cores.
 """
 
 import contextlib
@@ -48,6 +51,12 @@ def _print_report(case, density):
                     r.assumptions)))
     for violation in report.violations:
         print(f"  violation: {violation}")
+
+
+def _print_tc2_center(density):
+    from ksblowup import bounds
+
+    print(f"{_TC2_CENTER}{bounds._tc2_search(density)[1]!r}")
 
 
 def _print_sweep(item):
@@ -74,6 +83,9 @@ class _Float64:
 _LINE_NAMES = {"__builtins__": {}, "nan": math.nan, "inf": math.inf,
                "np": _Float64}
 
+#: the line that follows a grid's report
+_TC2_CENTER = "  tc2 center: "
+
 
 def read_digest(path):
     """(values, flags) of a digest file.
@@ -81,7 +93,7 @@ def read_digest(path):
     ``values`` maps (case, row name, step) to (value, status); a report row
     has step 0, a sweep cell the step of its line and status "computed" or
     "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
-    code.
+    code, and "<case> tc2 center" to a grid's winning ``tc2`` center.
     """
     values, flags = {}, {}
     case, header = None, None
@@ -93,6 +105,8 @@ def read_digest(path):
                 flags[case] = flag
                 header = [] if flag.startswith("exit=") else None
                 step = 0
+            elif line.startswith(_TC2_CENTER):
+                flags[f"{case} tc2 center"] = line[len(_TC2_CENTER):]
             elif header is None and line.startswith("("):
                 name, _, value, status = eval(line, _LINE_NAMES)[:4]
                 values[(case, name, 0)] = (value, status)
@@ -173,7 +187,10 @@ def print_digest():
         for kind in ("radial_ring", "grid_dense", "grid_sparse"):
             for key in workloads.pool_keys(kind):
                 item = workloads.write_item(kind, key, tmp)
-                _print_report(item["id"], cli.load_datum(item["argv"][1]))
+                density = cli.load_datum(item["argv"][1])
+                _print_report(item["id"], density)
+                if kind != "radial_ring":
+                    _print_tc2_center(density)
         for key in workloads.pool_keys("sweep_closed"):
             _print_sweep(workloads.write_item("sweep_closed", key, tmp))
 

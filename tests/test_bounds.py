@@ -15,7 +15,11 @@ from ksblowup.errors import (
     UnboundedSupportError,
 )
 from ksblowup.quadrature import _gl_nodes, merged_edges, panel_nodes
-from ksblowup.searches import maximize_even
+from ksblowup.searches import (
+    golden_about_scan,
+    maximize_even,
+    minimize_over_plane,
+)
 
 from conftest import EIGHT_PI, disk_grid, two_bump_grid
 
@@ -551,20 +555,86 @@ def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
 
 
 def test_grid_tc2_steering_snapshot_count(monkeypatch):
-    # one cell sort per Nelder-Mead probe and none for its theta scan
+    # one binned profile per Nelder-Mead probe, which gathers one block
+    # for its theta scan and one for the golden stage, and one sort of
+    # every cell per search, at the winner
     from ksblowup import datum
 
     grid = disk_grid(64, shift=(0.2, 0.1))
-    builds = []
-    original = datum._GridSnapshot.__init__
+    n_cells = grid.cell_coordinates()[0].size
+    builds, gathers, full_sorts = [], [], []
+    original = datum._BinnedGridProfile.__init__
+    gather = datum._BinnedGridProfile._gather
+    sort_stable = datum._sort_stable
 
     def counted(self, *args):
         builds.append(1)
         original(self, *args)
 
-    monkeypatch.setattr(datum._GridSnapshot, "__init__", counted)
+    def counted_gather(self, *args):
+        block = gather(self, *args)
+        gathers.append(block[2].size)
+        return block
+
+    def counted_sort(d):
+        if d.size == n_cells:
+            full_sorts.append(1)
+        return sort_stable(d)
+
+    monkeypatch.setattr(datum._BinnedGridProfile, "__init__", counted)
+    monkeypatch.setattr(datum._BinnedGridProfile, "_gather", counted_gather)
+    monkeypatch.setattr(datum, "_sort_stable", counted_sort)
     bounds._tc2_search(grid)
     assert len(builds) == 155
+    assert len(gathers) == 2 * len(builds)
+    assert max(gathers) < n_cells / 4
+    assert len(full_sorts) <= 1
+
+
+def _reference_grid_tc2_search(density):
+    """(tc2, center) of a grid as the search found it when every
+    Nelder-Mead probe sorted every cell: an exact snapshot per probe,
+    the theta form computed from scratch on each."""
+    consts = bounds.mass_constants(density.mass())
+    a = consts.ratio
+
+    def theta_form(inverse):
+        def objective(theta):
+            return inverse(a ** theta) ** 2 / (1.0 - theta)
+
+        grid = np.linspace(1e-6, 1.0 - 1e-6, 96)
+        radii = inverse(np.array([a ** theta for theta in grid])).tolist()
+        _, val = golden_about_scan(objective, grid, [
+            r ** 2 / (1.0 - theta) for r, theta in zip(radii, grid)])
+        return val / (4.0 * consts.log_inv_ratio)
+
+    z_best, val_best, _ = minimize_over_plane(
+        lambda z: theta_form(density.mass_profile(z).inverse),
+        bounds._search_seeds(density), max_iter=bounds._NM_MAX_ITER // 2)
+    center = density.center
+    center_val = min(bounds.tc2_forms(density, center))
+    off_center = math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
+        > 1e-9 * (1.0 + density._scale_radius())
+    if off_center and val_best < center_val:
+        snap = density.mass_profile(z_best)
+        rho = bounds._rho_form_from(snap.mass_at, consts, snap.inverse(a),
+                                    snap.inverse(1.0 - 1e-12))
+        off_val = min(rho, theta_form(snap.inverse))
+        if off_val < center_val:
+            return off_val, z_best
+    return center_val, center
+
+
+@pytest.mark.parametrize("make", [
+    lambda: disk_grid(64, shift=(0.2, 0.1)),
+    lambda: two_bump_grid(48),
+    lambda: ks.CartesianGrid(*workloads.dense_grid_entry(2)),
+    lambda: ks.CartesianGrid(*workloads.sparse_grid_entry(2)),
+], ids=["shifted_disk", "two_bump", "pool_dense", "pool_sparse"])
+def test_grid_tc2_steering_keeps_the_all_snapshot_result(make):
+    # the binned probes pick the same winner, and its exact form decides
+    grid = make()
+    assert bounds._tc2_search(grid) == _reference_grid_tc2_search(grid)
 
 
 def test_radial_tc2_steering_snapshot_count(monkeypatch):

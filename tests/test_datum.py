@@ -1,14 +1,22 @@
+import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ksblowup as ks
+from ksblowup import bounds
 from ksblowup.errors import UnboundedSupportError, ZeroDatumError
 from ksblowup.geometry import support_geometry_of_points
 
-from conftest import analytic_families, disk_grid, two_bump_grid
+from conftest import EIGHT_PI, analytic_families, disk_grid, two_bump_grid
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "benchmarks"))
+import workloads  # noqa: E402
 
 FAMILY_NAMES = ("gaussian", "disk", "annulus", "polygaussian", "diffgaussians")
 
@@ -544,6 +552,115 @@ def test_grid_snapshot_inverse_on_two_bumps():
                          0.75 ** np.linspace(1e-6, 1.0 - 1e-6, 96)])
     for z in (grid.barycenter(), (xs[heaviest], ys[heaviest]), (0.1, -0.2)):
         _check_grid_snapshot(grid, z, ms)
+
+
+def _check_binned_profile(grid, z, ms):
+    """A binned profile's reads against the snapshot's.
+
+    Radii equal the snapshot's, except where the target lies within the
+    profile's sum-error bound ``eta`` of a step of the cumulative mass;
+    every block holds the snapshot's distances of its cells, in its
+    order, and a scalar block's sums lie within ``eta`` of the
+    snapshot's.
+    """
+    d, cum = _stable_snapshot(grid, z)
+    xs, ys, _ = grid.cell_coordinates()
+    rank = np.empty(d.size, dtype=np.intp)
+    rank[np.argsort(np.hypot(xs - z[0], ys - z[1]), kind="stable")] = \
+        np.arange(d.size)
+    want = grid.mass_profile(z).inverse(ms)
+    prof = grid.binned_profile(z)
+    targets = ms * grid.mass() * (1.0 - 1e-14)
+
+    def near_step(t):
+        k = int(np.searchsorted(cum, t))
+        return any(abs(cum[j] - t) <= prof.eta * t
+                   for j in (k - 1, k) if 0 <= j < cum.size)
+
+    def check_block(sums):
+        cells, block_d = prof.block
+        assert block_d.tolist() == d[rank[cells]].tolist()
+        if sums:
+            exact = cum[rank[cells]]
+            assert np.all(np.abs(prof._cum - exact) <= prof.eta * exact)
+
+    radii = prof.inverse(ms)
+    assert isinstance(radii, np.ndarray)
+    check_block(sums=False)
+    for t, r, r0 in zip(targets, radii, want):
+        assert r == r0 or near_step(t)
+    for m, t, r0 in zip(ms, targets, want):
+        r = prof.inverse(float(m))
+        assert type(r) is float
+        check_block(sums=True)
+        assert r == r0 or near_step(t)
+
+
+_fractions = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40).map(
+    lambda ms: np.array(sorted(ms, reverse=True)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(kind, index):
+    entry = {"dense": workloads.dense_grid_entry,
+             "sparse": workloads.sparse_grid_entry}[kind](index)
+    return ks.CartesianGrid(*entry)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["dense", "sparse"]), index=st.integers(0, 2),
+       dx=st.floats(-1.5, 1.5), dy=st.floats(-1.5, 1.5), ms=_fractions)
+def test_binned_profile_reads_pool_grids_off_lattice(kind, index, dx, dy, ms):
+    grid = _pool(kind, index)
+    c = grid.center
+    _check_binned_profile(grid, (c[0] + dx, c[1] + dy), ms)
+
+
+def _edge_tie_case():
+    # two cells tie at exactly half the farthest distance, on the edge
+    # of bins 2047 and 2048 when binned by squared distance
+    vals = np.zeros((9, 9))
+    vals[0, 8] = vals[3, 2] = vals[8, 7] = 0.1
+    vals[4, 4] = 1.0
+    return ks.CartesianGrid(vals, 0.1, (-0.4, -0.4)), (0.0, 0.20000000000000007)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_lattice_grids())
+@example(case=_edge_tie_case())
+def test_binned_profile_reads_tied_lattice_at_steps(case):
+    grid, z = case
+    _, cum = _stable_snapshot(grid, z)
+    # every cumulative fraction, where a tie group ends, and a fine scan
+    ms = np.concatenate([np.unique(cum) / grid.mass(),
+                         np.linspace(1e-3, 1.0, 97)])
+    _check_binned_profile(grid, z, ms)
+
+
+def test_binned_profile_reads_two_bumps_and_one_cell():
+    grid = two_bump_grid(48)
+    xs, ys, w = grid.cell_coordinates()
+    heaviest = int(np.argmax(w))
+    ms = np.concatenate([np.linspace(1e-3, 1.0, 193),
+                         0.75 ** np.linspace(1e-6, 1.0 - 1e-6, 96)])
+    for z in ((0.1, -0.2), (xs[heaviest] + 1e-3, ys[heaviest]), (7.0, 9.0)):
+        _check_binned_profile(grid, z, ms)
+    one = ks.CartesianGrid(np.array([[5.0]]), 0.1, (0.3, -0.2))
+    for z in ((0.3, -0.2), (0.0, 0.0), (5.0, 1.0)):
+        _check_binned_profile(one, z, np.array([1.0, 0.5, 1e-6]))
+
+
+def test_binned_profile_reads_near_critical_scan():
+    # every theta-scan fraction lies within 1e-9 of 1
+    values, h, origin = workloads.dense_grid_entry(1)
+    grid = ks.CartesianGrid(values, h, origin)
+    mass = EIGHT_PI * (1.0 + 1e-9)
+    grid = ks.CartesianGrid(values * (mass / grid.mass()), h, origin)
+    scan = bounds._ThetaScan(bounds.mass_constants(grid.mass()))
+    assert np.all(scan.fractions > 1.0 - 1e-9)
+    c = grid.center
+    for z in (c, (c[0] + 0.37, c[1] - 0.21)):
+        _check_binned_profile(grid, z, scan.fractions)
 
 
 def _reference_radial_inverse(snap, m):
