@@ -24,7 +24,11 @@ histograms bound every candidate's sum from above and below, and only
 the candidates that can hold the maximum are summed exactly, from powers
 of their squared cell distances held at the current q.  At the symmetry
 center every angle of the radial kernel sees the same distance, so
-``tc1`` computes one radial column of it, not 32.
+``tc1`` computes one radial column of it, not 32.  Before the ``tc1``
+scan evaluates a (q, lam) point it bounds the supremum there in closed
+form, from ||n0||_inf and ||omega||_1, and skips the point when that
+bound shows its value is +inf or no smaller than the best so far; the
+golden stages about the scan's winner evaluate every probe.
 One ``tc2`` search computes its 96 theta-scan fractions once.  Each
 radial probe sweeps the rings about its center once and reads the scan
 from that profile in one call.  Each grid probe bins the cells by
@@ -131,6 +135,23 @@ _TC1_BINS = 4096
 _TC1_PRUNE_MARGIN = 1.0 + 1e-9
 _TC1_PRUNE_MAX_CELLS = 2 ** 22
 
+# The tc1 scan skips a (q, lam) point whose value can be neither finite nor
+# below the best so far, from a closed-form upper bound on the supremum
+# (`_WeightedConvolution.sup_upper`) times _TC1_PRUNE_MARGIN, which covers the
+# rounding of the sums.  For radial data that bound holds ||n0||_inf
+# ||omega||_1 times _TC1_RADIAL_MARGIN, a margin for the panel rule, which
+# reads the convolution above its exact value where a narrow weight meets a
+# ring's edge.  Over the benchmark pool, the sweep data and a dense (q, lam)
+# grid, the rule read at most 0.39% above ||n0||_inf ||omega||_1 where the
+# search probes, q >= 1.25 and lam >= scale^2 / 128 (the annulus pool entries
+# at q = 1.25, lam = scale^2 / 128), and at most 3.8% at q = 1.05, lam =
+# scale^2 / 256.  A rule that read past the margin would skip a point that
+# might have won, which loosens tc1 and never makes it unsafe.
+_TC1_RADIAL_MARGIN = 2.0
+# The floor of a point's value, tc1 at that bound, is computed with the
+# value's own log and pows; the slack covers their rounding.
+_TC1_FLOOR_SLACK = 1.0 - 1e-12
+
 
 def _search_seeds(density, extra_seeds=()):
     """Multi-start seeds of a grid's plane searches: center (the
@@ -233,6 +254,16 @@ class _WeightedConvolution:
     only; and the threshold L(M) the supremum is read against.  Build
     one per search, so nothing outlives it.
 
+    `sup_upper` bounds `sup` from above in closed form, with no kernel
+    evaluated: the convolution is at most the mass and at most
+    ||n0||_inf ||omega||_1, where ||omega||_1 = pi Gamma(1 + 1/p)
+    c^(-1/p).  Radial data take twice that, a margin for the panel rule
+    (_TC1_RADIAL_MARGIN).  On grids each cell's kernel is at most
+    K(|x - z| - a) over the cell, a = h / sqrt(2), so the sum is at most
+    ||n0||_inf times the integral of K((|x| - a)+), which adds
+    2 pi a Gamma(1 + 1/(2p)) c^(-1/(2p)) + pi a^2; grids past
+    _TC1_PRUNE_MAX_CELLS cells, whose sums no margin covers, get no bound.
+
     At delta = 0 the radial kernel exp(-c |x|^(2p)) is one column over
     the nodes, computed once and repeated over the 32 angles.  The
     angular sum stays the same matrix product, so the value keeps the
@@ -242,6 +273,7 @@ class _WeightedConvolution:
     def __init__(self, density):
         self.density = density
         self.threshold = mass_constants(density.mass()).threshold
+        self._sup_norm = density.lp_norm(math.inf)
         if density.is_radial:
             self._rmax = density.tail_radius()
             self._scan = _delta_scan(density)
@@ -262,6 +294,24 @@ class _WeightedConvolution:
             return self._grid(q, lam)
         # radial but not monotone: the sup sits on a ring |z - center| = delta
         return maximize_even(lambda d: self.radial(q, lam, d), self._scan)[0]
+
+    def sup_upper(self, q, lam):
+        """An upper bound on `sup`, in closed form."""
+        density = self.density
+        p, _ = _omega_exponents(q, lam)
+        # c^(-1/p), with c = (4 lam)^(-p) / p
+        width = 4.0 * lam * p ** (1.0 / p)
+        l1 = math.pi * math.gamma(1.0 + 1.0 / p) * width
+        if density.is_radial:
+            weight = _TC1_RADIAL_MARGIN * l1
+        elif self._hist is None:
+            return math.inf
+        else:
+            a = density.cell_size / math.sqrt(2.0)
+            weight = (l1 + 2.0 * math.pi * a * math.gamma(1.0 + 0.5 / p)
+                      * math.sqrt(width) + math.pi * a * a)
+        return min(density.mass(), self._sup_norm * weight) \
+            * _TC1_PRUNE_MARGIN
 
     def radial(self, q, lam, delta):
         """The convolution at the offset |z - center| = delta.
@@ -366,7 +416,12 @@ class _WeightedConvolution:
 def _tc1_value(conv, q, lam):
     if not q > 1.0 or not lam > 0.0:
         raise ValueError("tc1 requires q > 1 and lam > 0")
-    sup = conv.sup(q, lam)
+    return _tc1_of_sup(conv, q, lam, conv.sup(q, lam))
+
+
+def _tc1_of_sup(conv, q, lam, sup):
+    """tc1 at (q, lam) from the supremum ``sup``, which it does not
+    increase with; +inf when uninformative."""
     log_plus = math.log(sup / conv.threshold) if sup > conv.threshold else 0.0
     if log_plus == 0.0:
         return math.inf
@@ -380,6 +435,19 @@ def tc1_value(density, q, lam):
 
 def tc1_bound(density):
     """Infimum of tc1_value over a (q, lam) grid with local refinement."""
+    return _tc1_search(density)[0]
+
+
+def _tc1_search(density):
+    """(tc1, q, lam) of the winner; (inf, None, None) when no scanned
+    point is informative.
+
+    The scan replaces its best point only on a strictly smaller value,
+    so it skips a point whose floor, tc1 at `sup_upper`, is no smaller
+    than the best so far: that point could not have replaced it, and
+    the scan's winner, the golden stages about it and the value keep
+    their bits.  The golden stages evaluate every probe.
+    """
     conv = _WeightedConvolution(density)
     scale = density._scale_radius() ** 2
     lam_grid = np.geomspace(scale / 32.0, scale * 32.0, _TC1_LAMBDA_GRID)
@@ -387,11 +455,14 @@ def tc1_bound(density):
     best = (math.inf, None, None)
     for q in _TC1_Q_VALUES:
         for lam in lam_grid:
+            floor = _tc1_of_sup(conv, q, lam, conv.sup_upper(q, lam))
+            if floor * _TC1_FLOOR_SLACK >= best[0]:
+                continue
             val = _tc1_value(conv, q, lam)
             if val < best[0]:
                 best = (val, q, lam)
     if best[1] is None:
-        return math.inf
+        return best
     _, q0, lam0 = best
     lam1, v1 = golden_section(
         lambda lam: _tc1_value(conv, q0, lam),
@@ -401,12 +472,13 @@ def tc1_bound(density):
     qlo = qs[max(i - 1, 0)]
     qhi = qs[min(i + 1, len(qs) - 1)]
     if qlo < qhi:
-        _, v2 = golden_section(
+        q2, v2 = golden_section(
             lambda q: _tc1_value(conv, q, lam1), qlo, qhi,
             rel_tol=1e-6)
     else:
-        v2 = v1
-    return min(best[0], v1, v2)
+        q2, v2 = q0, v1
+    # a tie goes to the earliest stage
+    return min(best, (v1, q0, lam1), (v2, q2, lam1), key=lambda t: t[0])
 
 
 # ---------------------------------------------------------------------------

@@ -235,10 +235,17 @@ class InitialDatum:
 
     def _radial_edges(self, upper, *extra):
         """Panel edges on [0, upper] graded at the scale radius, merged
-        with the ``extra`` edge sets."""
-        return merged_edges(
-            panel_edges(self.radial_breakpoints(), upper, self._scale_radius()),
-            *extra)
+        with the ``extra`` edge sets.  The ladder to the tail radius,
+        where most integrals end, is built once per datum."""
+        tail = upper == self.tail_radius()
+        ladder = self.__dict__.get("_tail_ladder") if tail else None
+        if ladder is None:
+            ladder = panel_edges(self.radial_breakpoints(), upper,
+                                 self._scale_radius())
+            if tail:
+                ladder.setflags(write=False)
+                self.__dict__["_tail_ladder"] = ladder
+        return merged_edges(ladder, *extra) if extra else ladder
 
     def lp_norm(self, p):
         if p < 1.0:

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import sys
@@ -17,6 +18,7 @@ from ksblowup.errors import (
 from ksblowup.quadrature import _gl_nodes, merged_edges, panel_nodes
 from ksblowup.searches import (
     golden_about_scan,
+    golden_section,
     maximize_even,
     minimize_over_plane,
 )
@@ -491,7 +493,8 @@ def test_tc1_builds_radial_panels_once_per_truncation_radius(monkeypatch):
 
     monkeypatch.setattr(bounds, "panel_nodes", counted)
     assert math.isfinite(bounds.tc1_bound(ks.Annulus(16.0 / 3.0, 1.0, 2.0)))
-    assert len(radii) == len(set(radii)) == 14
+    # the scan's skipped points never reach their truncation radii
+    assert len(radii) == len(set(radii)) == 3
 
 
 @pytest.mark.parametrize("d", [
@@ -511,6 +514,150 @@ def test_tc1_sup_reaches_a_dense_offset_scan(d):
             conv = bounds._WeightedConvolution(d)
             scan = max(conv.radial(q, lam, x) for x in deltas)
             assert conv.sup(q, lam) >= scan, (q, lam)
+
+
+def _reference_tc1_search(d):
+    """(tc1, q, lam) of the winner from a scan that evaluates every
+    (q, lam) point, then the golden stages about the scan's best."""
+    conv = bounds._WeightedConvolution(d)
+    scale = d._scale_radius() ** 2
+    best = (math.inf, None, None)
+    for q in bounds._TC1_Q_VALUES:
+        for lam in np.geomspace(scale / 32.0, scale * 32.0,
+                                bounds._TC1_LAMBDA_GRID):
+            val = bounds._tc1_value(conv, q, lam)
+            if val < best[0]:
+                best = (val, q, lam)
+    if best[1] is None:
+        return best
+    _, q0, lam0 = best
+    lam1, v1 = golden_section(lambda lam: bounds._tc1_value(conv, q0, lam),
+                              lam0 / 4.0, lam0 * 4.0, rel_tol=1e-6)
+    qs = bounds._TC1_Q_VALUES
+    i = qs.index(q0)
+    q2, v2 = golden_section(lambda q: bounds._tc1_value(conv, q, lam1),
+                            qs[max(i - 1, 0)], qs[min(i + 1, len(qs) - 1)],
+                            rel_tol=1e-6)
+    for cand in ((v1, q0, lam1), (v2, q2, lam1)):
+        if cand[0] < best[0]:
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ks.Annulus(16.0 / 3.0, 1.0, 2.0),
+    lambda: ks.PolyGaussian(16.0, 1, 1.0),
+    lambda: ks.DiffGaussians(32.0, 1.0, 2.0),
+    lambda: ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)),
+    *(lambda d=d: d for d in _CENTERED.values()),
+    lambda: disk_grid(64, shift=(0.2, 0.1)),
+    lambda: two_bump_grid(48),
+    lambda: ks.CartesianGrid(*workloads.dense_grid_entry(2)),
+    lambda: ks.CartesianGrid(*workloads.sparse_grid_entry(2)),
+    lambda: ks.Gaussian(EIGHT_PI * (1.0 + 1e-6), 1.0),
+    # every scanned point is +inf: no winner
+    lambda: ks.Gaussian(EIGHT_PI * (1.0 + 1e-9), 1.0),
+], ids=["annulus", "polygaussian1", "diffgaussians", "radial_profile",
+        *_CENTERED, "shifted_disk", "two_bump", "pool_dense",
+        "pool_sparse", "near_critical", "uninformative"])
+def test_tc1_search_keeps_the_unpruned_winner(make):
+    # the scan skips only points that could not have replaced its best:
+    # the winner and its value keep their bits
+    d = make()
+    got = bounds._tc1_search(d)
+    assert got == _reference_tc1_search(d)
+    assert bounds.tc1_bound(d) == got[0]
+
+
+def _omega_l1(q, lam):
+    """||omega||_1 = pi Gamma(1 + 1/p) c^(-1/p)."""
+    p, c = bounds._omega_exponents(q, lam)
+    return math.pi * math.gamma(1.0 + 1.0 / p) * c ** (-1.0 / p)
+
+
+def _one_cell_grid():
+    vals = np.zeros((5, 5))
+    vals[2, 2] = 4000.0
+    return ks.CartesianGrid(vals, 0.1)
+
+
+_SUP_UPPER_DATA = {
+    "gaussian": lambda: ks.Gaussian(16.0 * math.pi, 1.0),
+    "disk": lambda: ks.DiskIndicator(16.0, 1.0),
+    "annulus": lambda: ks.Annulus(16.0 / 3.0, 1.0, 2.0),
+    # the panel rule's largest reading above ||n0||_inf ||omega||_1 on
+    # the scan's range, at q = 1.25 and lam = scale^2 / 128
+    "pool_annulus": lambda: cli.datum_from_dict(
+        workloads.radial_entry("annulus", 7)[0]),
+    "polygaussian0": lambda: ks.PolyGaussian(16.0, 0, 1.0),
+    "polygaussian1": lambda: ks.PolyGaussian(16.0, 1, 1.0),
+    "polygaussian2": lambda: ks.PolyGaussian(16.0, 2, 1.0),
+    "diffgaussians": lambda: ks.DiffGaussians(32.0, 1.0, 2.0),
+    "radial_profile": lambda: ks.RadialProfile((0.0, 0.5, 1.5),
+                                               (10.0, 30.0, 0.0)),
+    "pool_dense": lambda: ks.CartesianGrid(*workloads.dense_grid_entry(0)),
+    "pool_sparse": lambda: ks.CartesianGrid(*workloads.sparse_grid_entry(0)),
+    "two_bump": lambda: two_bump_grid(48),
+    "one_cell": _one_cell_grid,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sup_upper_conv(name):
+    return bounds._WeightedConvolution(_SUP_UPPER_DATA[name]())
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_SUP_UPPER_DATA)),
+       q=st.floats(1.05, 6.0, exclude_min=True, exclude_max=True),
+       log2_lam=st.floats(-8.0, 8.0))
+@example(name="pool_annulus", q=1.25, log2_lam=-7.0)
+@example(name="pool_annulus", q=1.0500001, log2_lam=-8.0)
+@example(name="radial_profile", q=1.25, log2_lam=-8.0)
+@example(name="one_cell", q=5.0, log2_lam=-8.0)
+@example(name="pool_sparse", q=1.0500001, log2_lam=8.0)
+def test_tc1_sup_upper_bounds_the_sup(name, q, log2_lam):
+    conv = _sup_upper_conv(name)
+    d = conv.density
+    # a one-cell grid's scale radius is 0, floored at 1e-30: read its
+    # weights on the cell size
+    unit = d._scale_radius() if d.is_radial \
+        else max(d._scale_radius(), d.cell_size)
+    lam = unit ** 2 * 2.0 ** log2_lam
+    sup = conv.sup(q, lam)
+    assert sup <= conv.sup_upper(q, lam)
+    if d.is_radial:
+        # the panel rule reads at most 0.39% above the exact bound where
+        # the search probes, q >= 1.25 and lam >= scale^2 / 128, and at
+        # most 3.8% at the edge of this range, far from the margin
+        # factor 2 that `sup_upper` allows it
+        within = 1.01 if q >= 1.25 and log2_lam >= -7.0 else 1.05
+        assert sup <= within * d.lp_norm(math.inf) * _omega_l1(q, lam)
+
+
+def test_tc1_scan_skips_the_points_that_cannot_win(monkeypatch):
+    # _tc1_value calls before the first golden stage, of 45 scan points
+    value, golden = bounds._tc1_value, bounds.golden_section
+    state = {}
+
+    def counted(conv, q, lam):
+        state["calls"] += 1
+        return value(conv, q, lam)
+
+    def first_golden(*args, **kwargs):
+        state.setdefault("scan", state["calls"])
+        return golden(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_tc1_value", counted)
+    monkeypatch.setattr(bounds, "golden_section", first_golden)
+    scans = []
+    for d in (ks.Annulus(16.0 / 3.0, 1.0, 2.0), ks.PolyGaussian(16.0, 0, 1.0),
+              two_bump_grid(40)):
+        state.clear()
+        state["calls"] = 0
+        assert math.isfinite(bounds.tc1_bound(d))
+        scans.append(state["scan"])
+    assert scans == [15, 14, 23]
 
 
 # ---------------------------------------------------------------------------
