@@ -28,7 +28,11 @@ center every angle of the radial kernel sees the same distance, so
 scan evaluates a (q, lam) point it bounds the supremum there in closed
 form, from ||n0||_inf and ||omega||_1, and skips the point when that
 bound shows its value is +inf or no smaller than the best so far; the
-golden stages about the scan's winner evaluate every probe.
+golden stages about the scan's winner evaluate every probe.  On radial
+data that is not non-increasing the scan and the golden stages steer on
+a panel rule with 4x fewer kernel entries, and the full rule evaluates
+each stage winner once: the smallest of those values is ``tc1``.  Each
+convolution computes its radial kernel in place, in one buffer.
 One ``tc2`` search computes its 96 theta-scan fractions once.  Each
 radial probe sweeps the rings about its center once and reads the scan
 from that profile in one call.  Each grid probe bins the cells by
@@ -152,6 +156,20 @@ _TC1_RADIAL_MARGIN = 2.0
 # value's own log and pows; the slack covers their rounding.
 _TC1_FLOOR_SLACK = 1.0 - 1e-12
 
+# (Gauss-Legendre order per panel, angles) of the rule on which the tc1
+# search steers over radial data that is not non-increasing: the full
+# rule's panel edges with 4x fewer kernel entries than its (16, 32).  The
+# full rule decides at the stage winners, so a steering error can only
+# move the winner within the golden stages' tolerance, never make tc1
+# unsafe.  On the 32 radial-ring pool data and 120 random annulus,
+# PolyGaussian, DiffGaussians and off-origin RadialProfile data, (8, 16)
+# kept the full rule's winning (q, lam) on every datum, as did (6, 12) on
+# the pool and 60 random data; (4, 8) moved 9 of the 32 pool winners, by
+# up to 8.4e-8 relative.  Where the search probes, the rule read at most
+# 4.9% above ||n0||_inf ||omega||_1 on the pool, inside
+# _TC1_RADIAL_MARGIN.
+_TC1_STEER_RULE = (8, 16)
+
 
 def _search_seeds(density, extra_seeds=()):
     """Multi-start seeds of a grid's plane searches: center (the
@@ -239,7 +257,12 @@ def virial_bound(density):
 
 def _omega_exponents(q, lam):
     p = q / (q - 1.0)
-    return p, (4.0 * lam) ** (-p) / p
+    try:
+        return p, (4.0 * lam) ** (-p) / p
+    except OverflowError:
+        raise InvalidExponentsError(
+            f"tc1 weight at q={q!r}, lam={lam!r}: (4 lam)^(-p) overflows"
+        ) from None
 
 
 class _WeightedConvolution:
@@ -264,21 +287,30 @@ class _WeightedConvolution:
     2 pi a Gamma(1 + 1/(2p)) c^(-1/(2p)) + pi a^2; grids past
     _TC1_PRUNE_MAX_CELLS cells, whose sums no margin covers, get no bound.
 
-    At delta = 0 the radial kernel exp(-c |x|^(2p)) is one column over
-    the nodes, computed once and repeated over the 32 angles.  The
-    angular sum stays the same matrix product, so the value keeps the
-    bits of the full 32-column kernel.
+    Radial data integrate each truncation radius's panels with
+    Gauss-Legendre rules of ``order`` nodes per panel and ``angles``
+    angles; the defaults are the full rule that every tc1 value comes
+    from, and `_tc1_search` steers ring data on _TC1_STEER_RULE.  The
+    kernel is computed in place in one (nodes, angles) buffer, from rs^2
+    and 2 rs held with the panels, each operation rounded as the plain
+    expression rounds it.  At delta = 0 it is one column over the nodes,
+    computed once and copied into the buffer's columns.  The angular sum
+    stays the same matrix product, so the value keeps the bits of the
+    full kernel.
     """
 
-    def __init__(self, density):
+    def __init__(self, density, order=16, angles=32):
         self.density = density
         self.threshold = mass_constants(density.mass()).threshold
         self._sup_norm = density.lp_norm(math.inf)
         if density.is_radial:
             self._rmax = density.tail_radius()
             self._scan = _delta_scan(density)
-            self._panels = {}  # truncation radius -> (rs, profile * rs * wr)
-            self._cos_phi, self._wphi = circle_nodes(32)
+            self._order = order
+            # truncation radius -> (rs, rs^2, 2 rs, profile * rs * wr)
+            self._panels = {}
+            self._cos_phi, self._wphi = circle_nodes(angles)
+            self._work = np.empty((0, angles))  # the kernel, in place
         else:
             self._peaks = density.peak_candidates()
             self._p, self._powers = None, {}
@@ -317,6 +349,8 @@ class _WeightedConvolution:
         """The convolution at the offset |z - center| = delta.
 
         The result only feeds a logarithm, so moderate node counts suffice.
+        The caller ignores overflow in the kernel's powers, which only
+        turns a negligible weight into 0.
         """
         p, c = _omega_exponents(q, lam)
         # the weight is below exp(-45) past this distance
@@ -327,21 +361,29 @@ class _WeightedConvolution:
             edges = merged_edges(
                 [b for b in self.density.radial_breakpoints() if b < hi],
                 np.linspace(0.0, hi, 14))
-            rs, wr = panel_nodes(edges, order=16)
-            panel = self._panels[hi] = (rs, self.density.profile(rs) * rs * wr)
-        rs, weighted = panel
+            rs, wr = panel_nodes(edges, order=self._order)
+            panel = self._panels[hi] = (
+                rs, rs ** 2, 2.0 * rs, self.density.profile(rs) * rs * wr)
+        rs, rs_sq, two_rs, weighted = panel
         if rs.size == 0:
             return 0.0
-        with np.errstate(over="ignore"):
-            if delta == 0.0:
-                # repeated, not broadcast or summed, so that the matrix
-                # product below keeps the bits of the full kernel
-                col = np.exp(-c * np.maximum(rs ** 2, 0.0) ** p)
-                kernel = np.repeat(col[:, None], self._wphi.size, axis=1)
-            else:
-                dist_sq = (rs[:, None] ** 2 + delta ** 2
-                           - 2.0 * rs[:, None] * delta * self._cos_phi)
-                kernel = np.exp(-c * np.maximum(dist_sq, 0.0) ** p)
+        if self._work.shape[0] < rs.size:
+            self._work = np.empty((rs.size, self._wphi.size))
+        kernel = self._work[:rs.size]
+        if delta == 0.0:
+            # filled, not broadcast or summed, so that the matrix product
+            # below keeps the bits of the full kernel; rs^2 >= 0 needs no
+            # clamp
+            kernel[...] = np.exp(-c * rs_sq ** p)[:, None]
+        else:
+            # exp(-c max(rs^2 + delta^2 - 2 rs delta cos phi, 0)^p), each
+            # operation as the expression form rounds it
+            np.multiply.outer(two_rs * delta, self._cos_phi, out=kernel)
+            np.subtract((rs_sq + delta ** 2)[:, None], kernel, out=kernel)
+            np.maximum(kernel, 0.0, out=kernel)
+            kernel **= p
+            kernel *= -c
+            np.exp(kernel, out=kernel)
         ang = kernel @ self._wphi
         return float((ang * weighted).sum())
 
@@ -430,7 +472,8 @@ def _tc1_of_sup(conv, q, lam, sup):
 
 def tc1_value(density, q, lam):
     """The two-parameter bound at fixed (q, lam); +inf when uninformative."""
-    return _tc1_value(_WeightedConvolution(density), q, lam)
+    with np.errstate(over="ignore"):
+        return _tc1_value(_WeightedConvolution(density), q, lam)
 
 
 def tc1_bound(density):
@@ -444,12 +487,37 @@ def _tc1_search(density):
 
     The scan replaces its best point only on a strictly smaller value,
     so it skips a point whose floor, tc1 at `sup_upper`, is no smaller
-    than the best so far: that point could not have replaced it, and
-    the scan's winner, the golden stages about it and the value keep
-    their bits.  The golden stages evaluate every probe.
+    than the best so far: that point could not have replaced it.  The
+    golden stages about the scan's best evaluate every probe.
+
+    Radial data that is not non-increasing steer the scan and both
+    golden stages on the cheaper rule _TC1_STEER_RULE, then evaluate
+    the full rule once at each distinct stage winner; the smallest of
+    those values wins, a tie going to the earliest stage.  Every value
+    returned is the full rule's at a point it evaluated.  Other data
+    steer on the full rule itself.
     """
-    conv = _WeightedConvolution(density)
-    scale = density._scale_radius() ** 2
+    with np.errstate(over="ignore"):
+        conv = _WeightedConvolution(density)
+        steer = conv
+        if density.is_radial and not density.is_nonincreasing_radial:
+            steer = _WeightedConvolution(density, *_TC1_STEER_RULE)
+        stages = _tc1_stages(steer)
+        if steer is not conv and stages[0][1] is not None:
+            full = {}
+            for _, q, lam in stages:
+                if (q, lam) not in full:
+                    full[q, lam] = _tc1_value(conv, q, lam)
+            stages = [(full[q, lam], q, lam) for _, q, lam in stages]
+    # a tie goes to the earliest stage
+    return min(stages, key=lambda t: t[0])
+
+
+def _tc1_stages(conv):
+    """[(value, q, lam)] of the scan's best and of the golden stages in
+    lam, then in q, about it; [(inf, None, None)] when no scanned point
+    is informative."""
+    scale = conv.density._scale_radius() ** 2
     lam_grid = np.geomspace(scale / 32.0, scale * 32.0, _TC1_LAMBDA_GRID)
 
     best = (math.inf, None, None)
@@ -462,7 +530,7 @@ def _tc1_search(density):
             if val < best[0]:
                 best = (val, q, lam)
     if best[1] is None:
-        return best
+        return [best]
     _, q0, lam0 = best
     lam1, v1 = golden_section(
         lambda lam: _tc1_value(conv, q0, lam),
@@ -477,8 +545,7 @@ def _tc1_search(density):
             rel_tol=1e-6)
     else:
         q2, v2 = q0, v1
-    # a tie goes to the earliest stage
-    return min(best, (v1, q0, lam1), (v2, q2, lam1), key=lambda t: t[0])
+    return [best, (v1, q0, lam1), (v2, q2, lam1)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +594,13 @@ def _rho_form_from(mass_at, consts, lo, hi):
             return math.inf
         return rho ** 2 / (4.0 * math.log(frac))
 
-    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9), hi, _RHO_GRID)
+    start = max(lo, 1e-12) * (1.0 + 1e-9)
+    if not hi > start:
+        # no radius to scan: on a one-cell grid both radii are 0
+        raise HypothesisCheckError(
+            f"rho form: support radius {hi!r} not beyond the scan's "
+            f"start {start!r}")
+    grid = np.geomspace(start, hi, _RHO_GRID)
     _, val = grid_then_golden(objective, grid)
     return val
 

@@ -9,9 +9,10 @@ For each case it prints the ``repr`` of every ``full_report`` row as
 * the 56 ``bound`` entries of the benchmark pools (32 radial, 12 dense
   grids, 12 sparse grids), built from the spec files that
   ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``;
-  after each grid's report, the winning center of its ``tc2`` search,
-  so a change that moves a winner shows even where no printed value
-  moves.
+  after each radial entry's report, the winning (q, lam) of its ``tc1``
+  search, and after each grid's report, the winning center of its ``tc2``
+  search, so a change that moves a winner shows even where no printed
+  value moves.
 
 Then it prints the ``ksblowup sweep`` CSV, exit code and stderr of each of
 the 18 sweep pool entries.  Pytest does not collect this file.  A change
@@ -27,7 +28,7 @@ A change that moves numbers compares the two digests instead:
 
 prints, per row name, how many values were compared, how many moved and
 the largest relative move up and down, then every status, ``ordering_ok``,
-``tc2`` center or sweep exit code that changed; it exits 1 when there is
+``tc1`` winner, ``tc2`` center or sweep exit code that changed; it exits 1 when there is
 any such change.  Producing the digest takes a few minutes on two cores.
 """
 
@@ -51,6 +52,12 @@ def _print_report(case, density):
                     r.assumptions)))
     for violation in report.violations:
         print(f"  violation: {violation}")
+
+
+def _print_tc1_winner(density):
+    from ksblowup import bounds
+
+    print(f"{_TC1_WINNER}{bounds._tc1_search(density)[1:]!r}")
 
 
 def _print_tc2_center(density):
@@ -83,7 +90,8 @@ class _Float64:
 _LINE_NAMES = {"__builtins__": {}, "nan": math.nan, "inf": math.inf,
                "np": _Float64}
 
-#: the line that follows a grid's report
+#: the lines that follow a radial pool entry's and a grid's report
+_TC1_WINNER = "  tc1 winner: "
 _TC2_CENTER = "  tc2 center: "
 
 
@@ -93,7 +101,8 @@ def read_digest(path):
     ``values`` maps (case, row name, step) to (value, status); a report row
     has step 0, a sweep cell the step of its line and status "computed" or
     "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
-    code, and "<case> tc2 center" to a grid's winning ``tc2`` center.
+    code, "<case> tc1 winner" to a radial entry's winning ``tc1`` (q, lam)
+    and "<case> tc2 center" to a grid's winning ``tc2`` center.
     """
     values, flags = {}, {}
     case, header = None, None
@@ -105,6 +114,8 @@ def read_digest(path):
                 flags[case] = flag
                 header = [] if flag.startswith("exit=") else None
                 step = 0
+            elif line.startswith(_TC1_WINNER):
+                flags[f"{case} tc1 winner"] = line[len(_TC1_WINNER):]
             elif line.startswith(_TC2_CENTER):
                 flags[f"{case} tc2 center"] = line[len(_TC2_CENTER):]
             elif header is None and line.startswith("("):
@@ -189,7 +200,9 @@ def print_digest():
                 item = workloads.write_item(kind, key, tmp)
                 density = cli.load_datum(item["argv"][1])
                 _print_report(item["id"], density)
-                if kind != "radial_ring":
+                if kind == "radial_ring":
+                    _print_tc1_winner(density)
+                else:
                     _print_tc2_center(density)
         for key in workloads.pool_keys("sweep_closed"):
             _print_sweep(workloads.write_item("sweep_closed", key, tmp))

@@ -1,7 +1,9 @@
 import functools
 import math
 import os
+import re
 import sys
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -482,19 +484,23 @@ def test_tc1_at_the_center_equals_the_full_kernel(family, q, log2_lam):
 
 
 def test_tc1_builds_radial_panels_once_per_truncation_radius(monkeypatch):
-    # the panel nodes depend only on the truncation radius, the last edge;
-    # one build per convolution made 3777 for this annulus
-    radii = []
+    # the panel nodes depend only on the rule's order and the truncation
+    # radius, the last edge; one build per convolution made 3777 for this
+    # annulus
+    builds = []
     original = bounds.panel_nodes
 
     def counted(edges, order):
-        radii.append(float(edges[-1]))
+        builds.append((order, float(edges[-1])))
         return original(edges, order)
 
     monkeypatch.setattr(bounds, "panel_nodes", counted)
     assert math.isfinite(bounds.tc1_bound(ks.Annulus(16.0 / 3.0, 1.0, 2.0)))
-    # the scan's skipped points never reach their truncation radii
-    assert len(radii) == len(set(radii)) == 3
+    assert len(builds) == len(set(builds))
+    # the scan's skipped points never reach their truncation radii; the
+    # steering rule (order 8) builds the searched radii, the full rule
+    # (order 16) only those of the stage winners
+    assert Counter(order for order, _ in builds) == {8: 3, 16: 1}
 
 
 @pytest.mark.parametrize("d", [
@@ -549,6 +555,8 @@ def _reference_tc1_search(d):
     lambda: ks.PolyGaussian(16.0, 1, 1.0),
     lambda: ks.DiffGaussians(32.0, 1.0, 2.0),
     lambda: ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)),
+    *(lambda f=f: cli.datum_from_dict(workloads.radial_entry(f, 5)[0])
+      for f in workloads.RADIAL_FAMILIES),
     *(lambda d=d: d for d in _CENTERED.values()),
     lambda: disk_grid(64, shift=(0.2, 0.1)),
     lambda: two_bump_grid(48),
@@ -558,11 +566,13 @@ def _reference_tc1_search(d):
     # every scanned point is +inf: no winner
     lambda: ks.Gaussian(EIGHT_PI * (1.0 + 1e-9), 1.0),
 ], ids=["annulus", "polygaussian1", "diffgaussians", "radial_profile",
+        *(f"pool_{f}5" for f in workloads.RADIAL_FAMILIES),
         *_CENTERED, "shifted_disk", "two_bump", "pool_dense",
         "pool_sparse", "near_critical", "uninformative"])
 def test_tc1_search_keeps_the_unpruned_winner(make):
-    # the scan skips only points that could not have replaced its best:
-    # the winner and its value keep their bits
+    # the scan skips only points that could not have replaced its best,
+    # and ring data steered on the cheaper rule find the full rule's
+    # stage winners: the winner and its value keep their bits
     d = make()
     got = bounds._tc1_search(d)
     assert got == _reference_tc1_search(d)
@@ -603,8 +613,8 @@ _SUP_UPPER_DATA = {
 
 
 @functools.lru_cache(maxsize=None)
-def _sup_upper_conv(name):
-    return bounds._WeightedConvolution(_SUP_UPPER_DATA[name]())
+def _sup_upper_conv(name, rule=(16, 32)):
+    return bounds._WeightedConvolution(_SUP_UPPER_DATA[name](), *rule)
 
 
 @settings(max_examples=120, deadline=None)
@@ -631,8 +641,16 @@ def test_tc1_sup_upper_bounds_the_sup(name, q, log2_lam):
         # the search probes, q >= 1.25 and lam >= scale^2 / 128, and at
         # most 3.8% at the edge of this range, far from the margin
         # factor 2 that `sup_upper` allows it
-        within = 1.01 if q >= 1.25 and log2_lam >= -7.0 else 1.05
-        assert sup <= within * d.lp_norm(math.inf) * _omega_l1(q, lam)
+        probed = q >= 1.25 and log2_lam >= -7.0
+        exact = d.lp_norm(math.inf) * _omega_l1(q, lam)
+        assert sup <= (1.01 if probed else 1.05) * exact
+        # the rule ring searches steer on reads at most 4.9% above it
+        # where the search probes
+        steer = _sup_upper_conv(name, bounds._TC1_STEER_RULE)
+        sup = steer.sup(q, lam)
+        assert sup <= steer.sup_upper(q, lam)
+        if probed:
+            assert sup <= 1.06 * exact
 
 
 def test_tc1_scan_skips_the_points_that_cannot_win(monkeypatch):
@@ -658,6 +676,39 @@ def test_tc1_scan_skips_the_points_that_cannot_win(monkeypatch):
         assert math.isfinite(bounds.tc1_bound(d))
         scans.append(state["scan"])
     assert scans == [15, 14, 23]
+
+
+def test_tc1_ring_search_decides_on_the_full_rule_at_the_stage_winners(
+        monkeypatch):
+    # the steering rule (order 8) makes every scan and golden probe; the
+    # full rule (order 16) evaluates each distinct stage winner once,
+    # after them
+    orders = []
+    value = bounds._tc1_value
+
+    def counted(conv, q, lam):
+        orders.append(conv._order)
+        return value(conv, q, lam)
+
+    monkeypatch.setattr(bounds, "_tc1_value", counted)
+    assert math.isfinite(bounds.tc1_bound(ks.Annulus(16.0 / 3.0, 1.0, 2.0)))
+    assert orders == [8] * 77 + [16] * 3
+
+
+@pytest.mark.parametrize("q, lam", [(1.05, 1e-20), (1.25, 1e-70)])
+def test_tc1_weight_overflow_is_a_named_error(q, lam):
+    # (4 lam)^(-p) overflows a double
+    with pytest.raises(InvalidExponentsError,
+                       match=re.escape(f"q={q!r}, lam={lam!r}")):
+        bounds.tc1_value(ks.Gaussian(100.0, 1.0), q, lam)
+
+
+def test_one_cell_grid_report_names_the_empty_rho_scan():
+    # the support radius is 0 about the cell, so the rho form has no
+    # radius to scan
+    tc2 = bounds.full_report(_one_cell_grid()).row("tc2")
+    assert tc2.status == "inapplicable"
+    assert tc2.detail.startswith("rho form: support radius 0.0 not beyond")
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,20 @@ def test_bound_grid_spec(tmp_path, capsys):
     assert values["tc"] == pytest.approx(0.5385, rel=2e-2)
 
 
+def test_bound_one_cell_grid(tmp_path, capsys):
+    # all the mass in one cell: tc2's rho form has no radius to scan, and
+    # the row says so instead of the command crashing
+    vals = np.zeros((5, 5))
+    vals[2, 2] = 4000.0
+    np.savetxt(tmp_path / "g.csv", vals, delimiter=",")
+    spec = write_spec(tmp_path, "grid.json", {
+        "family": "grid",
+        "grid": {"path": "g.csv", "rows": 5, "cols": 5, "cell_size": 0.1}})
+    assert cli.main(["bound", spec]) == 0
+    _, body = parse_csv(capsys.readouterr().out)
+    assert {row[0]: row[4] for row in body}["tc2"] == "inapplicable"
+
+
 def test_bound_grid_shape_mismatch(tmp_path, capsys):
     np.savetxt(tmp_path / "g.csv", np.ones((4, 4)), delimiter=",")
     spec = write_spec(tmp_path, "grid.json", {
