@@ -594,13 +594,13 @@ def _rho_form_from(mass_at, consts, lo, hi):
             return math.inf
         return rho ** 2 / (4.0 * math.log(frac))
 
-    start = max(lo, 1e-12) * (1.0 + 1e-9)
-    if not hi > start:
-        # no radius to scan: on a one-cell grid both radii are 0
+    if not hi > 0.0:
+        # no radius to scan: on a one-cell grid both radii are 0.  A
+        # positive hi at or below the start, as on a grid whose farthest
+        # cells hold the excess mass, scans a decreasing grid
         raise HypothesisCheckError(
-            f"rho form: support radius {hi!r} not beyond the scan's "
-            f"start {start!r}")
-    grid = np.geomspace(start, hi, _RHO_GRID)
+            f"rho form: support radius {hi!r} is not positive")
+    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9), hi, _RHO_GRID)
     _, val = grid_then_golden(objective, grid)
     return val
 

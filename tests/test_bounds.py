@@ -708,7 +708,19 @@ def test_one_cell_grid_report_names_the_empty_rho_scan():
     # radius to scan
     tc2 = bounds.full_report(_one_cell_grid()).row("tc2")
     assert tc2.status == "inapplicable"
-    assert tc2.detail.startswith("rho form: support radius 0.0 not beyond")
+    assert tc2.detail == "rho form: support radius 0.0 is not positive"
+
+
+def test_two_cell_grid_scans_the_rho_form_down_to_the_support_radius():
+    # both cells sit at one distance from the center, which holds more
+    # than 1 - L/M of the mass: the scan's start lies just beyond the
+    # support radius and the scan runs down to it
+    vals = np.zeros((5, 5))
+    vals[1, 1] = vals[3, 3] = 2000.0
+    d = ks.CartesianGrid(vals, 0.1)
+    assert bounds.tc2_forms(d) == (0.029333770741658893, 0.029333800075459004)
+    tc2 = bounds.full_report(d).row("tc2")
+    assert (tc2.status, tc2.value) == ("computed", 0.029333770741658893)
 
 
 # ---------------------------------------------------------------------------
