@@ -32,7 +32,7 @@ golden stages about the scan's winner evaluate every probe.  On radial
 data that is not non-increasing the scan and the golden stages steer on
 a panel rule with 4x fewer kernel entries, and the full rule evaluates
 each stage winner once: the smallest of those values is ``tc1``.  Each
-convolution computes its radial kernel in place, in one buffer.
+convolution computes its radial kernels in place, a scan's in one batch.
 One ``tc2`` search computes its 96 theta-scan fractions once.  Each
 radial probe sweeps the rings about its center once and reads the scan
 from that profile in one call.  Each grid probe bins the cells by
@@ -205,15 +205,22 @@ def _tc_search(density, extra_seeds=()):
     refined about its best point.  The root finder returns a time at
     which some scanned offset reached L, so a scan that misses the
     global basin gives a looser bound, never a wrong one.  Grids run
-    multi-start Nelder-Mead over the inversions.
+    multi-start Nelder-Mead over the inversions, each bracket search
+    starting at the end of the last one's nearer its root.  The bits hold
+    (`invert_increasing`): a grid's H as evaluated does not decrease
+    between powers of 4, as -d^2/(4 s) scales exactly.
 
     The target is L times `_TC_TARGET_FACTOR`, which covers the rounding
     of L and of a closed-form H but not quadrature or grid-sum error.
     """
     target = mass_constants(density.mass()).threshold * _TC_TARGET_FACTOR
+    start = [1.0]
 
     def critical_time(z):
-        return HeatMassCurve(density, z).invert(target)
+        s = HeatMassCurve(density, z).invert(target, start[0])
+        # the end of s's bracket nearer s in log scale
+        start[0] = 4.0 ** round(math.log(s, 4.0))
+        return s
 
     if density.is_nonincreasing_radial:
         z = density.center
@@ -291,12 +298,12 @@ class _WeightedConvolution:
     Gauss-Legendre rules of ``order`` nodes per panel and ``angles``
     angles; the defaults are the full rule that every tc1 value comes
     from, and `_tc1_search` steers ring data on _TC1_STEER_RULE.  The
-    kernel is computed in place in one (nodes, angles) buffer, from rs^2
-    and 2 rs held with the panels, each operation rounded as the plain
-    expression rounds it.  At delta = 0 it is one column over the nodes,
-    computed once and copied into the buffer's columns.  The angular sum
-    stays the same matrix product, so the value keeps the bits of the
-    full kernel.
+    kernels are computed in place, from rs^2 and 2 rs held with the
+    panels, each operation rounded as the plain expression rounds it;
+    off-center offsets of one truncation radius, as a scan's 16 mostly
+    are, fill one (offsets, nodes, angles) buffer.  At delta = 0 the
+    kernel is one column, copied into the columns of a (nodes, angles)
+    buffer.  Each offset's angular sum is its own matrix product.
     """
 
     def __init__(self, density, order=16, angles=32):
@@ -310,7 +317,7 @@ class _WeightedConvolution:
             # truncation radius -> (rs, rs^2, 2 rs, profile * rs * wr)
             self._panels = {}
             self._cos_phi, self._wphi = circle_nodes(angles)
-            self._work = np.empty((0, angles))  # the kernel, in place
+            self._work = np.empty((0, angles))  # the kernels, in place
         else:
             self._peaks = density.peak_candidates()
             self._p, self._powers = None, {}
@@ -325,7 +332,8 @@ class _WeightedConvolution:
         if not density.is_radial:
             return self._grid(q, lam)
         # radial but not monotone: the sup sits on a ring |z - center| = delta
-        return maximize_even(lambda d: self.radial(q, lam, d), self._scan)[0]
+        return maximize_even(lambda d: self.radial(q, lam, d), self._scan,
+                             self.radials(q, lam, self._scan))[0]
 
     def sup_upper(self, q, lam):
         """An upper bound on `sup`, in closed form."""
@@ -346,16 +354,30 @@ class _WeightedConvolution:
             * _TC1_PRUNE_MARGIN
 
     def radial(self, q, lam, delta):
-        """The convolution at the offset |z - center| = delta.
-
-        The result only feeds a logarithm, so moderate node counts suffice.
-        The caller ignores overflow in the kernel's powers, which only
-        turns a negligible weight into 0.
-        """
+        """The convolution at the offset |z - center| = delta."""
         p, c = _omega_exponents(q, lam)
+        return self._convolution(p, c, [delta])[0]
+
+    def radials(self, q, lam, deltas):
+        """[`radial` at delta, for delta in ``deltas``]: the offsets of one
+        truncation radius, as `_convolution` reads it, go in one batch."""
+        p, c = _omega_exponents(q, lam)
+        reach, groups = (45.0 / c) ** (0.5 / p), {}
+        for i, d in enumerate(deltas):
+            groups.setdefault((min(self._rmax, d + reach), d == 0.0), []).append(i)
+        out = [0.0] * len(deltas)
+        for idx in groups.values():
+            for i, val in zip(idx, self._convolution(p, c, [deltas[i] for i in idx])):
+                out[i] = val
+        return out
+
+    def _convolution(self, p, c, ds):
+        """[The convolution at each offset of ``ds``]: offsets all 0 or all
+        off the center, of one truncation radius.  The result feeds only a
+        logarithm, so moderate node counts suffice; overflow in the kernel's
+        powers, which the caller ignores, only zeroes a negligible weight."""
         # the weight is below exp(-45) past this distance
-        reach = (45.0 / c) ** (0.5 / p)
-        hi = min(self._rmax, delta + reach)
+        hi = min(self._rmax, ds[0] + (45.0 / c) ** (0.5 / p))
         panel = self._panels.get(hi)
         if panel is None:
             edges = merged_edges(
@@ -366,26 +388,26 @@ class _WeightedConvolution:
                 rs, rs ** 2, 2.0 * rs, self.density.profile(rs) * rs * wr)
         rs, rs_sq, two_rs, weighted = panel
         if rs.size == 0:
-            return 0.0
-        if self._work.shape[0] < rs.size:
-            self._work = np.empty((rs.size, self._wphi.size))
-        kernel = self._work[:rs.size]
-        if delta == 0.0:
-            # filled, not broadcast or summed, so that the matrix product
-            # below keeps the bits of the full kernel; rs^2 >= 0 needs no
-            # clamp
+            return [0.0] * len(ds)
+        if self._work.shape[0] < len(ds) * rs.size:
+            self._work = np.empty((len(ds) * rs.size, self._wphi.size))
+        if ds[0] == 0.0:
+            # one column over the nodes, filled, not broadcast or summed,
+            # to keep the bits of the full kernel; rs^2 >= 0 needs no clamp
+            kernel = self._work[:rs.size]
             kernel[...] = np.exp(-c * rs_sq ** p)[:, None]
-        else:
-            # exp(-c max(rs^2 + delta^2 - 2 rs delta cos phi, 0)^p), each
-            # operation as the expression form rounds it
-            np.multiply.outer(two_rs * delta, self._cos_phi, out=kernel)
-            np.subtract((rs_sq + delta ** 2)[:, None], kernel, out=kernel)
-            np.maximum(kernel, 0.0, out=kernel)
-            kernel **= p
-            kernel *= -c
-            np.exp(kernel, out=kernel)
-        ang = kernel @ self._wphi
-        return float((ang * weighted).sum())
+            return [float(((kernel @ self._wphi) * weighted).sum())] * len(ds)
+        # exp(-c max(rs^2 + delta^2 - 2 rs delta cos phi, 0)^p), each
+        # operation as the expression rounds it, delta^2 a scalar power
+        kernel = self._work[:len(ds) * rs.size].reshape(len(ds), rs.size, -1)
+        np.multiply.outer(np.multiply.outer(ds, two_rs), self._cos_phi, out=kernel)
+        d_sq = [float(d) ** 2 for d in ds]
+        np.subtract(np.add.outer(d_sq, rs_sq)[..., None], kernel, out=kernel)
+        np.maximum(kernel, 0.0, out=kernel)
+        kernel **= p
+        kernel *= -c
+        np.exp(kernel, out=kernel)
+        return ((kernel @ self._wphi) * weighted).sum(axis=-1).tolist()
 
     def _histograms(self):
         """Each peak's cell weights binned by distance

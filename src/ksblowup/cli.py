@@ -371,8 +371,9 @@ def _verify_constants():
     return ok
 
 
-def _ordering_cases():
-    for mass in (9.0 * math.pi, 16.0 * math.pi, 100.0 * math.pi):
+def _ordering_cases(masses=(9.0 * math.pi, 16.0 * math.pi, 100.0 * math.pi)):
+    """One datum of each analytic family at each mass of ``masses``."""
+    for mass in masses:
         yield dt.Gaussian(mass, 1.0)
         yield dt.DiskIndicator(mass / math.pi, 1.0)
         yield dt.Annulus(mass / (3.0 * math.pi), 1.0, 2.0)

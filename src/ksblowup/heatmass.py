@@ -10,8 +10,9 @@ bound in `bounds`.
 
 `HeatMassCurve` fixes the center and inverts H.  The datum evaluates
 it: `InitialDatum.heat_mass` chooses between a family's closed form and
-its quadrature.  The inversion is `searches.invert_increasing`, which
-returns a time at which H was evaluated and reached the target.
+its quadrature, and `heat_mass_about` fixes what does not depend on s.
+The inversion is `searches.invert_increasing`, which returns a time at
+which H was evaluated and reached the target.
 """
 
 from .errors import NonPositiveTimeError, TargetOutOfRangeError
@@ -32,18 +33,20 @@ class HeatMassCurve:
         if z is None:
             z = density.center
         self.z = (float(z[0]), float(z[1]))
+        self._heat_mass = density.heat_mass_about(self.z)
 
     def evaluate(self, s):
         if s <= 0.0:
             raise NonPositiveTimeError("heat-mass time must be positive")
-        return self.datum.heat_mass(self.z, s)
+        return self._heat_mass(s)
 
     __call__ = evaluate
 
-    def invert(self, target):
+    def invert(self, target, start=1.0):
         """The upper end of a narrow bracket on H(s) = target, for target
-        in (0, M): H(s) >= target there; see `invert_increasing`."""
+        in (0, M): H(s) >= target there; see `invert_increasing`, whose
+        bracket search begins at ``start``, a power of 4."""
         mass = self.datum.mass()
         if not 0.0 < target < mass:
             raise TargetOutOfRangeError(f"target must lie in (0, {mass:.6g})")
-        return invert_increasing(self.evaluate, target)
+        return invert_increasing(self.evaluate, target, start)

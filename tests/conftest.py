@@ -5,19 +5,15 @@ import numpy as np
 import pytest
 
 import ksblowup as ks
+from ksblowup import cli
 
 EIGHT_PI = 8.0 * math.pi
 
 
 def analytic_families(mass):
-    """One datum per analytic family, all carrying the given mass."""
-    return {
-        "gaussian": ks.Gaussian(mass, 1.0),
-        "disk": ks.DiskIndicator(mass / math.pi, 1.0),
-        "annulus": ks.Annulus(mass / (3.0 * math.pi), 1.0, 2.0),
-        "polygaussian": ks.PolyGaussian(mass / math.pi, 1, 1.0),
-        "diffgaussians": ks.DiffGaussians(2.0 * mass / math.pi, 1.0, 2.0),
-    }
+    """One datum per analytic family, all carrying the given mass: the
+    cases of ``ksblowup verify --suite ordering`` at that mass."""
+    return {d.family: d for d in cli._ordering_cases((mass,))}
 
 
 @functools.lru_cache(maxsize=None)

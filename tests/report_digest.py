@@ -10,9 +10,9 @@ For each case it prints the ``repr`` of every ``full_report`` row as
   grids, 12 sparse grids), built from the spec files that
   ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``;
   after each radial entry's report, the winning (q, lam) of its ``tc1``
-  search, and after each grid's report, the winning center of its ``tc2``
-  search, so a change that moves a winner shows even where no printed
-  value moves.
+  search, and after each grid's report, the winning centers of its ``tc``
+  plane search and its ``tc2`` search, so a change that moves a winner
+  shows even where no printed value moves.
 
 Then it prints the ``ksblowup sweep`` CSV, exit code and stderr of each of
 the 18 sweep pool entries.  Pytest does not collect this file.  A change
@@ -28,7 +28,7 @@ A change that moves numbers compares the two digests instead:
 
 prints, per row name, how many values were compared, how many moved and
 the largest relative move up and down, then every status, ``ordering_ok``,
-``tc1`` winner, ``tc2`` center or sweep exit code that changed; it exits 1 when there is
+``tc1`` winner, ``tc`` or ``tc2`` center or sweep exit code that changed; it exits 1 when there is
 any such change.  Producing the digest takes a few minutes on two cores.
 """
 
@@ -60,9 +60,10 @@ def _print_tc1_winner(density):
     print(f"{_TC1_WINNER}{bounds._tc1_search(density)[1:]!r}")
 
 
-def _print_tc2_center(density):
+def _print_grid_centers(density):
     from ksblowup import bounds
 
+    print(f"{_TC_CENTER}{bounds._tc_search(density)[1]!r}")
     print(f"{_TC2_CENTER}{bounds._tc2_search(density)[1]!r}")
 
 
@@ -92,6 +93,7 @@ _LINE_NAMES = {"__builtins__": {}, "nan": math.nan, "inf": math.inf,
 
 #: the lines that follow a radial pool entry's and a grid's report
 _TC1_WINNER = "  tc1 winner: "
+_TC_CENTER = "  tc center: "
 _TC2_CENTER = "  tc2 center: "
 
 
@@ -102,7 +104,8 @@ def read_digest(path):
     has step 0, a sweep cell the step of its line and status "computed" or
     "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
     code, "<case> tc1 winner" to a radial entry's winning ``tc1`` (q, lam)
-    and "<case> tc2 center" to a grid's winning ``tc2`` center.
+    and "<case> tc center" and "<case> tc2 center" to a grid's winning
+    ``tc`` and ``tc2`` centers.
     """
     values, flags = {}, {}
     case, header = None, None
@@ -116,6 +119,8 @@ def read_digest(path):
                 step = 0
             elif line.startswith(_TC1_WINNER):
                 flags[f"{case} tc1 winner"] = line[len(_TC1_WINNER):]
+            elif line.startswith(_TC_CENTER):
+                flags[f"{case} tc center"] = line[len(_TC_CENTER):]
             elif line.startswith(_TC2_CENTER):
                 flags[f"{case} tc2 center"] = line[len(_TC2_CENTER):]
             elif header is None and line.startswith("("):
@@ -203,7 +208,7 @@ def print_digest():
                 if kind == "radial_ring":
                     _print_tc1_winner(density)
                 else:
-                    _print_tc2_center(density)
+                    _print_grid_centers(density)
         for key in workloads.pool_keys("sweep_closed"):
             _print_sweep(workloads.write_item("sweep_closed", key, tmp))
 

@@ -483,6 +483,39 @@ def test_tc1_at_the_center_equals_the_full_kernel(family, q, log2_lam):
         _reference_radial_conv(annulus, q, lam, 0.0))
 
 
+_RINGS = {
+    "annulus": ks.Annulus(16.0 / 3.0, 1.0, 2.0),
+    "polygaussian": ks.PolyGaussian(16.0, 1, 1.0),
+    "diffgaussians": ks.DiffGaussians(32.0, 1.0, 2.0),
+    "radial_profile": ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(_RINGS)),
+       q=st.floats(1.05, 6.0, exclude_min=True, exclude_max=True),
+       log2_lam=st.floats(-8.0, 5.0), steer=st.booleans())
+@example(family="annulus", q=1.25, log2_lam=-8.0, steer=False)
+@example(family="radial_profile", q=5.0, log2_lam=-8.0, steer=True)
+def test_tc1_batched_scan_equals_each_offset(family, q, log2_lam, steer):
+    # the scan computes its off-center kernels in one buffer per
+    # truncation radius; each value keeps the bits of its offset alone,
+    # and of the plain expression on the full rule.  At small lam the
+    # small offsets truncate short of the tail radius, so the scan
+    # splits over several radii
+    d = _RINGS[family]
+    lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
+    rule = bounds._TC1_STEER_RULE if steer else (16, 32)
+    scan = bounds._delta_scan(d)
+    with np.errstate(over="ignore"):
+        batch = bounds._WeightedConvolution(d, *rule).radials(q, lam, scan)
+        conv = bounds._WeightedConvolution(d, *rule)
+        assert batch == [conv.radial(q, lam, x) for x in scan]
+        if not steer:
+            assert batch == [_reference_radial_conv(d, q, lam, float(x))
+                             for x in scan]
+
+
 def test_tc1_builds_radial_panels_once_per_truncation_radius(monkeypatch):
     # the panel nodes depend only on the rule's order and the truncation
     # radius, the last edge; one build per convolution made 3777 for this

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from ksblowup import cli
+from ksblowup import bounds, cli
+
+from conftest import analytic_families, analytic_report
 
 EIGHT_PI = 8.0 * math.pi
 LOG125 = math.log(1.25)
@@ -353,3 +355,20 @@ def test_verify_families_suite(capsys):
     assert cli.main(["verify", "--suite", "families"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 6 and "FAIL" not in out
+
+
+def test_verify_ordering_suite(monkeypatch, capsys):
+    # the suite's 15 reports are the session's cached ones, which
+    # acceptance criterion 8 and the golden rows read too
+    cases = {d: (name, mass)
+             for mass in (9.0 * math.pi, 16.0 * math.pi, 100.0 * math.pi)
+             for name, d in analytic_families(mass).items()}
+
+    def cached(density, tolerance=1e-6):
+        assert tolerance == 1e-6
+        return analytic_report(*cases[density])
+
+    monkeypatch.setattr(bounds, "full_report", cached)
+    assert cli.main(["verify", "--suite", "ordering"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS ordering") == 15 and "FAIL" not in out

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import ksblowup as ks
-from ksblowup import HeatMassCurve
+from ksblowup import HeatMassCurve, searches
 from ksblowup.searches import invert_increasing
 from ksblowup.errors import (
     BracketFailureError,
@@ -226,7 +227,7 @@ def test_invert_returns_the_safe_end_of_a_narrow_bracket(d, z):
         assert curve.invert(target) == s
 
 
-def _counted_inversion(curve, target):
+def _counted_inversion(curve, target, start=1.0):
     """(s, number of evaluate calls) of one inversion."""
     calls = []
     evaluate = curve.evaluate
@@ -236,7 +237,7 @@ def _counted_inversion(curve, target):
         return evaluate(s)
 
     curve.evaluate = counted
-    return curve.invert(target), len(calls)
+    return curve.invert(target, start), len(calls)
 
 
 @pytest.mark.parametrize("d, z, count, secant_count", [
@@ -305,6 +306,54 @@ def test_grid_heat_mass_sum_matches_cell_sum(make):
             # the floor covers terms near the underflow threshold, where
             # the per-axis factors lose relative precision
             assert abs(got - want) <= 1e-13 * want + 1e-280, (z, s)
+
+
+_GRIDS = {"two_bump": lambda: two_bump_grid(40), "two_disk": _two_disk_grid,
+          "diagonal": _diagonal_grid}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(name):
+    return _GRIDS[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_GRIDS)), k=st.integers(-8, 8),
+       fraction=st.floats(0.01, 0.99), u=st.floats(-1.0, 1.0),
+       v=st.floats(-1.0, 1.0))
+def test_grid_inversion_keeps_its_bits_from_any_power_of_4(name, k, fraction,
+                                                          u, v):
+    # a grid's H as evaluated does not decrease from one power of 4 to
+    # the next, so every start stops at the bracket that s = 1 finds,
+    # with the same end values and Brent iterates; the end of that
+    # bracket nearer the root, the start the tc search passes on, costs
+    # no more
+    d = _grid(name)
+    xs, ys, _ = d.cell_coordinates()
+    z = (d.center[0] + u * np.ptp(xs), d.center[1] + v * np.ptp(ys))
+    curve = HeatMassCurve(d, z)
+    target = fraction * d.mass()
+    want, calls = _counted_inversion(curve, target)
+    # the bracket s = 1 finds: the powers of 4 about the root
+    h = HeatMassCurve(d, z).evaluate
+    j = next(j for j in range(-60, 60) if h(4.0 ** j) >= target)
+    assert want == searches._brent(h, target, 4.0 ** (j - 1),
+                                   h(4.0 ** (j - 1)) - target, 4.0 ** j,
+                                   h(4.0 ** j) - target)
+    assert invert_increasing(h, target, start=4.0 ** k) == want
+    near = 4.0 ** round(math.log(want, 4.0))
+    got, near_calls = _counted_inversion(HeatMassCurve(d, z), target, near)
+    assert got == want
+    assert near_calls <= calls
+
+
+@pytest.mark.parametrize("k", [-8, 0, 8])
+def test_grid_inversion_fails_alike_from_any_power_of_4(k):
+    # about its one cell, a one-cell grid holds all its mass at every s
+    d = _single_cell_grid()
+    z = tuple(float(c[0]) for c in d.cell_coordinates()[:2])
+    with pytest.raises(BracketFailureError, match="shrink"):
+        HeatMassCurve(d, z).invert(0.5 * d.mass(), 4.0 ** k)
 
 
 def test_grid_matches_analytic_disk(small_disk_grid, disk_16pi):
