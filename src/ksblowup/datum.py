@@ -161,12 +161,17 @@ class InitialDatum:
                 return self.profile(r) * r * np.exp(-r * r / (4.0 * s))
         else:
             # angular integral of the gaussian weight gives a Bessel factor;
-            # the exponentially scaled i0e keeps large arguments finite
+            # the exponentially scaled i0e keeps large arguments finite.
+            # It is finite and positive, so a node whose other factors are
+            # zero (an annulus's hole) keeps its zero without it.
             def integrand(r):
-                arg = r * delta / (2.0 * s)
-                return (self.profile(r) * r
-                        * np.exp(-(r - delta) ** 2 / (4.0 * s))
-                        * special.i0e(arg))
+                val = (self.profile(r) * r
+                       * np.exp(-(r - delta) ** 2 / (4.0 * s)))
+                live = val != 0.0
+                if live.all():
+                    return val * special.i0e(r * delta / (2.0 * s))
+                val[live] *= special.i0e(r[live] * delta / (2.0 * s))
+                return val
 
         return 2.0 * math.pi * integrate_panels(integrand, edges, order=48)
 
@@ -1175,8 +1180,15 @@ class CartesianGrid(InitialDatum):
         return self.support_radius_from(self._bary)
 
     def support_geometry(self):
-        return support_geometry_of_points(
-            np.column_stack([self._xs, self._ys]))
+        # the cells are listed row by row, so cells of one y are adjacent;
+        # no cell strictly between a row's leftmost and rightmost cell can
+        # be a hull vertex
+        row = np.flatnonzero(np.r_[True, self._ys[1:] != self._ys[:-1]])
+        ys = self._ys[row]
+        return support_geometry_of_points(np.column_stack([
+            np.r_[np.minimum.reduceat(self._xs, row),
+                  np.maximum.reduceat(self._xs, row)],
+            np.r_[ys, ys]]))
 
     def support_radius_from(self, z):
         z = np.asarray(z, dtype=float)

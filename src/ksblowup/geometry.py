@@ -1,11 +1,17 @@
-"""Enclosing-disk geometry for compactly supported data."""
+"""Enclosing-disk geometry for compactly supported data.
+
+The smallest enclosing disk and the diameter of a point set are both
+found on its convex hull.  The hull is Andrew's monotone chain, written
+out here in plain floats: it is the one hull the package needs, a 2-D
+one over at most a few thousand points, and importing ``scipy.spatial``
+for it cost every process about 0.13 s and 12 MB.
+"""
 
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 # Inflation applied to containment tests so collinear/duplicate points do
 # not trip the incremental algorithm on rounding noise.
@@ -105,21 +111,40 @@ def point_set_diameter(points):
     return best
 
 
+def _cross(o, a, b):
+    """z-component of (a - o) x (b - o): positive on a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _half_hull(points):
+    """One chain of Andrew's monotone-chain walk over sorted points."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _hull_vertices(pts):
-    """The convex-hull vertices of ``pts``; ``pts`` itself when there are
-    at most 16 points or the hull is degenerate, except that points all
-    exactly on the line through the two lexicographic extremes reduce to
-    those two."""
-    if len(pts) <= 16:
+    """The convex-hull vertices of ``pts``, counter-clockwise from the
+    lexicographically smallest point, by Andrew's monotone chain.
+
+    A point whose cross product with its chain neighbours is <= 0 is
+    dropped, so points on an edge and repeated points are never vertices,
+    and points all exactly on one line reduce to their two extremes.  The
+    test takes the rounded cross product with no tolerance, so a point
+    that rounding puts a hair outside an edge stays a vertex, where
+    Qhull's merging would drop it; every point Qhull keeps is kept.
+    """
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.r_[True, np.any(pts[1:] != pts[:-1], axis=1)]]
+    if len(pts) <= 2:
         return pts
-    try:
-        return pts[ConvexHull(pts).vertices]
-    except QhullError:
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        a, b = pts[order[0]], pts[order[-1]]
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) \
-            - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        return pts[order[[0, -1]]] if np.all(cross == 0.0) else pts
+    walk = pts.tolist()
+    lower = _half_hull(walk)
+    upper = _half_hull(reversed(walk))
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def support_geometry_of_points(points):

@@ -441,20 +441,141 @@ def test_collinear_grid_support_uses_two_extremes(shape, monkeypatch):
 def test_near_collinear_grid_support_in_linear_memory():
     import tracemalloc
 
-    # rounding keeps Qhull from reducing the diagonal to its two ends, so
-    # all 2000 cells reach the brute-force diameter
+    from ksblowup import geometry
+
+    # rounding bends the diagonal, so its hull keeps a few cells besides
+    # the two ends; the brute-force diameter over all 2000 cells is taken
+    # in blocks
     grid = ks.CartesianGrid(np.eye(2000), 0.01, (0.013, 0.5))
+    xs, ys, _ = grid.cell_coordinates()
     tracemalloc.start()
     try:
-        geom = grid.support_geometry()
+        diameter = geometry.point_set_diameter(np.column_stack([xs, ys]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    geom = grid.support_geometry()
     # the values of the all-pairs n x n difference array, bit for bit
     assert geom.r0 == 14.135064555919088
-    assert geom.diameter == 28.270129111838173
+    assert geom.diameter == diameter == 28.270129111838173
     assert geom.center == (10.008000000000003, 10.495000000000001)
     assert peak < 50e6
+
+
+def _lex_extremes(pts):
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    return pts[order[[0, -1]]]
+
+
+def _assert_counter_clockwise_from_smallest(hull):
+    assert tuple(hull[0]) == tuple(_lex_extremes(hull)[0])
+    for a, b, c in zip(hull, np.roll(hull, -1, axis=0),
+                       np.roll(hull, -2, axis=0)):
+        assert (b[0] - a[0]) * (c[1] - a[1]) \
+            - (b[1] - a[1]) * (c[0] - a[0]) > 0.0
+
+
+def _vertex_set(pts):
+    return {(float(x), float(y)) for x, y in pts}
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, n=st.integers(1, 200),
+       kind=st.sampled_from(["cloud", "lattice", "duplicated"]))
+def test_hull_vertices_equal_qhulls(seed, n, kind):
+    from scipy.spatial import ConvexHull, QhullError
+
+    from ksblowup.geometry import _hull_vertices
+
+    rng = np.random.default_rng(seed)
+    if kind == "cloud":
+        pts = rng.normal(size=(n, 2)) * rng.uniform(0.01, 100.0, size=2)
+    else:
+        # integer x a power of 2 plus a dyadic origin: exact coordinates,
+        # so lattice points on an edge lie exactly on it
+        h = 2.0 ** int(rng.integers(-10, 3))
+        origin = rng.integers(-64, 64, size=2) / 8.0
+        pts = origin + rng.integers(-20, 21, size=(n, 2)) * h
+    if kind == "duplicated":
+        pts = pts[rng.integers(0, n, size=3 * n)]
+    hull = _hull_vertices(pts)
+    try:
+        want = pts[ConvexHull(pts).vertices]
+    except QhullError:
+        # fewer than three distinct points, or all of them on one line
+        want = _lex_extremes(pts)
+    assert len(hull) == len(_vertex_set(hull))
+    assert _vertex_set(hull) == _vertex_set(want)
+    if len(hull) >= 3:
+        _assert_counter_clockwise_from_smallest(hull)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, n=st.integers(3, 200),
+       h=st.sampled_from([0.1, 1.0 / 3.0, 0.37, 0.0125]))
+def test_hull_vertices_on_rounded_lattices_keep_qhulls(seed, n, h):
+    from scipy.spatial import ConvexHull, QhullError
+
+    from ksblowup.geometry import _hull_vertices
+
+    # where rounding moves a lattice point a hair outside an edge, the
+    # rounded sign test keeps it as a vertex and Qhull's merge tolerance
+    # drops it; every Qhull vertex is kept either way
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3.0, 3.0, size=2) \
+        + rng.integers(0, int(rng.integers(3, 40)), size=(n, 2)) * h
+    try:
+        want = ConvexHull(pts)
+    except QhullError:
+        return
+    hull = _hull_vertices(pts)
+    assert _vertex_set(pts[want.vertices]) <= _vertex_set(hull)
+    scale = np.abs(pts).max()
+    # extra vertices lie on Qhull's boundary to the rounding
+    outward = want.equations[:, :2] @ hull.T + want.equations[:, 2:]
+    assert np.all(outward.max(axis=0) <= 1e-12 * scale)
+    assert np.all(outward.max(axis=0) >= -1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, n=st.integers(1, 100))
+def test_exactly_collinear_hull_is_its_two_extremes(seed, n):
+    from ksblowup.geometry import _hull_vertices
+
+    rng = np.random.default_rng(seed)
+    start = rng.integers(-64, 64, size=2) / 4.0
+    step = rng.integers(-5, 6, size=2) / 8.0
+    pts = start + rng.integers(-30, 31, size=(n, 1)) * step
+    hull = _hull_vertices(pts)
+    want = _lex_extremes(pts)
+    if tuple(want[0]) == tuple(want[1]):
+        want = want[:1]
+    np.testing.assert_array_equal(hull, want)
+
+
+def _one_cell_grid():
+    vals = np.zeros((5, 5))
+    vals[2, 2] = 4000.0
+    return ks.CartesianGrid(vals, 0.1, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda k=k, i=i: _pool(k, i)
+      for k in ("dense", "sparse") for i in range(workloads.GRID_POOL)),
+    _one_cell_grid,
+    lambda: ks.CartesianGrid(np.ones((1, 300)), 0.1, (0.3, -2.0)),
+    lambda: ks.CartesianGrid(np.ones((300, 1)), 0.1, (0.3, -2.0)),
+], ids=[*(f"{k}{i}" for k in ("dense", "sparse")
+          for i in range(workloads.GRID_POOL)),
+        "one_cell", "one_row", "one_column"])
+def test_grid_support_geometry_from_row_ends_equals_all_cells(make):
+    grid = make()
+    xs, ys, _ = grid.cell_coordinates()
+    want = support_geometry_of_points(np.column_stack([xs, ys]))
+    assert repr(grid.support_geometry()) == repr(want)
 
 
 def test_near_critical_references_only_for_the_disk():

@@ -93,6 +93,34 @@ def test_gaussian_quadrature_agreement(zx, zy, s):
     assert quad == pytest.approx(closed, rel=1e-8)
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(ALL_RADIAL), delta=st.floats(1e-3, 4.0),
+       s=st.floats(1e-3, 100.0))
+def test_offcentre_integrand_skips_i0e_only_where_it_is_zero(name, delta, s):
+    from scipy import special
+
+    from ksblowup import datum
+
+    # every node's value equals the plain four-factor product, bit for bit
+    d = analytic_families(16.0 * math.pi)[name]
+    original = datum.integrate_panels
+    checked = []
+
+    def compare(fn, edges, order):
+        r = np.linspace(0.0, float(edges[-1]), 2001)
+        plain = (d.profile(r) * r * np.exp(-(r - delta) ** 2 / (4.0 * s))
+                 * special.i0e(r * delta / (2.0 * s)))
+        assert np.array_equal(np.signbit(fn(r)), np.signbit(plain))
+        assert np.array_equal(fn(r), plain)
+        checked.append(edges)
+        return original(fn, edges, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datum, "integrate_panels", compare)
+        d._heat_mass_quadrature((delta, 0.0), s)
+    assert len(checked) == 1
+
+
 @pytest.mark.parametrize("s", [0.03, 0.25, 1.0, 10.0])
 def test_disk_quadrature_agreement(disk_16pi, s):
     # H(s) = M (1 - exp(-lam)) / lam at the center, lam = R^2 / (4 s)

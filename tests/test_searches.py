@@ -182,7 +182,7 @@ def test_nelder_mead_repeats_scipy(name, seed, max_iter):
 
 def test_no_module_imports_scipy_optimize():
     # the solvers are written out in searches; scipy serves only special
-    # functions (datum) and convex hulls (geometry)
+    # functions (datum)
     importers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -202,6 +202,19 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # nothing the package imports pulls scipy.optimize in indirectly
     code = ("import sys, ksblowup.cli; "
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_loads_no_scipy_spatial_linalg_or_sparse():
+    # the support hull is written out in geometry; scipy.special, the one
+    # subpackage the package imports, pulls none of these in
+    code = ("import sys, ksblowup.cli; "
+            "loaded = [m for m in ('scipy.spatial', 'scipy.linalg', "
+            "'scipy.sparse') if m in sys.modules]; "
+            "assert not loaded, loaded")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
