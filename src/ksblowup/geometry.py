@@ -150,8 +150,14 @@ def _hull_vertices(pts):
 def support_geometry_of_points(points):
     """Enclosing disk and diameter of a point set, both found on its convex
     hull: a disk holds a set iff it holds the hull, and the farthest pair
-    of points are hull vertices."""
+    of points are hull vertices.
+
+    The incremental build accepts a point up to a relative 1e-12 outside
+    its disk, so the radius is widened to the farthest hull vertex from
+    the disk's center: no point lies outside the returned disk.
+    """
     hull = _hull_vertices(np.atleast_2d(np.asarray(points, dtype=float)))
     cx, cy, r0 = smallest_enclosing_disk(hull)
+    r0 = max(r0, float(np.hypot(hull[:, 0] - cx, hull[:, 1] - cy).max()))
     return SupportGeometry(r0=r0, diameter=point_set_diameter(hull),
                            center=(cx, cy))

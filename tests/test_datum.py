@@ -578,6 +578,29 @@ def test_grid_support_geometry_from_row_ends_equals_all_cells(make):
     assert repr(grid.support_geometry()) == repr(want)
 
 
+def _random_grid(seed):
+    """A grid of random shape, fill, cell size and origin."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 41, 2)
+    fill = rng.choice([0.02, 0.2, 1.0])
+    vals = np.where(rng.random((rows, cols)) < fill,
+                    rng.random((rows, cols)), 0.0)
+    vals[rng.integers(rows), rng.integers(cols)] = 1.0
+    h = float(rng.choice([1.0, 0.1, 1.0 / 3.0, 0.0375, 0.0156]))
+    return ks.CartesianGrid(vals, h, tuple(rng.uniform(-2.0, 2.0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.one_of(_seeds.map(_random_grid), st.deferred(
+    lambda: _lattice_grids().map(lambda case: case[0]))))
+@example(grid=_random_grid(9))
+def test_grid_enclosing_disk_holds_every_cell(grid):
+    # the incremental build may leave a cell a few ulps outside its disk
+    geom = grid.support_geometry()
+    xs, ys, _ = grid.cell_coordinates()
+    assert np.hypot(xs - geom.center[0], ys - geom.center[1]).max() <= geom.r0
+
+
 def test_near_critical_references_only_for_the_disk():
     disk = ks.DiskIndicator(8.05, 1.0)
     gap = disk.mass() - 8.0 * math.pi
