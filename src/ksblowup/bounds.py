@@ -417,7 +417,7 @@ class _WeightedConvolution:
         histograms.
         """
         density = self.density
-        xs, ys, _ = density.cell_coordinates()
+        xs, _, _ = density.cell_coordinates()
         h = density.cell_size
         self._hist, self._slack = None, 0.0
         if xs.size > _TC1_PRUNE_MAX_CELLS:
@@ -427,7 +427,7 @@ class _WeightedConvolution:
             / _TC1_BINS
         self._edges_sq = (np.arange(_TC1_BINS + 1) * width) ** 2
         self._hist = np.array([density.distance_histogram(
-            (xs - z[0]) ** 2 + (ys - z[1]) ** 2, width, _TC1_BINS)[1]
+            density.squared_distances(z), width, _TC1_BINS)[1]
             for z in self._peaks])
         # the sums of cells whose kernel underflows, which no relative
         # margin covers: at most 2^-1022 per unit weight, 2^-1074 per term
@@ -466,13 +466,12 @@ class _WeightedConvolution:
 
     def _peak_sum(self, i, p, c):
         """The exact weighted sum about peak candidate i."""
-        xs, ys, w = self.density.cell_coordinates()
+        _, _, w = self.density.cell_coordinates()
         with np.errstate(over="ignore"):
             dp = self._powers.get(i)
             if dp is None:
-                z = self._peaks[i]
-                dp = self._powers[i] = (
-                    (xs - z[0]) ** 2 + (ys - z[1]) ** 2) ** p
+                dp = self._powers[i] = \
+                    self.density.squared_distances(self._peaks[i]) ** p
             return float((w * np.exp(-c * dp)).sum()
                          * self.density.cell_size ** 2)
 

@@ -454,16 +454,17 @@ def _sort_stable(d):
 
 class _GridSnapshot:
     """Exact cumulative mass of grid data about a point: every cell
-    sorted by distance, one step per cell.
+    sorted by `CartesianGrid.squared_distances`, one step per cell, at
+    the square root of its key.
 
     A grid builds one about its barycenter, and a tc2 search one more at
     its winning center; the search's probes read `_BinnedGridProfile`.
     """
 
     def __init__(self, density, z):
-        xs, ys, w = density.cell_coordinates()
-        d = np.hypot(xs - z[0], ys - z[1])
-        order, self._d = _sort_stable(d)
+        _, _, w = density.cell_coordinates()
+        order, d2 = _sort_stable(density.squared_distances(z))
+        self._d = np.sqrt(d2)
         self._cum = np.cumsum(w[order]) * density.cell_size ** 2
         self._mass = density.mass()
 
@@ -483,7 +484,7 @@ class _BinnedGridProfile:
     """The inverse of `_GridSnapshot` about a point, read from one
     distance histogram and exactly sorted blocks of cells.
 
-    The cells are binned by distance once
+    The cells are binned by their squared distances once
     (`CartesianGrid.distance_histogram`).  A read finds the bins whose
     prefix sums reach its target within ``eta``, relative, and sorts
     only their cells, as the snapshot sorts them; each cumulative mass
@@ -496,12 +497,8 @@ class _BinnedGridProfile:
     differs from the snapshot's only where the target lies within
     ``eta`` of a step of the cumulative mass.
 
-    The bins follow squared distances, the snapshot's order the
-    distances, and the two orders differ only between cells within a
-    few ulps of each other.  A block with a cell that close to a bin
-    edge (cells of a lattice about a lattice point, which tie exactly,
-    can sit on one) bins every cell again by its distance, so that bins
-    never split the snapshot's order.
+    The bins and the sorts read one key, and a cell's bin never falls as
+    its key grows, so bins never split the snapshot's order.
 
     An array of fractions (the theta scan) is read from one block.  The
     first scalar read gathers one more, from the second scan fraction
@@ -510,61 +507,39 @@ class _BinnedGridProfile:
     """
 
     def __init__(self, density, z):
-        self._xs, self._ys, self._w = density.cell_coordinates()
-        self._z = z
-        self._density = density
-        self._width = density.corner_distance(z) / _PROFILE_BINS
+        self._w = density.cell_coordinates()[2]
+        self._d2 = density.squared_distances(z)
         self._h2 = density.cell_size ** 2
         self._mass = density.mass()
-        dist_sq = self._xs - z[0]
-        dist_sq *= dist_sq
-        dy_sq = self._ys - z[1]
-        dy_sq *= dy_sq
-        dist_sq += dy_sq  # (x - z0)^2 + (y - z1)^2, as tc1 bins it
-        self._bin_cells(dist_sq)
-        self._by_distance = False
-        self.eta = 4.0 * (self._w.size + _PROFILE_BINS + 1) * 2.0 ** -53
-        self._scan = None   # the scan's targets, ascending
-        self._covers = (math.inf, -math.inf)  # targets of the scalar block
-        self.block = None   # (cells, distances) of the last block gathered
-
-    def _bin_cells(self, dist_sq):
-        self._bin, hist = self._density.distance_histogram(
-            dist_sq, self._width, _PROFILE_BINS)
+        self._bin, hist = density.distance_histogram(
+            self._d2, density.corner_distance(z) / _PROFILE_BINS,
+            _PROFILE_BINS)
         # the weight of the bins before each bin, and the mass up to the
         # end of each
         prefix = np.cumsum(hist)
         self._before = np.concatenate(([0.0], prefix))
         self._reach = prefix * self._h2
         self._last = int(np.flatnonzero(hist)[-1])
+        self.eta = 4.0 * (self._w.size + _PROFILE_BINS + 1) * 2.0 ** -53
+        self._scan = None   # the scan's targets, ascending
+        self._covers = (math.inf, -math.inf)  # targets of the scalar block
+        self.block = None   # (cells, distances) of the last block gathered
 
     def _gather(self, low, high):
         """(first bins, last bins, cells, distances) of the block of the
         bins that may hold the targets from each of ``low`` to its
         ``high``, the cells sorted as the snapshot sorts them."""
-        while True:
-            lo = np.minimum(self._reach.searchsorted(low * (1.0 - self.eta)),
-                            self._last)
-            hi = np.minimum(self._reach.searchsorted(high * (1.0 + self.eta)),
-                            self._last)
-            in_block = np.zeros(_PROFILE_BINS, dtype=bool)
-            in_block[lo] = in_block[hi] = True
-            for i in np.flatnonzero(hi - lo > 1):  # wide windows are rare
-                in_block[lo[i]:hi[i]] = True
-            cells = np.flatnonzero(in_block[self._bin])
-            order, d = _sort_stable(np.hypot(self._xs[cells] - self._z[0],
-                                             self._ys[cells] - self._z[1]))
-            # each cell's distance in bin widths, against the nearest edge
-            # between two bins
-            q = d / self._width
-            edge = np.clip(np.rint(q), 1.0, _PROFILE_BINS - 1)
-            if self._by_distance \
-                    or not np.any(np.abs(q - edge) <= 2.0 ** -40 * edge):
-                break
-            self._by_distance = True
-            self._bin_cells(np.hypot(self._xs - self._z[0],
-                                     self._ys - self._z[1]) ** 2)
-        cells = cells[order]
+        lo = np.minimum(self._reach.searchsorted(low * (1.0 - self.eta)),
+                        self._last)
+        hi = np.minimum(self._reach.searchsorted(high * (1.0 + self.eta)),
+                        self._last)
+        in_block = np.zeros(_PROFILE_BINS, dtype=bool)
+        in_block[lo] = in_block[hi] = True
+        for i in np.flatnonzero(hi - lo > 1):  # wide windows are rare
+            in_block[lo[i]:hi[i]] = True
+        cells = np.flatnonzero(in_block[self._bin])
+        order, d2 = _sort_stable(self._d2[cells])
+        cells, d = cells[order], np.sqrt(d2)
         self.block = cells, d
         return lo, hi, cells, d
 
@@ -1089,10 +1064,22 @@ class CartesianGrid(InitialDatum):
             max(z[0] - self._block_xs[0], self._block_xs[-1] - z[0]),
             max(z[1] - self._block_ys[0], self._block_ys[-1] - z[1])))
 
+    def squared_distances(self, z):
+        """(x - z0)^2 + (y - z1)^2 of each cell carrying mass: the one key
+        by which the cells are binned, sorted, summed and compared about
+        z; a radius is the square root of a key."""
+        d2 = self._xs - z[0]
+        d2 *= d2
+        dy2 = self._ys - z[1]
+        dy2 *= dy2
+        d2 += dy2
+        return d2
+
     def distance_histogram(self, dist_sq, width, bins):
         """(bin of each cell, cell weights summed per bin) for the squared
-        distances ``dist_sq`` of the cells from a point, on ``bins`` bins
-        of one ``width`` in the distance.
+        distances ``dist_sq`` of the cells from a point
+        (`squared_distances`), on ``bins`` bins of one ``width`` in the
+        distance.
 
         A cell goes to the bin whose lower edge is at most its distance,
         checked in squares after the division, so bins never decrease
@@ -1155,9 +1142,8 @@ class CartesianGrid(InitialDatum):
             raise ValueError("rho must be non-negative")
         if z is None or (float(z[0]), float(z[1])) == self._bary:
             return self._bary_profile.mass_at(rho)
-        z = np.asarray(z, dtype=float)
-        d = np.hypot(self._xs - z[0], self._ys - z[1])
-        return float(self._w[d <= rho].sum() * self.cell_size ** 2)
+        inside = np.sqrt(self.squared_distances(z)) <= rho
+        return float(self._w[inside].sum() * self.cell_size ** 2)
 
     def mass_profile(self, z, n=None):
         """Exact cumulative mass about z, one step per cell; n is unused."""
@@ -1191,8 +1177,7 @@ class CartesianGrid(InitialDatum):
             np.r_[ys, ys]]))
 
     def support_radius_from(self, z):
-        z = np.asarray(z, dtype=float)
-        return float(np.hypot(self._xs - z[0], self._ys - z[1]).max())
+        return float(np.sqrt(self.squared_distances(z).max()))
 
 
 FAMILIES = {

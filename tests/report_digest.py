@@ -9,10 +9,10 @@ For each case it prints the ``repr`` of every ``full_report`` row as
 * the 56 ``bound`` entries of the benchmark pools (32 radial, 12 dense
   grids, 12 sparse grids), built from the spec files that
   ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``;
-  after each radial entry's report, the winning (q, lam) of its ``tc1``
-  search, and after each grid's report, the winning centers of its ``tc``
-  plane search and its ``tc2`` search, so a change that moves a winner
-  shows even where no printed value moves.
+  after each entry's report, the winning (q, lam) of its ``tc1`` search,
+  and after each grid's, the winning centers of its ``tc`` plane search and
+  its ``tc2`` search, so a change that moves a winner shows even where no
+  printed value moves.
 
 Then it prints the ``ksblowup sweep`` CSV, exit code and stderr of each of
 the 18 sweep pool entries.  Pytest does not collect this file.  A change
@@ -91,7 +91,7 @@ class _Float64:
 _LINE_NAMES = {"__builtins__": {}, "nan": math.nan, "inf": math.inf,
                "np": _Float64}
 
-#: the lines that follow a radial pool entry's and a grid's report
+#: the lines that follow a pool entry's report
 _TC1_WINNER = "  tc1 winner: "
 _TC_CENTER = "  tc center: "
 _TC2_CENTER = "  tc2 center: "
@@ -103,7 +103,7 @@ def read_digest(path):
     ``values`` maps (case, row name, step) to (value, status); a report row
     has step 0, a sweep cell the step of its line and status "computed" or
     "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
-    code, "<case> tc1 winner" to a radial entry's winning ``tc1`` (q, lam)
+    code, "<case> tc1 winner" to a pool entry's winning ``tc1`` (q, lam)
     and "<case> tc center" and "<case> tc2 center" to a grid's winning
     ``tc`` and ``tc2`` centers.
     """
@@ -205,9 +205,8 @@ def print_digest():
                 item = workloads.write_item(kind, key, tmp)
                 density = cli.load_datum(item["argv"][1])
                 _print_report(item["id"], density)
-                if kind == "radial_ring":
-                    _print_tc1_winner(density)
-                else:
+                _print_tc1_winner(density)
+                if kind != "radial_ring":
                     _print_grid_centers(density)
         for key in workloads.pool_keys("sweep_closed"):
             _print_sweep(workloads.write_item("sweep_closed", key, tmp))

@@ -637,12 +637,18 @@ def test_annulus_enclosing_disk_by_center_scan():
 # cumulative-mass snapshots: one inverse for a fraction or an array of them
 # ---------------------------------------------------------------------------
 
+def _squared_distances(grid, z):
+    xs, ys, _ = grid.cell_coordinates()
+    return (xs - z[0]) ** 2 + (ys - z[1]) ** 2
+
+
 def _stable_snapshot(grid, z):
-    """Sorted distances and cumulative mass about z, cells in stable order."""
-    xs, ys, w = grid.cell_coordinates()
-    d = np.hypot(xs - z[0], ys - z[1])
-    order = np.argsort(d, kind="stable")
-    return d[order], np.cumsum(w[order]) * grid.cell_size ** 2
+    """Sorted distances and cumulative mass about z, the cells in stable
+    order of their squared distances."""
+    d2 = _squared_distances(grid, z)
+    order = np.argsort(d2, kind="stable")
+    _, _, w = grid.cell_coordinates()
+    return np.sqrt(d2[order]), np.cumsum(w[order]) * grid.cell_size ** 2
 
 
 def _check_grid_snapshot(grid, z, ms):
@@ -708,9 +714,8 @@ def _check_binned_profile(grid, z, ms):
     snapshot's.
     """
     d, cum = _stable_snapshot(grid, z)
-    xs, ys, _ = grid.cell_coordinates()
     rank = np.empty(d.size, dtype=np.intp)
-    rank[np.argsort(np.hypot(xs - z[0], ys - z[1]), kind="stable")] = \
+    rank[np.argsort(_squared_distances(grid, z), kind="stable")] = \
         np.arange(d.size)
     want = grid.mass_profile(z).inverse(ms)
     prof = grid.binned_profile(z)
@@ -779,6 +784,41 @@ def test_binned_profile_reads_tied_lattice_at_steps(case):
     ms = np.concatenate([np.unique(cum) / grid.mass(),
                          np.linspace(1e-3, 1.0, 97)])
     _check_binned_profile(grid, z, ms)
+
+
+def _check_one_key(grid, z, reads):
+    """The snapshot, the support radius and the masked mass about z all
+    read the cells' squared distances: radii are their square roots in
+    stable order, and every ``reads``-th radius, and the float below it,
+    holds the same cells by both cumulative masses."""
+    d2 = _squared_distances(grid, z)
+    assert grid.squared_distances(z).tolist() == d2.tolist()
+    radii = grid.mass_profile(z)._d
+    assert radii.tolist() == np.sqrt(d2[np.argsort(d2, kind="stable")]).tolist()
+    assert grid.support_radius_from(z) == radii[-1]
+    # unit weights on the same cells, so both masses count cells exactly
+    counts = ks.CartesianGrid((grid.values > 0.0).astype(float),
+                              grid.cell_size, grid.origin)
+    snap = counts.mass_profile(z)
+    for rho in np.unique(radii)[::-reads]:
+        for r in (rho, np.nextafter(rho, 0.0)):
+            assert counts.radial_mass(z, r) == snap.mass_at(r)
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["dense", "sparse"]), index=st.integers(0, 2),
+       dx=st.floats(-1.5, 1.5), dy=st.floats(-1.5, 1.5))
+def test_one_key_on_pool_grids(kind, index, dx, dy):
+    grid = _pool(kind, index)
+    c = grid.center
+    _check_one_key(grid, (c[0] + dx, c[1] + dy), reads=97)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_lattice_grids())
+@example(case=_edge_tie_case())
+def test_one_key_on_tied_lattice(case):
+    _check_one_key(*case, reads=1)
 
 
 def test_binned_profile_reads_two_bumps_and_one_cell():
