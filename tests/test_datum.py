@@ -791,10 +791,10 @@ def _check_one_key(grid, z, reads):
     read the cells' squared distances: radii are their square roots in
     stable order, and every ``reads``-th radius, and the float below it,
     holds the same cells by both cumulative masses."""
-    d2 = _squared_distances(grid, z)
-    assert grid.squared_distances(z).tolist() == d2.tolist()
+    assert grid.squared_distances(z).tolist() \
+        == _squared_distances(grid, z).tolist()
     radii = grid.mass_profile(z)._d
-    assert radii.tolist() == np.sqrt(d2[np.argsort(d2, kind="stable")]).tolist()
+    assert radii.tolist() == _stable_snapshot(grid, z)[0].tolist()
     assert grid.support_radius_from(z) == radii[-1]
     # unit weights on the same cells, so both masses count cells exactly
     counts = ks.CartesianGrid((grid.values > 0.0).astype(float),
@@ -803,6 +803,21 @@ def _check_one_key(grid, z, reads):
     for rho in np.unique(radii)[::-reads]:
         for r in (rho, np.nextafter(rho, 0.0)):
             assert counts.radial_mass(z, r) == snap.mass_at(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.floats(1e-6, 1e3), bins=st.integers(1, 64))
+def test_distance_histogram_bins_keys_from_their_lower_edges(width, bins):
+    # keys on, just below and just above every squared bin edge
+    edges = (np.arange(bins + 2) * width) ** 2
+    keys = np.sort(np.concatenate([edges, np.nextafter(edges, 0.0),
+                                   np.nextafter(edges, np.inf)]))
+    grid = ks.CartesianGrid(np.ones((1, keys.size)), 0.1)
+    idx, hist = grid.distance_histogram(keys, width, bins)
+    assert np.all(np.diff(idx) >= 0)
+    assert np.all((0 <= idx) & (idx < bins))
+    assert np.all((idx * width) ** 2 <= keys)
+    assert hist.sum() == keys.size
 
 
 @settings(max_examples=15, deadline=None)
