@@ -20,15 +20,17 @@ over the plane (``tc1`` tries the grid's peak candidates).
 Each search computes its invariants once.  One ``tc1`` search builds the
 radial panel nodes of each truncation radius once.  On grids it builds
 one histogram of cell distances per peak candidate; at each (q, lam) the
-histograms bound every candidate's sum from above and below, and only
-the candidates that can hold the maximum are summed exactly, from powers
-of their squared cell distances held at the current q.  At the symmetry
-center every angle of the radial kernel sees the same distance, so
-``tc1`` computes one radial column of it, not 32.  Before the ``tc1``
-scan evaluates a (q, lam) point it bounds the supremum there in closed
-form, from ||n0||_inf and ||omega||_1, and skips the point when that
-bound shows its value is +inf or no smaller than the best so far; the
-golden stages about the scan's winner evaluate every probe.  On radial
+histograms bound every candidate's sum from above and below, within a
+rounding margin computed from the cell count, and only the candidates
+that can hold the maximum are summed exactly, from powers of their
+squared cell distances held at the current q.  At the symmetry center
+every angle of the radial kernel sees the same distance, so ``tc1``
+computes one radial column of it, not 32.  Before the ``tc1`` scan
+evaluates a (q, lam) point it bounds the supremum there, over radial
+data in closed form from ||n0||_inf and ||omega||_1, over grids by the
+largest histogram bound, and skips the point when that bound shows its
+value is +inf or no smaller than the best so far; the golden stages
+about the scan's winner evaluate every probe.  On radial
 data that is not non-increasing the scan and the golden stages steer on
 a panel rule with 4x fewer kernel entries, and the full rule evaluates
 each stage winner once: the smallest of those values is ``tc1``.  Each
@@ -121,9 +123,9 @@ _TC_TARGET_FACTOR = 1.0 + 22 * 2.0 ** -53
 
 # Grid tc1 bounds each peak candidate's sum from a histogram of its cell
 # distances, on _TC1_BINS bins of one width, and sums exactly only a peak
-# whose bound times _TC1_PRUNE_MARGIN reaches the best exact sum so far.
-# The margin counts, in units of u = 2^-53, how far the computed exact sum
-# of n cells may exceed the computed bound: the exact sum n and the
+# whose bound times a margin reaches the best exact sum so far.  The
+# margin 1 + (2 n + 2^15) u, u = 2^-53, counts how far the computed exact
+# sum of n cells may exceed the computed bound: the exact sum n and the
 # histogram sum n + _TC1_BINS (Higham 2002, section 4); the kernel
 # exp(-c s^p) of a cell against that of its bin's lower edge, whose
 # squared distance s is no larger (the bin is checked by comparison, so
@@ -131,27 +133,25 @@ _TC_TARGET_FACTOR = 1.0 + 22 * 2.0 ** -53
 # product with c (1) on each side, 18 u relative of the exponent, times
 # |exponent| <= 745 before exp underflows, plus 16 for the two exps (4
 # ulp each); the products with the weights and with h^2, 4.  That is
-# 2 n + 17526 <= 2 n + 2^15, which 1e-9 = 9.0e6 u covers up to n = 2^22
-# cells (a full 2048^2 grid); larger grids sum every peak.  Cells whose
-# kernel underflows escape every relative count; an absolute slack
-# covers them.
+# 2 n + 17526; the rest of 2^15 covers the second-order terms and the
+# rounding of the margin itself.  Cells whose kernel underflows escape
+# every relative count; an absolute slack covers them.
 _TC1_BINS = 4096
-_TC1_PRUNE_MARGIN = 1.0 + 1e-9
-_TC1_PRUNE_MAX_CELLS = 2 ** 22
 
 # The tc1 scan skips a (q, lam) point whose value can be neither finite nor
-# below the best so far, from a closed-form upper bound on the supremum
-# (`_WeightedConvolution.sup_upper`) times _TC1_PRUNE_MARGIN, which covers the
-# rounding of the sums.  For radial data that bound holds ||n0||_inf
-# ||omega||_1 times _TC1_RADIAL_MARGIN, a margin for the panel rule, which
-# reads the convolution above its exact value where a narrow weight meets a
-# ring's edge.  Over the benchmark pool, the sweep data and a dense (q, lam)
-# grid, the rule read at most 0.39% above ||n0||_inf ||omega||_1 where the
-# search probes, q >= 1.25 and lam >= scale^2 / 128 (the annulus pool entries
-# at q = 1.25, lam = scale^2 / 128), and at most 3.8% at q = 1.05, lam =
-# scale^2 / 256.  A rule that read past the margin would skip a point that
-# might have won, which loosens tc1 and never makes it unsafe.
+# below the best so far, from an upper bound on the supremum (`sup_upper`).
+# Over radial data that bound holds ||n0||_inf ||omega||_1 times
+# _TC1_RADIAL_MARGIN, a margin for the panel rule, which reads the
+# convolution above its exact value where a narrow weight meets a ring's
+# edge, and times _TC1_PRUNE_MARGIN for the rounding of the sums.  Over the
+# benchmark pool, the sweep data and a dense (q, lam) grid, the rule read
+# at most 0.39% above ||n0||_inf ||omega||_1 where the search probes,
+# q >= 1.25 and lam >= scale^2 / 128 (the annulus pool entries at q = 1.25,
+# lam = scale^2 / 128), and at most 3.8% at q = 1.05, lam = scale^2 / 256.
+# A rule that read past the margin would skip a point that might have won,
+# which loosens tc1 and never makes it unsafe.
 _TC1_RADIAL_MARGIN = 2.0
+_TC1_PRUNE_MARGIN = 1.0 + 1e-9
 # The floor of a point's value, tc1 at that bound, is computed with the
 # value's own log and pows; the slack covers their rounding.
 _TC1_FLOOR_SLACK = 1.0 - 1e-12
@@ -272,85 +272,57 @@ def _omega_exponents(q, lam):
         ) from None
 
 
-class _WeightedConvolution:
-    """sup_z (omega * density)(z) for the weights omega = exp(-c |x|^(2p))
-    of the (q, lam) family, over one tc1 search.
+class _RingConvolution:
+    """sup_z (omega * density)(z) over radial data, for the weights
+    omega = exp(-c |x|^(2p)) of the (q, lam) family, over one tc1 search.
+    It holds the threshold L(M) the supremum is read against and, per
+    truncation radius, the panel nodes and the profile times the radial
+    weights on them; build one per search, so nothing outlives it.
+    `sup_upper` bounds `sup` in closed form, with no kernel evaluated:
+    the convolution is at most the mass and at most ||n0||_inf
+    ||omega||_1, where ||omega||_1 = pi Gamma(1 + 1/p) c^(-1/p).
 
-    The object holds what does not change between the search's probes:
-    for radial data the panel nodes, and the profile times the radial
-    weights on them, of each truncation radius; for grids one distance
-    histogram per peak candidate, and the p-th powers of the squared
-    cell distances of the candidates summed exactly, at the current q
-    only; and the threshold L(M) the supremum is read against.  Build
-    one per search, so nothing outlives it.
-
-    `sup_upper` bounds `sup` from above in closed form, with no kernel
-    evaluated: the convolution is at most the mass and at most
-    ||n0||_inf ||omega||_1, where ||omega||_1 = pi Gamma(1 + 1/p)
-    c^(-1/p).  Radial data take twice that, a margin for the panel rule
-    (_TC1_RADIAL_MARGIN).  On grids each cell's kernel is at most
-    K(|x - z| - a) over the cell, a = h / sqrt(2), so the sum is at most
-    ||n0||_inf times the integral of K((|x| - a)+), which adds
-    2 pi a Gamma(1 + 1/(2p)) c^(-1/(2p)) + pi a^2; grids past
-    _TC1_PRUNE_MAX_CELLS cells, whose sums no margin covers, get no bound.
-
-    Radial data integrate each truncation radius's panels with
-    Gauss-Legendre rules of ``order`` nodes per panel and ``angles``
-    angles; the defaults are the full rule that every tc1 value comes
-    from, and `_tc1_search` steers ring data on _TC1_STEER_RULE.  The
-    kernels are computed in place, from rs^2 and 2 rs held with the
-    panels, each operation rounded as the plain expression rounds it;
-    off-center offsets of one truncation radius, as a scan's 16 mostly
-    are, fill one (offsets, nodes, angles) buffer.  At delta = 0 the
-    kernel is one column, copied into the columns of a (nodes, angles)
-    buffer.  Each offset's angular sum is its own matrix product.
+    Each truncation radius's panels are integrated with Gauss-Legendre
+    rules of ``order`` nodes per panel and ``angles`` angles; the
+    defaults are the full rule that every tc1 value comes from, and
+    `_tc1_search` steers ring data on _TC1_STEER_RULE.  The kernels are
+    computed in place, from rs^2 and 2 rs held with the panels, each
+    operation rounded as the plain expression rounds it; off-center
+    offsets of one truncation radius, as a scan's 16 mostly are, fill one
+    (offsets, nodes, angles) buffer.  At delta = 0 the kernel is one
+    column, copied into the columns of a (nodes, angles) buffer.  Each
+    offset's angular sum is its own matrix product.
     """
 
     def __init__(self, density, order=16, angles=32):
         self.density = density
         self.threshold = mass_constants(density.mass()).threshold
         self._sup_norm = density.lp_norm(math.inf)
-        if density.is_radial:
-            self._rmax = density.tail_radius()
-            self._scan = _delta_scan(density)
-            self._order = order
-            # truncation radius -> (rs, rs^2, 2 rs, profile * rs * wr)
-            self._panels = {}
-            self._cos_phi, self._wphi = circle_nodes(angles)
-            self._work = np.empty((0, angles))  # the kernels, in place
-        else:
-            self._peaks = density.peak_candidates()
-            self._p, self._powers = None, {}
-            self._histograms()
+        self._rmax = density.tail_radius()
+        self._scan = _delta_scan(density)
+        self._order = order
+        # truncation radius -> (rs, rs^2, 2 rs, profile * rs * wr)
+        self._panels = {}
+        self._cos_phi, self._wphi = circle_nodes(angles)
+        self._work = np.empty((0, angles))  # the kernels, in place
 
     def sup(self, q, lam):
-        """Exact at the center for non-increasing radial data; a feasible
+        """Exact at the center for non-increasing data; a feasible
         maximum elsewhere."""
-        density = self.density
-        if density.is_nonincreasing_radial:
+        if self.density.is_nonincreasing_radial:
             return self.radial(q, lam, 0.0)
-        if not density.is_radial:
-            return self._grid(q, lam)
-        # radial but not monotone: the sup sits on a ring |z - center| = delta
+        # the sup sits on a ring |z - center| = delta
         return maximize_even(lambda d: self.radial(q, lam, d), self._scan,
                              self.radials(q, lam, self._scan))[0]
 
     def sup_upper(self, q, lam):
         """An upper bound on `sup`, in closed form."""
-        density = self.density
         p, _ = _omega_exponents(q, lam)
         # c^(-1/p), with c = (4 lam)^(-p) / p
         width = 4.0 * lam * p ** (1.0 / p)
         l1 = math.pi * math.gamma(1.0 + 1.0 / p) * width
-        if density.is_radial:
-            weight = _TC1_RADIAL_MARGIN * l1
-        elif self._hist is None:
-            return math.inf
-        else:
-            a = density.cell_size / math.sqrt(2.0)
-            weight = (l1 + 2.0 * math.pi * a * math.gamma(1.0 + 0.5 / p)
-                      * math.sqrt(width) + math.pi * a * a)
-        return min(density.mass(), self._sup_norm * weight) \
+        return min(self.density.mass(),
+                   self._sup_norm * _TC1_RADIAL_MARGIN * l1) \
             * _TC1_PRUNE_MARGIN
 
     def radial(self, q, lam, delta):
@@ -409,19 +381,26 @@ class _WeightedConvolution:
         np.exp(kernel, out=kernel)
         return ((kernel @ self._wphi) * weighted).sum(axis=-1).tolist()
 
-    def _histograms(self):
-        """Each peak's cell weights binned by distance
-        (`CartesianGrid.distance_histogram`), on _TC1_BINS bins of one
-        width, so every cell's squared distance is at least its bin's
-        lower edge.  Past _TC1_PRUNE_MAX_CELLS cells there are no
-        histograms.
-        """
-        density = self.density
-        xs, _, _ = density.cell_coordinates()
-        h = density.cell_size
-        self._hist, self._slack = None, 0.0
-        if xs.size > _TC1_PRUNE_MAX_CELLS:
-            return
+
+class _PeakConvolution:
+    """The largest (omega * density)(z) over a grid's peak candidates z,
+    for the weights of `_RingConvolution`, over one tc1 search.  It holds
+    the threshold, each peak's cell weights binned by distance
+    (`CartesianGrid.distance_histogram`) on _TC1_BINS bins of one width,
+    and the p-th powers of the squared cell distances of the peaks summed
+    exactly, at the current q only.  The kernel is non-increasing in the
+    distance and the weights are non-negative, so a histogram read at the
+    lower edges bounds its peak's sum from above, and at the upper edges
+    from below; `sup_upper` is the largest upper bound, times the margin
+    of _TC1_BINS's comment, plus the slack.
+    """
+
+    def __init__(self, density):
+        self.density = density
+        self.threshold = mass_constants(density.mass()).threshold
+        self._peaks = density.peak_candidates()
+        self._p, self._powers = None, {}
+        n, h = density.cell_coordinates()[2].size, density.cell_size
         # the farthest corner of the cells' bounding box from any peak
         width = max(density.corner_distance(z) for z in self._peaks) \
             / _TC1_BINS
@@ -429,40 +408,41 @@ class _WeightedConvolution:
         self._hist = np.array([density.distance_histogram(
             density.squared_distances(z), width, _TC1_BINS)[1]
             for z in self._peaks])
+        self._margin = 1.0 + (2 * n + 2 ** 15) * 2.0 ** -53
         # the sums of cells whose kernel underflows, which no relative
         # margin covers: at most 2^-1022 per unit weight, 2^-1074 per term
-        self._slack = (density.mass()
-                       + (xs.size + _TC1_BINS) * h * h) * 2.0 ** -1020
+        self._slack = (density.mass() + (n + _TC1_BINS) * h * h) * 2.0 ** -1020
 
-    def _grid(self, q, lam):
+    def sup(self, q, lam):
         """The largest exact sum over the peak candidates.
 
-        The kernel is non-increasing in the distance and the weights are
-        non-negative, so the histogram read at the lower edges bounds
-        each peak's sum from above, and at the upper edges from below.
         The peaks are summed in order of falling lower bound, and a peak
-        whose upper bound, times _TC1_PRUNE_MARGIN, falls below the best
-        exact sum so far is skipped: it cannot hold the maximum.
+        whose upper bound, times the margin, plus the slack, falls below
+        the best exact sum so far is skipped: it cannot hold the maximum.
         """
-        p, c = _omega_exponents(q, lam)
+        p, c, upper, lower = self._bounds(q, lam)
         if p != self._p:
             self._powers.clear()  # the last q's powers
             self._p = p
-        h2 = self.density.cell_size ** 2
-        n = len(self._peaks)
-        if self._hist is None:
-            upper, lower = [math.inf] * n, [0.0] * n
-        else:
-            with np.errstate(over="ignore"):
-                kernel = np.exp(-c * self._edges_sq ** p)
-            upper = (self._hist @ kernel[:-1] * h2).tolist()
-            lower = (self._hist @ kernel[1:]).tolist()
         best = -math.inf
-        for i in sorted(range(n), key=lambda i: -lower[i]):
-            if upper[i] * _TC1_PRUNE_MARGIN + self._slack < best:
+        for i in sorted(range(len(upper)), key=lambda i: -lower[i]):
+            if upper[i] * self._margin + self._slack < best:
                 continue
             best = max(best, self._peak_sum(i, p, c))
         return best
+
+    def sup_upper(self, q, lam):
+        """An upper bound on `sup`, from the histograms."""
+        return max(self._bounds(q, lam)[2]) * self._margin + self._slack
+
+    def _bounds(self, q, lam):
+        """(p, c, [upper bound], [lower bound]) of each peak's sum; the
+        lower bounds only order the peaks, so they skip the factor h^2."""
+        p, c = _omega_exponents(q, lam)
+        with np.errstate(over="ignore"):
+            kernel = np.exp(-c * self._edges_sq ** p)
+        upper = self._hist @ kernel[:-1] * self.density.cell_size ** 2
+        return p, c, upper.tolist(), (self._hist @ kernel[1:]).tolist()
 
     def _peak_sum(self, i, p, c):
         """The exact weighted sum about peak candidate i."""
@@ -474,6 +454,14 @@ class _WeightedConvolution:
                     self.density.squared_distances(self._peaks[i]) ** p
             return float((w * np.exp(-c * dp)).sum()
                          * self.density.cell_size ** 2)
+
+
+def _tc1_convolution(density, order=16, angles=32):
+    """The supremum of one tc1 search: over radial data on the panel rule
+    (``order``, ``angles``), over a grid on its peak candidates."""
+    if density.is_radial:
+        return _RingConvolution(density, order, angles)
+    return _PeakConvolution(density)
 
 
 def _tc1_value(conv, q, lam):
@@ -494,7 +482,7 @@ def _tc1_of_sup(conv, q, lam, sup):
 def tc1_value(density, q, lam):
     """The two-parameter bound at fixed (q, lam); +inf when uninformative."""
     with np.errstate(over="ignore"):
-        return _tc1_value(_WeightedConvolution(density), q, lam)
+        return _tc1_value(_tc1_convolution(density), q, lam)
 
 
 def tc1_bound(density):
@@ -519,10 +507,10 @@ def _tc1_search(density):
     steer on the full rule itself.
     """
     with np.errstate(over="ignore"):
-        conv = _WeightedConvolution(density)
+        conv = _tc1_convolution(density)
         steer = conv
         if density.is_radial and not density.is_nonincreasing_radial:
-            steer = _WeightedConvolution(density, *_TC1_STEER_RULE)
+            steer = _tc1_convolution(density, *_TC1_STEER_RULE)
         stages = _tc1_stages(steer)
         if steer is not conv and stages[0][1] is not None:
             full = {}

@@ -345,7 +345,7 @@ def test_tc1_caches_do_not_leak_across_data():
     assert all(math.isfinite(v) for v in forward)
     for d in data:
         scale = d._scale_radius() ** 2
-        conv = bounds._WeightedConvolution(d)
+        conv = bounds._tc1_convolution(d)
         for q, lam in ((1.25, scale / 4.0), (1.25, scale), (2.0, scale),
                        (5.0, 8.0 * scale), (1.25, scale / 4.0)):
             want = _reference_tc1_value(d, q, lam)
@@ -384,7 +384,7 @@ _PRUNED_GRIDS = {
 }
 # one search per grid, probed at every example's q: the powers it holds
 # at one q must not leak into the next
-_PRUNED_CONVS = {k: bounds._WeightedConvolution(d)
+_PRUNED_CONVS = {k: bounds._tc1_convolution(d)
                  for k, d in _PRUNED_GRIDS.items()}
 
 
@@ -412,7 +412,7 @@ def test_tc1_grid_pruning_never_changes_the_sup(grid, q, log2_lam):
     d = _PRUNED_GRIDS[grid]
     lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
     want = _reference_tc1_value(d, q, lam)
-    assert bounds._tc1_value(bounds._WeightedConvolution(d), q, lam) == want
+    assert bounds._tc1_value(bounds._tc1_convolution(d), q, lam) == want
     assert bounds._tc1_value(_PRUNED_CONVS[grid], q, lam) == want
     # the sup itself, which ties to the ulp on the mirror grid
     sup = _reference_grid_sup(d, *bounds._omega_exponents(q, lam))
@@ -424,10 +424,10 @@ def test_tc1_grid_prune_stays_effective(monkeypatch):
     # powers of few peaks per q, against 10 each without the histograms
     evals, sums, powers = [], [], {}
 
-    class Counted(bounds._WeightedConvolution):
-        def _grid(self, q, lam):
+    class Counted(bounds._PeakConvolution):
+        def sup(self, q, lam):
             evals.append(q)
-            return super()._grid(q, lam)
+            return super().sup(q, lam)
 
         def _peak_sum(self, i, p, c):
             sums.append(i)
@@ -435,7 +435,7 @@ def test_tc1_grid_prune_stays_effective(monkeypatch):
                 powers[p] = powers.get(p, 0) + 1
             return super()._peak_sum(i, p, c)
 
-    monkeypatch.setattr(bounds, "_WeightedConvolution", Counted)
+    monkeypatch.setattr(bounds, "_PeakConvolution", Counted)
     assert math.isfinite(bounds.tc1_bound(two_bump_grid(40)))
     assert len(sums) < 2 * len(evals)
     assert len(powers) > 30
@@ -476,10 +476,10 @@ def test_tc1_at_the_center_equals_the_full_kernel(family, q, log2_lam):
     lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
     want = _reference_tc1_value(d, q, lam)
     assert bounds.tc1_value(d, q, lam) == want
-    assert bounds._tc1_value(bounds._WeightedConvolution(d), q, lam) == want
+    assert bounds._tc1_value(bounds._tc1_convolution(d), q, lam) == want
     annulus = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
     lam = annulus._scale_radius() ** 2 * 2.0 ** log2_lam
-    assert bounds._WeightedConvolution(annulus).radial(q, lam, 0.0) == (
+    assert bounds._tc1_convolution(annulus).radial(q, lam, 0.0) == (
         _reference_radial_conv(annulus, q, lam, 0.0))
 
 
@@ -508,8 +508,8 @@ def test_tc1_batched_scan_equals_each_offset(family, q, log2_lam, steer):
     rule = bounds._TC1_STEER_RULE if steer else (16, 32)
     scan = bounds._delta_scan(d)
     with np.errstate(over="ignore"):
-        batch = bounds._WeightedConvolution(d, *rule).radials(q, lam, scan)
-        conv = bounds._WeightedConvolution(d, *rule)
+        batch = bounds._tc1_convolution(d, *rule).radials(q, lam, scan)
+        conv = bounds._tc1_convolution(d, *rule)
         assert batch == [conv.radial(q, lam, x) for x in scan]
         if not steer:
             assert batch == [_reference_radial_conv(d, q, lam, float(x))
@@ -550,7 +550,7 @@ def test_tc1_sup_reaches_a_dense_offset_scan(d):
     deltas = np.linspace(0.0, d.tail_radius(), 1001)
     for q in (1.25, 2.0, 5.0):
         for lam in (scale / 32.0, scale / 4.0, 2.0 * scale, 16.0 * scale):
-            conv = bounds._WeightedConvolution(d)
+            conv = bounds._tc1_convolution(d)
             scan = max(conv.radial(q, lam, x) for x in deltas)
             assert conv.sup(q, lam) >= scan, (q, lam)
 
@@ -558,7 +558,7 @@ def test_tc1_sup_reaches_a_dense_offset_scan(d):
 def _reference_tc1_search(d):
     """(tc1, q, lam) of the winner from a scan that evaluates every
     (q, lam) point, then the golden stages about the scan's best."""
-    conv = bounds._WeightedConvolution(d)
+    conv = bounds._tc1_convolution(d)
     scale = d._scale_radius() ** 2
     best = (math.inf, None, None)
     for q in bounds._TC1_Q_VALUES:
@@ -647,7 +647,7 @@ _SUP_UPPER_DATA = {
 
 @functools.lru_cache(maxsize=None)
 def _sup_upper_conv(name, rule=(16, 32)):
-    return bounds._WeightedConvolution(_SUP_UPPER_DATA[name](), *rule)
+    return bounds._tc1_convolution(_SUP_UPPER_DATA[name](), *rule)
 
 
 @settings(max_examples=120, deadline=None)
