@@ -708,7 +708,7 @@ def test_tc1_scan_skips_the_points_that_cannot_win(monkeypatch):
         state["calls"] = 0
         assert math.isfinite(bounds.tc1_bound(d))
         scans.append(state["scan"])
-    assert scans == [15, 14, 23]
+    assert scans == [15, 14, 6]
 
 
 def test_tc1_ring_search_decides_on_the_full_rule_at_the_stage_winners(
