@@ -790,7 +790,7 @@ def f_method_bound(density):
         cond_start = ratio_at_one < y0
         cond_end = ratio(a + _F_OFFSET * (1.0 - a)) > 0.0
         if strictly_increasing and cond_start and cond_end:
-            if not (f_func(xs[0]) < y0 < f_func(xs[-1])):
+            if not (fs[0] < y0 < fs[-1]):
                 raise HypothesisCheckError(
                     "F does not straddle ln(1/a) on the classification window")
             lo, hi = bisect(lambda x: f_func(x) >= y0, xs[0], xs[-1])
