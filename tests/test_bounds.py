@@ -1079,8 +1079,8 @@ def test_f_method_near_critical_is_a_row(family, e):
 
 
 @pytest.mark.parametrize("d, inverse_calls, f_calls, capped, differenced", [
-    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 5126, (122, 93009), 18030),
-    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 5143,
+    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 5014, (122, 93009), 18030),
+    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 5033,
      (122, 92964), 17876),
 ])
 def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
