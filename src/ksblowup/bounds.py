@@ -1020,17 +1020,17 @@ def full_report(density, tolerance=1e-6):
 
 
 def _check_ordering(report):
-    tc = report.computed("tc")
-    if tc is None:
-        return
-    violations = []
+    """Each computed lower row at most tc and every chain upper row, and
+    each chain upper row at least tc, within the tolerance; the pairs
+    without tc are checked when tc is not computed too."""
     slack = 1.0 + report.tolerance
-    for row in report.rows:
-        if row.status != "computed":
-            continue
-        if row.kind == "lower" and row.value > tc * slack:
-            violations.append(f"{row.name}={row.value:.9g} above tc={tc:.9g}")
-        if row.name in _CHAIN_UPPERS and row.value * slack < tc:
-            violations.append(f"{row.name}={row.value:.9g} below tc={tc:.9g}")
+    rows = [r for r in report.rows if r.status == "computed"]
+    tc = [r for r in rows if r.name == "tc"]
+    uppers = [r for r in rows if r.name in _CHAIN_UPPERS]
+    violations = [f"{lo.name}={lo.value:.9g} above {up.name}={up.value:.9g}"
+                  for lo in rows if lo.kind == "lower"
+                  for up in tc + uppers if lo.value > up.value * slack]
+    violations += [f"{up.name}={up.value:.9g} below tc={t.value:.9g}"
+                   for t in tc for up in uppers if up.value * slack < t.value]
     report.violations = tuple(violations)
     report.ordering_ok = not violations

@@ -1205,6 +1205,37 @@ def test_report_virial_excluded_from_chain(gaussian_16pi):
     assert report.ordering_ok
 
 
+def _hand_report(**values):
+    """A report of 16 pi whose rows hold ``values``; nan means failed."""
+    rows = [bounds.BoundEstimate(
+        name=name, kind="lower" if name == "lower" else "upper", value=v,
+        status="computed" if math.isfinite(v) else "failed")
+        for name, v in values.items()]
+    return bounds.BoundReport(
+        label="hand", mass=16.0 * math.pi,
+        constants=bounds.mass_constants(16.0 * math.pi), rows=rows,
+        tolerance=1e-6)
+
+
+@pytest.mark.parametrize("values, want", [
+    # tc failed: lower is still checked against every chain row
+    (dict(lower=0.5, tc=math.nan, virial=0.1, tc1=2.0, tc3=0.25,
+          tc4=0.5 * (1.0 - 1e-7)),
+     ("lower=0.5 above tc3=0.25",)),
+    # tc computed: lower above a chain row that is itself below tc
+    (dict(lower=0.9, tc=1.0, virial=0.1, tc1=1.5, tc3=math.nan, tc4=0.8),
+     ("lower=0.9 above tc4=0.8", "tc4=0.8 below tc=1")),
+])
+def test_check_ordering_compares_every_pair(values, want):
+    # the virial row is outside the chain, a failed row is never compared,
+    # and a pair within the tolerance (lower against tc4 in the first
+    # report) is no violation
+    report = _hand_report(**values)
+    bounds._check_ordering(report)
+    assert report.violations == want
+    assert not report.ordering_ok
+
+
 def test_report_subcritical_aborts():
     with pytest.raises(SubcriticalMassError):
         bounds.full_report(ks.Gaussian(EIGHT_PI, 1.0))
