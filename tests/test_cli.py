@@ -242,16 +242,22 @@ def test_bound_grid_spec(tmp_path, capsys):
 
 def test_bound_one_cell_grid(tmp_path, capsys):
     # all the mass in one cell: tc2's rho form has no radius to scan, and
-    # the row says so instead of the command crashing
+    # the row says so instead of the command crashing.  tc fails too, and
+    # the rows that read the cell as a point at its center, tc1 (8e-63)
+    # and tc3, tc3_jung and tc4 (0), fall below lower: the check names them
     vals = np.zeros((5, 5))
     vals[2, 2] = 4000.0
     np.savetxt(tmp_path / "g.csv", vals, delimiter=",")
     spec = write_spec(tmp_path, "grid.json", {
         "family": "grid",
         "grid": {"path": "g.csv", "rows": 5, "cols": 5, "cell_size": 0.1}})
-    assert cli.main(["bound", spec]) == 0
-    _, body = parse_csv(capsys.readouterr().out)
+    assert cli.main(["bound", spec]) == 3
+    out, err = capsys.readouterr()
+    _, body = parse_csv(out)
     assert {row[0]: row[4] for row in body}["tc2"] == "inapplicable"
+    assert err.splitlines() == [
+        f"ordering violation: lower=0.00171748733 above {name}"
+        for name in ("tc1=8.06632884e-63", "tc3=0", "tc3_jung=0", "tc4=0")]
 
 
 def test_bound_grid_shape_mismatch(tmp_path, capsys):
