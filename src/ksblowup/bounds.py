@@ -318,9 +318,8 @@ class _RingConvolution:
     def sup_upper(self, q, lam):
         """An upper bound on `sup`, in closed form."""
         p, _ = _omega_exponents(q, lam)
-        # c^(-1/p), with c = (4 lam)^(-p) / p
-        width = 4.0 * lam * p ** (1.0 / p)
-        l1 = math.pi * math.gamma(1.0 + 1.0 / p) * width
+        # ||omega||_1, with c^(-1/p) = 4 lam p^(1/p)
+        l1 = math.pi * math.gamma(1.0 + 1.0 / p) * (4.0 * lam * p ** (1.0 / p))
         return min(self.density.mass(),
                    self._sup_norm * _TC1_RADIAL_MARGIN * l1) \
             * _TC1_PRUNE_MARGIN
@@ -400,7 +399,8 @@ class _PeakConvolution:
         self.threshold = mass_constants(density.mass()).threshold
         self._peaks = density.peak_candidates()
         self._p, self._powers = None, {}
-        n, h = density.cell_coordinates()[2].size, density.cell_size
+        _, _, self._w = density.cell_coordinates()
+        n, self._h2 = self._w.size, density.cell_size ** 2
         # the farthest corner of the cells' bounding box from any peak
         width = max(density.corner_distance(z) for z in self._peaks) \
             / _TC1_BINS
@@ -411,7 +411,7 @@ class _PeakConvolution:
         self._margin = 1.0 + (2 * n + 2 ** 15) * 2.0 ** -53
         # the sums of cells whose kernel underflows, which no relative
         # margin covers: at most 2^-1022 per unit weight, 2^-1074 per term
-        self._slack = (density.mass() + (n + _TC1_BINS) * h * h) * 2.0 ** -1020
+        self._slack = (density.mass() + (n + _TC1_BINS) * self._h2) * 2.0 ** -1020
 
     def sup(self, q, lam):
         """The largest exact sum over the peak candidates.
@@ -422,8 +422,7 @@ class _PeakConvolution:
         """
         p, c, upper, lower = self._bounds(q, lam)
         if p != self._p:
-            self._powers.clear()  # the last q's powers
-            self._p = p
+            self._p, self._powers = p, {}  # drop the last q's powers
         best = -math.inf
         for i in sorted(range(len(upper)), key=lambda i: -lower[i]):
             if upper[i] * self._margin + self._slack < best:
@@ -441,19 +440,17 @@ class _PeakConvolution:
         p, c = _omega_exponents(q, lam)
         with np.errstate(over="ignore"):
             kernel = np.exp(-c * self._edges_sq ** p)
-        upper = self._hist @ kernel[:-1] * self.density.cell_size ** 2
+        upper = self._hist @ kernel[:-1] * self._h2
         return p, c, upper.tolist(), (self._hist @ kernel[1:]).tolist()
 
     def _peak_sum(self, i, p, c):
         """The exact weighted sum about peak candidate i."""
-        _, _, w = self.density.cell_coordinates()
         with np.errstate(over="ignore"):
-            dp = self._powers.get(i)
-            if dp is None:
-                dp = self._powers[i] = \
+            if i not in self._powers:
+                self._powers[i] = \
                     self.density.squared_distances(self._peaks[i]) ** p
-            return float((w * np.exp(-c * dp)).sum()
-                         * self.density.cell_size ** 2)
+            return float((self._w * np.exp(-c * self._powers[i])).sum()
+                         * self._h2)
 
 
 def _tc1_convolution(density, order=16, angles=32):
