@@ -6,6 +6,8 @@ For each case it prints the ``repr`` of every ``full_report`` row as
 * the 15 ``cli._ordering_cases`` (five analytic families, three masses);
 * two near-critical data, ``DiskIndicator(8.05, 1)`` and
   ``Gaussian(8.05 pi, 1)``;
+* two degenerate 5x5 grids of cell size 0.1, mass 40 in one cell and
+  mass 20 in each of two cells, whose radii and moments read 0;
 * the 56 ``bound`` entries of the benchmark pools (32 radial, 12 dense
   grids, 12 sparse grids), built from the spec files that
   ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``;
@@ -189,6 +191,8 @@ def compare(before_path, after_path):
 
 
 def print_digest():
+    import numpy as np
+
     from ksblowup import cli, datum as dt
 
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -199,6 +203,12 @@ def print_digest():
         _print_report(f"ordering-{k}", density)
     _print_report("near-critical-disk", dt.DiskIndicator(8.05, 1.0))
     _print_report("near-critical-gaussian", dt.Gaussian(8.05 * math.pi, 1.0))
+    for case, cells in (("one-cell-grid", ((2, 2),)),
+                        ("two-cell-grid", ((1, 1), (3, 3)))):
+        vals = np.zeros((5, 5))
+        for cell in cells:
+            vals[cell] = 4000.0 / len(cells)
+        _print_report(case, dt.CartesianGrid(vals, 0.1))
     with tempfile.TemporaryDirectory() as tmp:
         for kind in ("radial_ring", "grid_dense", "grid_sparse"):
             for key in workloads.pool_keys(kind):

@@ -595,16 +595,20 @@ def _reference_tc1_search(d):
     lambda: two_bump_grid(48),
     lambda: ks.CartesianGrid(*workloads.dense_grid_entry(2)),
     lambda: ks.CartesianGrid(*workloads.sparse_grid_entry(2)),
+    # peak sums that tie to an ulp, and two bumps far apart
+    _mirror_grid,
+    _two_disk_grid,
     lambda: ks.Gaussian(EIGHT_PI * (1.0 + 1e-6), 1.0),
     # every scanned point is +inf: no winner
     lambda: ks.Gaussian(EIGHT_PI * (1.0 + 1e-9), 1.0),
 ], ids=["annulus", "polygaussian1", "diffgaussians", "radial_profile",
         *(f"pool_{f}5" for f in workloads.RADIAL_FAMILIES),
         *_CENTERED, "shifted_disk", "two_bump", "pool_dense",
-        "pool_sparse", "near_critical", "uninformative"])
+        "pool_sparse", "mirror", "two_disks", "near_critical",
+        "uninformative"])
 def test_tc1_search_keeps_the_unpruned_winner(make):
-    # the scan skips only points that could not have replaced its best,
-    # and ring data steered on the cheaper rule find the full rule's
+    # the scan skips only points that could not have replaced its best
+    # (on grids, by the peak histograms), and ring data steered on the cheaper rule find the full rule's
     # stage winners: the winner and its value keep their bits
     d = make()
     got = bounds._tc1_search(d)
@@ -641,6 +645,8 @@ _SUP_UPPER_DATA = {
     "pool_dense": lambda: ks.CartesianGrid(*workloads.dense_grid_entry(0)),
     "pool_sparse": lambda: ks.CartesianGrid(*workloads.sparse_grid_entry(0)),
     "two_bump": lambda: two_bump_grid(48),
+    "mirror": _mirror_grid,
+    "two_disks": _two_disk_grid,
     "one_cell": _one_cell_grid,
 }
 
@@ -659,6 +665,8 @@ def _sup_upper_conv(name, rule=(16, 32)):
 @example(name="radial_profile", q=1.25, log2_lam=-8.0)
 @example(name="one_cell", q=5.0, log2_lam=-8.0)
 @example(name="pool_sparse", q=1.0500001, log2_lam=8.0)
+@example(name="mirror", q=1.5, log2_lam=-2.5)
+@example(name="two_disks", q=5.0, log2_lam=5.0)
 def test_tc1_sup_upper_bounds_the_sup(name, q, log2_lam):
     conv = _sup_upper_conv(name)
     d = conv.density
