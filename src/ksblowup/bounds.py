@@ -133,9 +133,9 @@ _TC_TARGET_FACTOR = 1.0 + 22 * 2.0 ** -53
 # product with c (1) on each side, 18 u relative of the exponent, times
 # |exponent| <= 745 before exp underflows, plus 16 for the two exps (4
 # ulp each); the products with the weights and with h^2, 4.  That is
-# 2 n + 17526; the rest of 2^15 covers the second-order terms and the
-# rounding of the margin itself.  Cells whose kernel underflows escape
-# every relative count; an absolute slack covers them.
+# 2 n + 17526; the rest of 2^15 covers second-order terms and the roundings
+# by the margin (exact, an even multiple of u above 1) and the slack.  Cells
+# whose kernel underflows escape every relative count; the slack covers them.
 _TC1_BINS = 4096
 
 # The tc1 scan skips a (q, lam) point whose value can be neither finite nor

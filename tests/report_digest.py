@@ -31,7 +31,8 @@ A change that moves numbers compares the two digests instead:
 prints, per row name, how many values were compared, how many moved and
 the largest relative move up and down, then every status, ``ordering_ok``,
 ``tc1`` winner, ``tc`` or ``tc2`` center or sweep exit code that changed; it exits 1 when there is
-any such change.  Producing the digest takes a few minutes on two cores.
+any such change.  Producing the digest takes about half a minute on one
+core.
 """
 
 import contextlib

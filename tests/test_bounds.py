@@ -608,8 +608,9 @@ def _reference_tc1_search(d):
         "uninformative"])
 def test_tc1_search_keeps_the_unpruned_winner(make):
     # the scan skips only points that could not have replaced its best
-    # (on grids, by the peak histograms), and ring data steered on the cheaper rule find the full rule's
-    # stage winners: the winner and its value keep their bits
+    # (on grids, by the peak histograms), and ring data steered on the
+    # cheaper rule find the full rule's stage winners: the winner and its
+    # value keep their bits
     d = make()
     got = bounds._tc1_search(d)
     assert got == _reference_tc1_search(d)
