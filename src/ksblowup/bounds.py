@@ -543,14 +543,9 @@ def _tc1_stages(conv):
         lam0 / 4.0, lam0 * 4.0, rel_tol=1e-6)
     qs = _TC1_Q_VALUES
     i = qs.index(q0)
-    qlo = qs[max(i - 1, 0)]
-    qhi = qs[min(i + 1, len(qs) - 1)]
-    if qlo < qhi:
-        q2, v2 = golden_section(
-            lambda q: _tc1_value(conv, q, lam1), qlo, qhi,
-            rel_tol=1e-6)
-    else:
-        q2, v2 = q0, v1
+    q2, v2 = golden_section(
+        lambda q: _tc1_value(conv, q, lam1),
+        qs[max(i - 1, 0)], qs[min(i + 1, len(qs) - 1)], rel_tol=1e-6)
     return [best, (v1, q0, lam1), (v2, q2, lam1)]
 
 
@@ -611,13 +606,6 @@ def _rho_form_from(mass_at, consts, lo, hi):
     return val
 
 
-def _forms(scan, mass_at, inverse, hi):
-    """(rho_form, theta_form) from the cumulative mass ``mass_at`` about
-    one center, its inverse, and the radius ``hi`` that ends the rho scan."""
-    rho = _rho_form_from(mass_at, scan.consts, inverse(scan.consts.ratio), hi)
-    return rho, scan.form(inverse)
-
-
 def tc2_forms(density, z=None):
     """(rho_form, theta_form) of the radial-mass bound at a fixed center."""
     scan = _ThetaScan(mass_constants(density.mass()))
@@ -628,8 +616,9 @@ def _forms_about(scan, density, z):
     """`tc2_forms` at z, with the search's theta scan."""
     hi = density.support_radius_from(z) if density.has_compact_support \
         else density.generalized_inverse(z, 1.0 - 1e-13)
-    return _forms(scan, lambda rho: density.radial_mass(z, rho),
-                  lambda m: density.generalized_inverse(z, m), hi)
+    rho = _rho_form_from(lambda r: density.radial_mass(z, r), scan.consts,
+                         density.generalized_inverse(z, scan.consts.ratio), hi)
+    return rho, scan.form(lambda m: density.generalized_inverse(z, m))
 
 
 def _snapshot(density, z, n=1024):
@@ -676,14 +665,16 @@ def _tc2_search(density):
     if not density.is_radial:
         # the probes read sums good to their rounding; the exact theta
         # form at the winner decides, from the search's one sort of
-        # every cell
+        # every cell, and is the off-center theta form
         snap = _snapshot(density, z_best)
         val_best = scan.form(snap.inverse)
     elif val_best < center_val:
         snap = _snapshot(density, z_best, n=4096)
     if val_best < center_val:
-        off_val = min(_forms(scan, snap.mass_at, snap.inverse,
-                             snap.inverse(1.0 - 1e-12)))
+        theta = scan.form(snap.inverse) if density.is_radial else val_best
+        off_val = min(_rho_form_from(snap.mass_at, scan.consts,
+                                     snap.inverse(scan.consts.ratio),
+                                     snap.inverse(1.0 - 1e-12)), theta)
         if off_val < center_val:
             return off_val, z_best
     return center_val, center
@@ -851,14 +842,9 @@ def lower_bound_detail(density, p=math.inf):
     norm_p = density.lp_norm(p)
     p_conj = _conjugate(p)
 
-    def norm_for_qprime(qp):
-        if qp == 1.0:
-            return density.lp_norm(math.inf)
-        return density.lp_norm(qp / (qp - 1.0))
-
     def neg_objective(qp):
         return -(qp / (4.0 * math.pi)) \
-            * (consts.threshold / norm_for_qprime(qp)) ** qp
+            * (consts.threshold / density.lp_norm(_conjugate(qp))) ** qp
 
     qp_max = max(50.0, 4.0 / (1.0 - consts.ratio))
     grid = np.geomspace(max(p_conj, 1.0), qp_max, _QPRIME_GRID)
@@ -944,9 +930,11 @@ def _run_row(name, kind, assumptions, fn):
                          detail=detail, seconds=time.perf_counter() - t0)
 
 
-_ROW_ORDER = ("lower", "tc", "virial", "tc1", "tc2", "tc3", "tc3_jung",
-              "tc4", "f_method", "disk_asym_fixed_radius",
-              "disk_asym_fixed_height")
+#: the estimator rows in report order, which a sweep tabulates by default
+_ESTIMATOR_ROWS = ("lower", "tc", "virial", "tc1", "tc2", "tc3", "tc3_jung",
+                   "tc4", "f_method")
+_ROW_ORDER = _ESTIMATOR_ROWS + ("disk_asym_fixed_radius",
+                               "disk_asym_fixed_height")
 
 
 def full_report(density, tolerance=1e-6):

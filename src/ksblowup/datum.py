@@ -67,10 +67,10 @@ def _require_finite(datum):
             raise InvalidFieldError(f.name, "must be finite")
 
 
-def _as_center(value):
+def _as_center(value, field):
     c = tuple(float(v) for v in value)
     if len(c) != 2:
-        raise ValueError("center must be a point in the plane")
+        raise InvalidFieldError(field, "must be a point in the plane")
     return c
 
 
@@ -95,7 +95,7 @@ class InitialDatum:
 
     def __post_init__(self):
         _require_finite(self)
-        object.__setattr__(self, "center", _as_center(self.center))
+        object.__setattr__(self, "center", _as_center(self.center, "center"))
         self._validate()
 
     def _validate(self):
@@ -979,7 +979,7 @@ class CartesianGrid(InitialDatum):
 
     def __post_init__(self):
         _require_finite(self)
-        object.__setattr__(self, "origin", _as_center(self.origin))
+        object.__setattr__(self, "origin", _as_center(self.origin, "origin"))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError("grid values must be a 2D array")

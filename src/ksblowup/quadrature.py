@@ -31,16 +31,20 @@ def circle_nodes(order):
     return np.cos(0.5 * math.pi * (nodes + 1.0)), math.pi * weights
 
 
-def panel_nodes(edges, order=DEFAULT_NODES):
-    """Flattened quadrature nodes and weights over consecutive panels."""
+def _panel_rule(edges, order):
+    """(nodes, weights), each of shape (panels, order): Gauss-Legendre
+    rules of ``order`` nodes on the consecutive panels of ``edges``."""
     edges = np.asarray(edges, dtype=float)
-    if edges.size < 2:
-        return np.empty(0), np.empty(0)
     nodes, weights = _gl_nodes(order)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
-    pts = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    wts = half[:, None] * weights[None, :]
+    return (lo[:, None] + half[:, None] * (nodes[None, :] + 1.0),
+            half[:, None] * weights[None, :])
+
+
+def panel_nodes(edges, order=DEFAULT_NODES):
+    """Flattened quadrature nodes and weights over consecutive panels."""
+    pts, wts = _panel_rule(edges, order)
     return pts.ravel(), wts.ravel()
 
 
@@ -57,16 +61,10 @@ def integrate_panels(fn, edges, order=DEFAULT_NODES):
     order : int
         Gauss-Legendre order per panel.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.size < 2:
+    pts, wts = _panel_rule(edges, order)
+    if pts.size == 0:
         return 0.0
-    nodes, weights = _gl_nodes(order)
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
-    # shape (panels, order)
-    pts = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half[:, None] * weights[None, :] * vals))
+    return float(np.sum(wts * fn(pts.ravel()).reshape(pts.shape)))
 
 
 def panel_edges(breakpoints, upper, scale):

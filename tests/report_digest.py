@@ -14,7 +14,9 @@ For each case it prints the ``repr`` of every ``full_report`` row as
   after each entry's report, the winning (q, lam) of its ``tc1`` search,
   and after each grid's, the winning centers of its ``tc`` plane search and
   its ``tc2`` search, so a change that moves a winner shows even where no
-  printed value moves.
+  printed value moves, then the grid's ``tc2_forms`` at the barycenter and
+  its ``tc4_bound`` at beta = 3, the center-optimized moment form, which
+  no report row reads.
 
 Then it prints the ``ksblowup sweep`` CSV, exit code and stderr of each of
 the 18 sweep pool entries.  Pytest does not collect this file.  A change
@@ -28,11 +30,12 @@ A change that moves numbers compares the two digests instead:
 
     python tests/report_digest.py --compare before.txt after.txt
 
-prints, per row name, how many values were compared, how many moved and
-the largest relative move up and down, then every status, ``ordering_ok``,
-``tc1`` winner, ``tc`` or ``tc2`` center or sweep exit code that changed; it exits 1 when there is
-any such change.  Producing the digest takes about half a minute on one
-core.
+prints, per row name (``tc2_forms.rho``, ``tc2_forms.theta`` and
+``tc4_beta3`` for the center forms), how many values were compared, how
+many moved and the largest relative move up and down, then every status,
+``ordering_ok``, ``tc1`` winner, ``tc`` or ``tc2`` center or sweep exit
+code that changed; it exits 1 when there is any such change.  Producing
+the digest takes about half a minute on one core.
 """
 
 import contextlib
@@ -68,6 +71,9 @@ def _print_grid_centers(density):
 
     print(f"{_TC_CENTER}{bounds._tc_search(density)[1]!r}")
     print(f"{_TC2_CENTER}{bounds._tc2_search(density)[1]!r}")
+    print(f"{_TC2_FORMS}"
+          f"{bounds.tc2_forms(density, density.barycenter())!r}")
+    print(f"{_TC4_BETA3}{bounds.tc4_bound(density, 3.0)!r}")
 
 
 def _print_sweep(item):
@@ -98,14 +104,16 @@ _LINE_NAMES = {"__builtins__": {}, "nan": math.nan, "inf": math.inf,
 _TC1_WINNER = "  tc1 winner: "
 _TC_CENTER = "  tc center: "
 _TC2_CENTER = "  tc2 center: "
+_TC2_FORMS = "  tc2 forms at barycenter: "
+_TC4_BETA3 = "  tc4 beta=3: "
 
 
 def read_digest(path):
     """(values, flags) of a digest file.
 
     ``values`` maps (case, row name, step) to (value, status); a report row
-    has step 0, a sweep cell the step of its line and status "computed" or
-    "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
+    and a grid's center forms have step 0, a sweep cell the step of its
+    line and status "computed" or "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
     code, "<case> tc1 winner" to a pool entry's winning ``tc1`` (q, lam)
     and "<case> tc center" and "<case> tc2 center" to a grid's winning
     ``tc`` and ``tc2`` centers.
@@ -126,6 +134,13 @@ def read_digest(path):
                 flags[f"{case} tc center"] = line[len(_TC_CENTER):]
             elif line.startswith(_TC2_CENTER):
                 flags[f"{case} tc2 center"] = line[len(_TC2_CENTER):]
+            elif line.startswith(_TC2_FORMS):
+                rho, theta = eval(line[len(_TC2_FORMS):], _LINE_NAMES)
+                values[(case, "tc2_forms.rho", 0)] = (rho, "computed")
+                values[(case, "tc2_forms.theta", 0)] = (theta, "computed")
+            elif line.startswith(_TC4_BETA3):
+                values[(case, "tc4_beta3", 0)] = (
+                    eval(line[len(_TC4_BETA3):], _LINE_NAMES), "computed")
             elif header is None and line.startswith("("):
                 name, _, value, status = eval(line, _LINE_NAMES)[:4]
                 values[(case, name, 0)] = (value, status)

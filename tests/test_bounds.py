@@ -1013,6 +1013,24 @@ def test_tc4_beta3_uses_center_moment(gaussian_16pi):
     assert val >= bounds.tc_bound(gaussian_16pi) * (1.0 - 1e-6)
 
 
+def test_grid_tc4_beta3_minimizes_the_moment_over_the_center():
+    # a heavy block and a lighter pair of cells: the beta = 3 moment is
+    # smallest away from the barycenter, so the center-optimized form wins
+    vals = np.zeros((9, 9))
+    vals[2:4, 2:4] = 400.0
+    vals[7, 6], vals[6, 7] = 300.0, 100.0
+    grid = ks.CartesianGrid(vals, 0.25)
+    denom = 4.0 * bounds.mass_constants(grid.mass()).log_inv_ratio
+    val = bounds.tc4_bound(grid, 3.0)
+    assert val < grid.beta_variance(3.0) / denom
+    bx, by = grid.barycenter()
+    for i in range(-4, 5):
+        for j in range(-4, 5):
+            z = (bx + 0.125 * i, by + 0.125 * j)
+            assert val <= grid.beta_moment_about(z, 3.0) / denom \
+                * (1.0 + 1e-9)
+
+
 def test_gaussian_sandwich():
     # tc4 brackets tc within the factor 2 ln(3/2) at any supercritical mass
     for mass in (9.0 * math.pi, 16.0 * math.pi, 100.0 * math.pi):

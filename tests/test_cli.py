@@ -269,6 +269,61 @@ def test_bound_grid_shape_mismatch(tmp_path, capsys):
     assert "shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("g.csv", "1,2\n3,x\n"),
+    ("g.csv", "1,2\n3\n"),
+    ("g.npy", ""),
+    ("g.npy", None),
+], ids=["non_numeric_csv", "ragged_csv", "empty_npy", "object_npy"])
+@pytest.mark.parametrize("command", [
+    ["bound"], ["sweep", "--param", "sigma", "--from", "1", "--to", "2",
+                "--steps", "2"]], ids=["bound", "sweep"])
+def test_unreadable_grid_array_names_grid_path(tmp_path, capsys, command,
+                                               name, text):
+    if text is None:
+        # an object array, which np.load refuses without pickle
+        np.save(tmp_path / name, np.array([1.0, "x", None], dtype=object),
+                allow_pickle=True)
+    else:
+        (tmp_path / name).write_text(text)
+    spec = write_spec(tmp_path, "grid.json", {
+        "family": "grid",
+        "grid": {"path": name, "rows": 2, "cols": 2, "cell_size": 1.0}})
+    assert cli.main([command[0], spec, *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read grid array" in err
+    assert err.rstrip().endswith("[field: grid.path]")
+
+
+def test_point_of_the_wrong_length_names_its_field(tmp_path, capsys):
+    spec = write_spec(tmp_path, "annulus.json", {
+        "family": "annulus", "height": 5.0, "r_inner": 1.0, "r_outer": 2.0,
+        "center": [1.0, 2.0, 3.0]})
+    assert cli.main(["bound", spec]) == 1
+    assert "center must be a point in the plane [field: center]" \
+        in capsys.readouterr().err
+    np.savetxt(tmp_path / "g.csv", np.ones((2, 2)), delimiter=",")
+    spec = write_spec(tmp_path, "grid.json", {
+        "family": "grid",
+        "grid": {"path": "g.csv", "rows": 2, "cols": 2, "cell_size": 1.0,
+                 "origin": [0.0]}})
+    assert cli.main(["bound", spec]) == 1
+    assert "origin must be a point in the plane [field: grid.origin]" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"family": "disk",', "spec file is not valid JSON"),
+    (None, "cannot read spec file"),
+], ids=["not_json", "missing"])
+def test_unreadable_spec_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["bound", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -339,6 +394,25 @@ def test_sweep_zero_steps_usage_error(tmp_path, capsys):
     assert cli.main(["sweep", disk_spec(tmp_path), "--param", "sigma",
                      "--from", "1", "--to", "2", "--steps", "0"]) == 1
     assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, stop", [("0", "2"), ("1", "-2")])
+def test_log_sweep_refuses_non_positive_endpoints(tmp_path, capsys, start,
+                                                  stop):
+    assert cli.main(["sweep", disk_spec(tmp_path), "--param", "sigma",
+                     "--from", start, "--to", stop, "--steps", "2",
+                     "--log"]) == 1
+    assert "log sweep needs positive endpoints" in capsys.readouterr().err
+
+
+def test_sweep_refuses_unknown_bound_names(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", disk_spec(tmp_path), "--param", "sigma",
+                     "--from", "12", "--to", "16", "--steps", "2",
+                     "--bounds", "tc,tcX", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown bound names: ['tcX']" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_sweep_param_family_mismatch(tmp_path, capsys):
