@@ -10,9 +10,7 @@ families and a CLI that emits machine-readable reports.
 from .bounds import (
     BoundEstimate,
     BoundReport,
-    FMethodBound,
     MassConstants,
-    f_method_bound,
     full_report,
     heat_constant,
     lower_bound,
@@ -50,7 +48,6 @@ __all__ = [
     "DiffGaussians",
     "DiskIndicator",
     "FAMILIES",
-    "FMethodBound",
     "Gaussian",
     "HeatMassCurve",
     "InitialDatum",
@@ -58,7 +55,6 @@ __all__ = [
     "PolyGaussian",
     "RadialProfile",
     "SupportGeometry",
-    "f_method_bound",
     "full_report",
     "heat_constant",
     "lower_bound",

@@ -61,7 +61,6 @@ from .errors import (
 from .heatmass import HeatMassCurve
 from .quadrature import circle_nodes, merged_edges, panel_nodes
 from .searches import (
-    bisect,
     golden_about_scan,
     golden_section,
     grid_then_golden,
@@ -106,6 +105,7 @@ def mass_constants(mass):
 # The parameter searches of the estimators follow one fixed recipe.
 _NM_MAX_ITER = 80        # Nelder-Mead iterations per start (tc2 uses half)
 _THETA_GRID = 96         # coarse scan points of the tc2 theta form
+_THETA_EPS = 1e-6        # the theta scan's distance from 0 and 1
 _RHO_GRID = 96           # coarse scan points of the tc2 rho form
 _QPRIME_GRID = 64        # coarse scan points of the lower bound's q'
 _TC1_Q_VALUES = (1.25, 1.5, 2.0, 3.0, 5.0)  # ascending
@@ -564,23 +564,24 @@ class _ThetaScan:
 
     def __init__(self, consts):
         self.consts = consts
-        eps = 1e-6
-        self.grid = np.linspace(eps, 1.0 - eps, _THETA_GRID)
+        self.grid = np.linspace(_THETA_EPS, 1.0 - _THETA_EPS, _THETA_GRID)
         a = consts.ratio
         self.fractions = np.array([a ** theta for theta in self.grid])
         self._one_minus = (1.0 - self.grid).tolist()
 
-    def form(self, inverse):
+    def form(self, inverse, radii=None):
         """The form over the cumulative-mass inverse ``inverse``, which
         maps a mass fraction to its radius and an array of fractions to
-        an array of radii, so the scan is one call."""
+        an array of radii, so the scan is one call; ``radii``, the list
+        of its values at the scan's fractions, when the caller has it."""
         a = self.consts.ratio
 
         def objective(theta):
             return inverse(a ** theta) ** 2 / (1.0 - theta)
 
+        if radii is None:
+            radii = inverse(self.fractions).tolist()
         # r^2 as the scalar objective() computes
-        radii = inverse(self.fractions).tolist()
         _, val = golden_about_scan(objective, self.grid, [
             r ** 2 / q for r, q in zip(radii, self._one_minus)])
         return val / (4.0 * self.consts.log_inv_ratio)
@@ -609,16 +610,23 @@ def _rho_form_from(mass_at, consts, lo, hi):
 def tc2_forms(density, z=None):
     """(rho_form, theta_form) of the radial-mass bound at a fixed center."""
     scan = _ThetaScan(mass_constants(density.mass()))
-    return _forms_about(scan, density, density.center if z is None else z)
+    return _forms_about(scan, density,
+                        density.center if z is None else z)[:2]
 
 
 def _forms_about(scan, density, z):
-    """`tc2_forms` at z, with the search's theta scan."""
+    """`tc2_forms` at z, with the search's theta scan, and the list of
+    the scan's radii there."""
+
+    def inverse(m):
+        return density.generalized_inverse(z, m)
+
     hi = density.support_radius_from(z) if density.has_compact_support \
-        else density.generalized_inverse(z, 1.0 - 1e-13)
+        else inverse(1.0 - 1e-13)
     rho = _rho_form_from(lambda r: density.radial_mass(z, r), scan.consts,
-                         density.generalized_inverse(z, scan.consts.ratio), hi)
-    return rho, scan.form(lambda m: density.generalized_inverse(z, m))
+                         inverse(scan.consts.ratio), hi)
+    radii = inverse(scan.fractions).tolist()
+    return rho, scan.form(inverse, radii), radii
 
 
 def _snapshot(density, z, n=1024):
@@ -633,8 +641,10 @@ def tc2_bound(density):
 
 
 def _tc2_search(density):
-    """(tc2, center): the smaller of the form at the center and the form
-    at the center that minimizes the theta form.
+    """(tc2, center, centred): the smaller of the form at the center and
+    the form at the center that minimizes the theta form.  ``centred``
+    holds the theta scan, its radii at the center and the theta form
+    there, which the F-method reads.
 
     Radial data steer on 512-point ring profiles.  Grids steer on binned
     profiles, whose sums are good to their rounding, and sort every cell
@@ -643,9 +653,11 @@ def _tc2_search(density):
     """
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
-    center_val = min(_forms_about(scan, density, center))
+    rho, theta, radii = _forms_about(scan, density, center)
+    centred = (scan, radii, theta)
+    center_val = min(rho, theta)
     if density.is_nonincreasing_radial:
-        return center_val, center
+        return center_val, center, centred
 
     if density.is_radial:
         neg_val, delta = maximize_even(
@@ -661,7 +673,7 @@ def _tc2_search(density):
 
     if math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
             <= 1e-9 * (1.0 + density._scale_radius()):
-        return center_val, center
+        return center_val, center, centred
     if not density.is_radial:
         # the probes read sums good to their rounding; the exact theta
         # form at the winner decides, from the search's one sort of
@@ -676,8 +688,8 @@ def _tc2_search(density):
                                      snap.inverse(scan.consts.ratio),
                                      snap.inverse(1.0 - 1e-12)), theta)
         if off_val < center_val:
-            return off_val, z_best
-    return center_val, center
+            return off_val, z_best, centred
+    return center_val, center, centred
 
 
 # ---------------------------------------------------------------------------
@@ -716,80 +728,47 @@ def tc4_bound(density, beta=2.0):
 
 
 # ---------------------------------------------------------------------------
-# F-method: classification of the squared generalized inverse
+# F-method: the centred theta form, classified on the theta scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FMethodBound:
-    """Outcome of the F-function classification.
+def _f_method_bound(density, centred):
+    """The F-method bound from `_tc2_search`'s ``centred`` scan, None
+    when that search failed.
 
-    ``case`` is "plateau" (non-decreasing F, bound from h(1-), the
-    squared support radius, so compact support only),
-    "interior" (strictly increasing F with an interior optimum), or
-    "inapplicable" with the failed hypothesis in ``reason``.
+    F(x) = x + e^x pi R^2 profile(R) / M, with R = R(e^-x) the generalized
+    inverse, is read at the scan's points x = theta ln(1/a) from the radii
+    the scan holds.  F(x0) = ln(1/a) is the first-order condition of
+    R(a^theta)^2 / (1 - theta) at x0 = theta ln(1/a), so the interior case
+    is the centred theta form.  The plateau case, theta = 0, reads R(1)^2,
+    the squared support radius, so it needs compact support.
     """
-
-    value: float | None
-    case: str
-    reason: str = ""
-
-    @property
-    def applicable(self):
-        return self.value is not None
-
-
-_F_OFFSET = 1e-6  # one-sided limits at a+ and 1- use this offset
-
-
-def f_method_bound(density):
     if not density.is_radial:
         raise NotRadialError("the F-method requires radial data")
     consts = mass_constants(density.mass())
-    a, y0 = consts.ratio, consts.log_inv_ratio
-
-    def h(t):
-        return density.generalized_inverse(None, t) ** 2
-
-    def ratio(t):
-        # h/h' for h = R(t)^2 with R the generalized inverse: the mass
-        # fraction grows at 2 pi R profile(R) / M, so h' = M / (pi profile(R))
-        r = density.generalized_inverse(None, t)
-        return math.pi * r * r * float(density.profile(r)) / consts.mass
-
-    def f_func(x):
-        return x + math.exp(x) * ratio(math.exp(-x))
-
-    try:
-        xs = np.linspace(_F_OFFSET * y0, (1.0 - _F_OFFSET) * y0, 33)
-        if not math.exp(-xs[0]) < 1.0:
-            raise HypothesisCheckError(
-                "(a, 1) is too narrow to classify F in floats")
-        fs = np.array([f_func(x) for x in xs])
-        diffs = np.diff(fs)
-        scale = max(abs(fs).max(), 1.0)
-        ratio_at_one = ratio(1.0 - _F_OFFSET)
-
-        # h(1-) is the squared support radius, infinite without compact support
-        if density.has_compact_support and np.all(diffs >= -1e-9 * scale) \
-                and ratio_at_one >= y0:
-            return FMethodBound(float(h(1.0) / (4.0 * y0)), "plateau")
-
-        strictly_increasing = np.all(diffs > 0.0)
-        cond_start = ratio_at_one < y0
-        cond_end = ratio(a + _F_OFFSET * (1.0 - a)) > 0.0
-        if strictly_increasing and cond_start and cond_end:
-            if not (fs[0] < y0 < fs[-1]):
-                raise HypothesisCheckError(
-                    "F does not straddle ln(1/a) on the classification window")
-            lo, hi = bisect(lambda x: f_func(x) >= y0, xs[0], xs[-1])
-            x0 = 0.5 * (lo + hi)
-            return FMethodBound(float(h(math.exp(-x0)) / (4.0 * (y0 - x0))),
-                                "interior")
+    y0 = consts.log_inv_ratio
+    if not consts.ratio ** _THETA_EPS < 1.0:
         raise HypothesisCheckError(
-            "F is neither non-decreasing with F(0+) >= ln(1/a) nor "
-            "strictly increasing with an interior crossing")
-    except HypothesisCheckError as exc:
-        return FMethodBound(None, "inapplicable", str(exc))
+            "(a, 1) is too narrow to classify F in floats")
+    if centred is None:
+        raise HypothesisCheckError("tc2's centred theta scan failed")
+    scan, radii, theta_form = centred
+    r = np.array(radii)
+    xs = scan.grid * y0
+    ratios = math.pi * r * r * density.profile(r) / consts.mass
+    fs = xs + np.exp(xs) * ratios
+    diffs = np.diff(fs)
+    scale = max(abs(fs).max(), 1.0)
+    if density.has_compact_support and np.all(diffs >= -1e-9 * scale) \
+            and ratios[0] >= y0:
+        return density.support_radius_from(density.center) ** 2 / (4.0 * y0)
+    if np.all(diffs > 0.0) and ratios[0] < y0 and ratios[-1] > 0.0:
+        if not fs[0] < y0 < fs[-1]:
+            raise HypothesisCheckError(
+                "F does not straddle ln(1/a) on the classification window")
+        return theta_form
+    raise HypothesisCheckError(
+        "F is neither non-decreasing with F(0+) >= ln(1/a) nor "
+        "strictly increasing with an interior crossing")
 
 
 # ---------------------------------------------------------------------------
@@ -949,8 +928,7 @@ def full_report(density, tolerance=1e-6):
     tc2_state = {}
 
     def run_tc2():
-        val, z = _tc2_search(density)
-        tc2_state["z"] = z
+        val, tc2_state["z"], tc2_state["centred"] = _tc2_search(density)
         return val
 
     rows.append(_run_row("tc2", "upper", (), run_tc2))
@@ -982,15 +960,9 @@ def full_report(density, tolerance=1e-6):
         "tc4", "upper", ("finite 2-moment",),
         lambda: tc4_bound(density, 2.0)))
 
-    def run_f_method():
-        outcome = f_method_bound(density)
-        if not outcome.applicable:
-            raise HypothesisCheckError(outcome.reason)
-        return outcome.value
-
     rows.append(_run_row(
         "f_method", "upper", ("radial", "strictly increasing cumulative mass"),
-        run_f_method))
+        lambda: _f_method_bound(density, tc2_state.get("centred"))))
 
     for name, value, assumption in density.near_critical_references():
         rows.append(BoundEstimate(name=name, kind="exact-reference",

@@ -19,13 +19,16 @@ from ksblowup.errors import (
 )
 from ksblowup.quadrature import _gl_nodes, merged_edges, panel_nodes
 from ksblowup.searches import (
+    bisect,
     golden_about_scan,
     golden_section,
     maximize_even,
     minimize_over_plane,
 )
 
-from conftest import EIGHT_PI, disk_grid, two_bump_grid
+from conftest import (
+    EIGHT_PI, analytic_families, analytic_report, disk_grid, two_bump_grid,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "benchmarks"))
@@ -886,7 +889,7 @@ def _reference_grid_tc2_search(density):
 def test_grid_tc2_steering_keeps_the_all_snapshot_result(make):
     # the binned probes pick the same winner, and its exact form decides
     grid = make()
-    assert bounds._tc2_search(grid) == _reference_grid_tc2_search(grid)
+    assert bounds._tc2_search(grid)[:2] == _reference_grid_tc2_search(grid)
 
 
 def test_radial_tc2_steering_snapshot_count(monkeypatch):
@@ -901,7 +904,7 @@ def test_radial_tc2_steering_snapshot_count(monkeypatch):
 
     monkeypatch.setattr(bounds, "_snapshot", counted)
     d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
-    _, z = bounds._tc2_search(d)
+    _, z, _ = bounds._tc2_search(d)
     assert z == d.center
     assert len(builds) == 43
 
@@ -1045,25 +1048,66 @@ def test_gaussian_sandwich():
 # F-method
 # ---------------------------------------------------------------------------
 
-def test_f_method_disk_plateau_case(disk_16pi):
-    out = bounds.f_method_bound(disk_16pi)
-    assert out.case == "plateau"
-    assert out.value == pytest.approx(1.0 / (4.0 * LOG125), rel=1e-9)
+def _reference_f_method(d):
+    """(case, value) of the 33-point F classification that the f_method
+    row replaced, an independent reference: F is read at 33 points of
+    [1e-6, 1 - 1e-6] ln(1/a), each through bisections of the generalized
+    inverse, its one-sided limits at 1e-6 from the window's ends, and the
+    interior crossing by bisection on F.  The value is None when the
+    case is "inapplicable"."""
+    consts = bounds.mass_constants(d.mass())
+    a, y0 = consts.ratio, consts.log_inv_ratio
+
+    def ratio(t):
+        r = d.generalized_inverse(None, t)
+        return math.pi * r * r * float(d.profile(r)) / consts.mass
+
+    def f_func(x):
+        return x + math.exp(x) * ratio(math.exp(-x))
+
+    xs = np.linspace(1e-6 * y0, (1.0 - 1e-6) * y0, 33)
+    if not math.exp(-xs[0]) < 1.0:
+        return "inapplicable", None
+    fs = np.array([f_func(x) for x in xs])
+    diffs = np.diff(fs)
+    ratio_at_one = ratio(1.0 - 1e-6)
+    if d.has_compact_support and ratio_at_one >= y0 \
+            and np.all(diffs >= -1e-9 * max(abs(fs).max(), 1.0)):
+        return "plateau", d.generalized_inverse(None, 1.0) ** 2 / (4.0 * y0)
+    if np.all(diffs > 0.0) and ratio_at_one < y0 \
+            and ratio(a + 1e-6 * (1.0 - a)) > 0.0 and fs[0] < y0 < fs[-1]:
+        lo, hi = bisect(lambda x: f_func(x) >= y0, xs[0], xs[-1])
+        x0 = 0.5 * (lo + hi)
+        return "interior", \
+            d.generalized_inverse(None, math.exp(-x0)) ** 2 / (4.0 * (y0 - x0))
+    return "inapplicable", None
+
+
+def test_f_method_disk_plateau_case():
+    row = analytic_report("disk", 16.0 * math.pi).row("f_method")
+    assert row.status == "computed"
+    # the plateau case: the squared support radius over 4 ln(1/a)
+    assert row.value == 1.0 / (4.0 * bounds.mass_constants(16.0 * math.pi)
+                               .log_inv_ratio)
+    assert row.value == pytest.approx(1.0 / (4.0 * LOG125), rel=1e-9)
 
 
 def test_f_method_gaussian_interior_case(gaussian_16pi):
-    out = bounds.f_method_bound(gaussian_16pi)
-    assert out.case == "interior"
-    assert out.value == pytest.approx(17.4117935801, rel=1e-7)
-    assert out.value > bounds.tc_bound(gaussian_16pi)
+    report = analytic_report("gaussian", 16.0 * math.pi)
+    row = report.row("f_method")
+    assert row.status == "computed"
+    # the interior case: the centred theta form
+    assert row.value == bounds.tc2_forms(gaussian_16pi)[1]
+    assert row.value == pytest.approx(17.4117935801, rel=1e-7)
+    assert row.value > report.computed("tc")
 
 
 def test_f_method_matches_theta_form(families_16pi):
     for name in ("annulus", "polygaussian", "diffgaussians"):
-        out = bounds.f_method_bound(families_16pi[name])
-        assert out.applicable
+        row = analytic_report(name, 16.0 * math.pi).row("f_method")
+        assert row.status == "computed"
         _, theta_form = bounds.tc2_forms(families_16pi[name])
-        assert out.value == pytest.approx(theta_form, rel=1e-3)
+        assert row.value == pytest.approx(theta_form, rel=1e-3)
 
 
 def test_f_method_plateau_in_window_inapplicable():
@@ -1072,10 +1116,52 @@ def test_f_method_plateau_in_window_inapplicable():
     prof = ks.RadialProfile((0.0, 1.0, 2.0, 3.0, 4.0),
                             (90.0, 0.0, 0.0, 1.0, 0.0))
     assert prof.mass() > EIGHT_PI
-    out = bounds.f_method_bound(prof)
-    assert not out.applicable
-    assert out.case == "inapplicable"
-    assert out.reason
+    row = bounds.full_report(prof).row("f_method")
+    assert row.status == "inapplicable"
+    assert row.detail
+    assert _reference_f_method(prof) == ("inapplicable", None)
+
+
+def _radial_families(mass):
+    """One datum of each radial family at ``mass``: the five analytic
+    ones and a 3-knot profile rising from the center."""
+    unit = ks.RadialProfile((0.0, 0.5, 1.5), (1.0, 3.0, 0.0))
+    return {**analytic_families(mass), "radial_profile": ks.RadialProfile(
+        unit.radii, tuple(v * mass / unit.mass() for v in unit.values))}
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(["annulus", "diffgaussians", "disk", "gaussian",
+                               "polygaussian", "radial_profile"]),
+       mass=st.floats(9.0 * math.pi, 100.0 * math.pi))
+@example(family="radial_profile", mass=9.0 * math.pi)
+@example(family="annulus", mass=100.0 * math.pi)
+def test_f_method_row_matches_the_reference_classifier(family, mass):
+    d = _radial_families(mass)[family]
+    row = bounds.full_report(d).row("f_method")
+    case, value = _reference_f_method(d)
+    assert row.status == ("inapplicable" if value is None else "computed")
+    if value is not None:
+        assert row.value == pytest.approx(value, rel=1e-12)
+
+
+def test_f_method_row_reads_no_cumulative_mass(monkeypatch):
+    d = ks.DiffGaussians(32.0, 1.0, 2.0)
+    centred = bounds._tc2_search(d)[2]
+    calls = []
+
+    def counting(name):
+        method = getattr(ks.InitialDatum, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return counted
+
+    for name in ("radial_mass", "generalized_inverse"):
+        monkeypatch.setattr(ks.InitialDatum, name, counting(name))
+    assert bounds._f_method_bound(d, centred) == centred[2]
+    assert calls == []
 
 
 _NEAR_CRITICAL_FAMILIES = {
@@ -1105,17 +1191,29 @@ def test_f_method_near_critical_is_a_row(family, e):
         assert row.value >= tc2 * (1.0 - 1e-6)
 
 
-@pytest.mark.parametrize("d, inverse_calls, f_calls, capped, differenced", [
-    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 5014, (122, 93009), 18030),
-    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 5033,
-     (122, 92964), 17876),
+@pytest.mark.parametrize("family", ["gaussian", "polygaussian"])
+@pytest.mark.parametrize("e", [5.0, 8.0, 9.5])
+def test_f_method_computed_near_critical(family, e):
+    # the row reads F(0+) inside the theta scan's window, so it no longer
+    # compares ln(1/a) with F at an absolute offset of 1e-6 from t = 1
+    d = _NEAR_CRITICAL_FAMILIES[family](EIGHT_PI * (1.0 + 10.0 ** -e))
+    report = bounds.full_report(d)
+    row = report.row("f_method")
+    assert row.status == "computed"
+    assert row.value == bounds.tc2_forms(d)[1]
+    assert row.value >= report.computed("tc2")
+
+
+@pytest.mark.parametrize("d, inverse_calls, capped, report_calls", [
+    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 122, 7801),
+    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 122, 7668),
 ])
 def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
-                                        f_calls, capped, differenced):
-    # a bisection stops once its midpoint equals an end; ``capped`` holds
-    # the radial_mass counts of the fixed 120- and 200-step loops it
-    # replaced, which returned the same floats, and ``differenced`` the
-    # F-method's count when it took h' by central differences
+                                        capped, report_calls):
+    # a bisection stops once its midpoint equals an end; ``capped`` is the
+    # radial_mass count of the fixed 120-step loop it replaced, which
+    # returned the same float.  ``report_calls`` counts a whole report,
+    # whose f_method row reads tc2's centred scan and adds no call
     radial_mass = ks.InitialDatum.radial_mass
     calls = []
 
@@ -1125,10 +1223,10 @@ def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
 
     monkeypatch.setattr(ks.InitialDatum, "radial_mass", counted)
     d.generalized_inverse(None, 0.9)
-    assert len(calls) == inverse_calls < capped[0]
+    assert len(calls) == inverse_calls < capped
     calls.clear()
-    bounds.f_method_bound(d)
-    assert len(calls) == f_calls < differenced < capped[1]
+    bounds.full_report(d)
+    assert len(calls) == report_calls
 
 
 # ---------------------------------------------------------------------------
