@@ -750,7 +750,9 @@ class Annulus(InitialDatum):
     def _central_heat_mass(self, s):
         lo = self.r_inner ** 2 / (4.0 * s)
         hi = self.r_outer ** 2 / (4.0 * s)
-        return 4.0 * math.pi * self.height * s * (math.exp(-lo) - math.exp(-hi))
+        # e^-lo - e^-hi cancels as s grows; expm1 keeps the digits
+        return -4.0 * math.pi * self.height * s * math.exp(-lo) \
+            * math.expm1(lo - hi)
 
     def _scale_radius(self):
         return self.r_outer

@@ -82,7 +82,9 @@ def oracle_annulus(height, r_inner, r_outer):
     threshold = _mass_ratio(mass) * mass
 
     def decay(s):
-        return (math.exp(-r_inner ** 2 * s) - math.exp(-r_outer ** 2 * s)) / s
+        # (e^-R1^2 s - e^-R2^2 s) / s, factored on the outer radius
+        return math.exp(-r_outer ** 2 * s) \
+            * math.expm1((r_outer ** 2 - r_inner ** 2) * s) / s
 
     s_star = _bisect_decreasing(decay, threshold / (height * math.pi),
                                 0.0, 1.0)

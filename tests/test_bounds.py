@@ -169,6 +169,28 @@ def test_tc_disk_near_critical_never_below_exact(e, radius):
     assert tc <= exact * (1 + _near_critical_tolerance(mass))
 
 
+def _exact_annulus_tc(height, r_inner, r_outer, guess):
+    """Root of H(s) = pi h (exp(-R1^2 x) - exp(-R2^2 x)) / x = L(M), x =
+    1 / 4s, at 40 digits, for the annulus' exact mass h pi (R2^2 - R1^2)."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(height)
+        lo, hi = mpmath.mpf(r_inner) ** 2, mpmath.mpf(r_outer) ** 2
+        threshold = _exact_threshold(h * mpmath.pi * (hi - lo))
+        x = mpmath.findroot(
+            lambda x: mpmath.pi * h * (mpmath.exp(-lo * x)
+                                       - mpmath.exp(-hi * x)) / x - threshold,
+            1 / (4 * mpmath.mpf(guess)))
+        return 1 / (4 * x)
+
+
+@pytest.mark.parametrize("e", [4.0, 6.0, 8.0])
+def test_tc_annulus_near_critical_never_below_exact(e):
+    # the center wins; e^-lo - e^-hi cancels as s grows, expm1 does not
+    height = EIGHT_PI * (1.0 + 10.0 ** -e) / (3.0 * math.pi)
+    tc = bounds.tc_bound(ks.Annulus(height, 1.0, 2.0))
+    assert tc >= _exact_annulus_tc(height, 1.0, 2.0, tc)
+
+
 def test_tc_gaussian_16pi_not_below_four():
     assert bounds.tc_bound(ks.Gaussian(16.0 * math.pi, 1.0)) >= 4.0
 
