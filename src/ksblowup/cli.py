@@ -46,16 +46,22 @@ def format_value(v):
     return format(float(v), ".12g")
 
 
-def _require(spec, name, caster=float):
+def _require(spec, name, caster=float, where=""):
+    """spec[name] through ``caster``; an error names the field ``where``
+    + ``name``."""
     if name not in spec:
-        raise DatumSpecError(f"missing required field '{name}'", field=name)
+        raise DatumSpecError(f"missing required field '{name}'",
+                             field=where + name)
     try:
         return caster(spec[name])
     except (TypeError, ValueError) as exc:
-        raise DatumSpecError(f"field '{name}' is invalid: {exc}", field=name)
+        raise DatumSpecError(f"field '{name}' is invalid: {exc}",
+                             field=where + name)
 
 
 def _floats(values):
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
     return tuple(float(v) for v in values)
 
 
@@ -106,26 +112,26 @@ def _grid_from_dict(spec, base_dir):
             values = np.load(full)
         else:
             values = np.loadtxt(full, delimiter=",", ndmin=2)
-    except (OSError, ValueError, EOFError) as exc:
+        values = np.asarray(values, dtype=float)
+    except (OSError, TypeError, ValueError, EOFError) as exc:
         raise DatumSpecError(f"cannot read grid array: {exc}",
                              field="grid.path")
-    rows = _require(ref, "rows", int)
-    cols = _require(ref, "cols", int)
+    rows = _require(ref, "rows", int, "grid.")
+    cols = _require(ref, "cols", int, "grid.")
     if values.shape != (rows, cols):
         raise DatumSpecError(
             f"grid array shape {values.shape} != declared ({rows}, {cols})",
             field="grid.rows")
-    cell = _require(ref, "cell_size")
-    origin = ref.get("origin", (0.0, 0.0))
+    cell = _require(ref, "cell_size", float, "grid.")
+    origin = _require(ref, "origin", _floats, "grid.") if "origin" in ref \
+        else (0.0, 0.0)
     try:
-        return dt.CartesianGrid(values, cell, _floats(origin))
+        return dt.CartesianGrid(values, cell, origin)
     except InvalidFieldError as exc:
         # the cells come from the file that 'grid.path' names
         name = "path" if exc.field == "values" else exc.field
         raise DatumSpecError(f"invalid grid parameters: {exc}",
                              field=f"grid.{name}")
-    except (TypeError, ValueError) as exc:
-        raise DatumSpecError(f"invalid grid parameters: {exc}")
 
 
 def load_datum(path):

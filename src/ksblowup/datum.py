@@ -984,11 +984,11 @@ class CartesianGrid(InitialDatum):
         object.__setattr__(self, "origin", _as_center(self.origin, "origin"))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
-            raise ValueError("grid values must be a 2D array")
+            raise InvalidFieldError("values", "must be a 2D array")
         if self.cell_size <= 0.0:
-            raise ValueError("cell size must be positive")
+            raise InvalidFieldError("cell_size", "must be positive")
         if np.any(vals < 0.0):
-            raise ValueError("grid values must be non-negative")
+            raise InvalidFieldError("values", "must be non-negative")
         if not np.any(vals > 0.0):
             raise ZeroDatumError("grid is identically zero")
         vals = vals.copy()

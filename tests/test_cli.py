@@ -328,6 +328,29 @@ def test_point_of_the_wrong_length_names_its_field(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells, grid, message", [
+    ([[1.0, -1.0], [1.0, 1.0]], {},
+     "values must be non-negative [field: grid.path]"),
+    ([[1.0, 1.0], [1.0, 1.0]], {"cell_size": 0.0},
+     "cell_size must be positive [field: grid.cell_size]"),
+    ([[1.0, 1.0], [1.0, 1.0]], {"cell_size": -1.0},
+     "cell_size must be positive [field: grid.cell_size]"),
+    ([[1.0, 1.0], [1.0, 1.0]], {"origin": 5}, "[field: grid.origin]"),
+    ([[1.0, 1.0], [1.0, 1.0]], {"origin": "ab"}, "[field: grid.origin]"),
+    ([[1.0, 1.0], [1.0, 1.0]], {"origin": [0.0, "x"]},
+     "[field: grid.origin]"),
+    ([[0.0, 0.0], [0.0, 0.0]], {}, "grid is identically zero"),
+], ids=["negative_cell", "zero_cell_size", "negative_cell_size",
+        "origin_number", "origin_string", "origin_not_numbers", "zero_grid"])
+def test_bad_grid_spec_names_its_field(tmp_path, capsys, cells, grid,
+                                       message):
+    np.savetxt(tmp_path / "g.csv", np.array(cells), delimiter=",")
+    spec = write_spec(tmp_path, "grid.json", {"family": "grid", "grid": {
+        "path": "g.csv", "rows": 2, "cols": 2, "cell_size": 1.0, **grid}})
+    assert cli.main(["bound", spec]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(message)
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"family": "disk",', "spec file is not valid JSON"),
     (None, "cannot read spec file"),
