@@ -6,7 +6,9 @@ critical-time bound ``tc`` (an upper bound on the blow-up time), and a
 ladder of coarser but more explicit estimators ``tc1`` .. ``tc4``, the
 F-function method, the virial bound, and Lp lower bounds on ``tc``.
 ``full_report`` evaluates every applicable estimator and checks the
-ordering lower <= tc <= upper.
+ordering lower <= tc <= upper.  The F-method row is the centred theta
+form of ``tc2``, classified on the theta scan ``tc2`` already holds at
+the symmetry center, so it evaluates no cumulative mass of its own.
 
 ``tc`` and ``tc2`` are infima over the center z, and ``tc1`` reads a
 supremum over it.  Non-increasing radial data take the symmetry center.
@@ -610,23 +612,19 @@ def _rho_form_from(mass_at, consts, lo, hi):
 def tc2_forms(density, z=None):
     """(rho_form, theta_form) of the radial-mass bound at a fixed center."""
     scan = _ThetaScan(mass_constants(density.mass()))
-    return _forms_about(scan, density,
-                        density.center if z is None else z)[:2]
+    return _forms_about(scan, density, density.center if z is None else z)[:2]
 
 
 def _forms_about(scan, density, z):
     """`tc2_forms` at z, with the search's theta scan, and the list of
     the scan's radii there."""
-
-    def inverse(m):
-        return density.generalized_inverse(z, m)
-
     hi = density.support_radius_from(z) if density.has_compact_support \
-        else inverse(1.0 - 1e-13)
+        else density.generalized_inverse(z, 1.0 - 1e-13)
     rho = _rho_form_from(lambda r: density.radial_mass(z, r), scan.consts,
-                         inverse(scan.consts.ratio), hi)
-    radii = inverse(scan.fractions).tolist()
-    return rho, scan.form(inverse, radii), radii
+                         density.generalized_inverse(z, scan.consts.ratio), hi)
+    radii = density.generalized_inverse(z, scan.fractions).tolist()
+    return rho, scan.form(lambda m: density.generalized_inverse(z, m),
+                          radii), radii
 
 
 def _snapshot(density, z, n=1024):
@@ -732,15 +730,14 @@ def tc4_bound(density, beta=2.0):
 # ---------------------------------------------------------------------------
 
 def _f_method_bound(density, centred):
-    """The F-method bound from `_tc2_search`'s ``centred`` scan, None
-    when that search failed.
+    """The F-method bound from ``centred``, the scan of `_tc2_search` at
+    the symmetry center, or None when that search failed.
 
-    F(x) = x + e^x pi R^2 profile(R) / M, with R = R(e^-x) the generalized
-    inverse, is read at the scan's points x = theta ln(1/a) from the radii
-    the scan holds.  F(x0) = ln(1/a) is the first-order condition of
-    R(a^theta)^2 / (1 - theta) at x0 = theta ln(1/a), so the interior case
-    is the centred theta form.  The plateau case, theta = 0, reads R(1)^2,
-    the squared support radius, so it needs compact support.
+    F(x) = x + e^x pi R^2 profile(R) / M, R = R(e^-x) the generalized
+    inverse, is read at the scan's points x = theta ln(1/a).  F(x0) =
+    ln(1/a) is the first-order condition of R(a^theta)^2 / (1 - theta),
+    so the interior case is the centred theta form.  The plateau case,
+    theta = 0, reads R(1)^2, the squared support radius.
     """
     if not density.is_radial:
         raise NotRadialError("the F-method requires radial data")
@@ -757,9 +754,8 @@ def _f_method_bound(density, centred):
     ratios = math.pi * r * r * density.profile(r) / consts.mass
     fs = xs + np.exp(xs) * ratios
     diffs = np.diff(fs)
-    scale = max(abs(fs).max(), 1.0)
-    if density.has_compact_support and np.all(diffs >= -1e-9 * scale) \
-            and ratios[0] >= y0:
+    if density.has_compact_support and ratios[0] >= y0 \
+            and np.all(diffs >= -1e-9 * max(abs(fs).max(), 1.0)):
         return density.support_radius_from(density.center) ** 2 / (4.0 * y0)
     if np.all(diffs > 0.0) and ratios[0] < y0 and ratios[-1] > 0.0:
         if not fs[0] < y0 < fs[-1]:

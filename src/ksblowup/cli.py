@@ -47,16 +47,13 @@ def format_value(v):
 
 
 def _require(spec, name, caster=float, where=""):
-    """spec[name] through ``caster``; an error names the field ``where``
-    + ``name``."""
+    field = where + name  # a grid's entries read "grid.<name>"
     if name not in spec:
-        raise DatumSpecError(f"missing required field '{name}'",
-                             field=where + name)
+        raise DatumSpecError(f"missing required field '{name}'", field=field)
     try:
         return caster(spec[name])
     except (TypeError, ValueError) as exc:
-        raise DatumSpecError(f"field '{name}' is invalid: {exc}",
-                             field=where + name)
+        raise DatumSpecError(f"field '{name}' is invalid: {exc}", field=field)
 
 
 def _floats(values):
