@@ -40,9 +40,11 @@ convolution computes its radial kernels in place, a scan's in one batch.
 One ``tc2`` search computes its 96 theta-scan fractions once.  Each
 radial probe sweeps the rings about its center once and reads the scan
 from that profile in one call.  Each grid probe bins the cells by
-distance, as ``tc1`` does, and sorts only the cells of the bins its
-reads fall in; every cell is sorted once per search, at the winner,
-whose exact form decides the result.
+squared distance, bounds every scan radius from that histogram, reads
+exactly only the scan points whose bounds may hold the scan's minimum,
+and sorts one block of cells, the bins of their golden brackets; every
+cell is sorted once per search, at the winner, whose exact form decides
+the result.
 """
 
 import dataclasses
@@ -371,16 +373,25 @@ class _RingConvolution:
             kernel[...] = np.exp(-c * rs_sq ** p)[:, None]
             return [float(((kernel @ self._wphi) * weighted).sum())] * len(ds)
         # exp(-c max(rs^2 + delta^2 - 2 rs delta cos phi, 0)^p), each
-        # operation as the expression rounds it, delta^2 a scalar power
-        kernel = self._work[:len(ds) * rs.size].reshape(len(ds), rs.size, -1)
-        np.multiply.outer(np.multiply.outer(ds, two_rs), self._cos_phi, out=kernel)
-        d_sq = [float(d) ** 2 for d in ds]
-        np.subtract(np.add.outer(d_sq, rs_sq)[..., None], kernel, out=kernel)
+        # operation as the expression rounds it, delta^2 a scalar power;
+        # one offset fills a (nodes, angles) buffer from a scalar delta
+        if len(ds) == 1:
+            d = float(ds[0])
+            kernel = self._work[:rs.size]
+            np.multiply.outer(d * two_rs, self._cos_phi, out=kernel)
+            np.subtract((d ** 2 + rs_sq)[:, None], kernel, out=kernel)
+        else:
+            kernel = self._work[:len(ds) * rs.size].reshape(len(ds), rs.size, -1)
+            np.multiply.outer(np.multiply.outer(ds, two_rs), self._cos_phi,
+                              out=kernel)
+            d_sq = [float(d) ** 2 for d in ds]
+            np.subtract(np.add.outer(d_sq, rs_sq)[..., None], kernel, out=kernel)
         np.maximum(kernel, 0.0, out=kernel)
         kernel **= p
         kernel *= -c
         np.exp(kernel, out=kernel)
-        return ((kernel @ self._wphi) * weighted).sum(axis=-1).tolist()
+        sums = ((kernel @ self._wphi) * weighted).sum(axis=-1)
+        return sums.reshape(-1).tolist()  # one offset's sum is 0-d
 
 
 class _PeakConvolution:
@@ -588,6 +599,25 @@ class _ThetaScan:
             r ** 2 / q for r, q in zip(radii, self._one_minus)])
         return val / (4.0 * self.consts.log_inv_ratio)
 
+    def binned_form(self, profile):
+        """`form` over a grid's binned profile, reading exactly only the
+        scan points whose lower bound (`radius_bounds`) is at most the
+        least upper bound, within 1e-9 for the bounds' rounding.  Every
+        other point takes its lower bound, above the scan's minimum, so the
+        minimum, its point and its golden bracket are unchanged.  One block
+        holds the golden bracket of every point read, and serves the reads
+        and the golden stage."""
+        low, high = profile.radius_bounds(self.fractions)
+        one_minus = 1.0 - self.grid
+        keep = np.flatnonzero(low ** 2 / one_minus * (1.0 - 1e-9)
+                              <= (high ** 2 / one_minus).min())
+        profile.gather(self.fractions[min(keep[-1] + 1, self.grid.size - 1)],
+                       self.fractions[max(keep[0] - 1, 0)])
+        radii = low.tolist()
+        for i in keep.tolist():
+            radii[i] = profile.inverse(self.fractions[i])
+        return self.form(profile.inverse, radii)
+
 
 def _rho_form_from(mass_at, consts, lo, hi):
     """inf_rho rho^2 / (4 ln+( mass_in_disk / L )) given a mass evaluator."""
@@ -645,9 +675,11 @@ def _tc2_search(density):
     there, which the F-method reads.
 
     Radial data steer on 512-point ring profiles.  Grids steer on binned
-    profiles, whose sums are good to their rounding, and sort every cell
-    once, at the winner: the exact theta form there decides, as it
-    would had every probe been exact.
+    profiles, whose sums are good to their rounding, each probe reading
+    exactly only the scan points that may hold its minimum
+    (`_ThetaScan.binned_form`), and sort every cell once, at the winner:
+    the exact theta form there decides, as it would had every probe been
+    exact.
     """
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
@@ -666,7 +698,7 @@ def _tc2_search(density):
         z_best = _ring_point(density, delta)
     else:
         z_best, _, _ = minimize_over_plane(
-            lambda z: scan.form(density.binned_profile(z).inverse),
+            lambda z: scan.binned_form(density.binned_profile(z)),
             _search_seeds(density), max_iter=_NM_MAX_ITER // 2)
 
     if math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \

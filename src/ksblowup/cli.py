@@ -92,8 +92,6 @@ def datum_from_dict(spec, base_dir="."):
         name = dt.SPEC_ALIASES.get(exc.field, exc.field)
         raise DatumSpecError(
             f"invalid {family} parameters: {name} {exc.problem}", field=name)
-    except (TypeError, ValueError) as exc:
-        raise DatumSpecError(f"invalid {family} parameters: {exc}")
 
 
 def _grid_from_dict(spec, base_dir):
@@ -277,7 +275,12 @@ def _with_param(density, param, value):
         raise DatumSpecError(
             f"parameter '{param}' does not apply to family "
             f"'{density.family}'", field="param")
-    return dataclasses.replace(density, **{kwarg: value})
+    try:
+        return dataclasses.replace(density, **{kwarg: value})
+    except InvalidFieldError as exc:
+        name = dt.SPEC_ALIASES.get(exc.field, exc.field)
+        raise DatumSpecError(f"sweep value {param}={value!r}: {name} "
+                             f"{exc.problem}", field="param") from None
 
 
 def cmd_sweep(args):

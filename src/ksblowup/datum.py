@@ -55,7 +55,7 @@ _WEIGHT_REACH = 10.0
 #: dataclass fields named otherwise in labels and spec files
 SPEC_ALIASES = {"total_mass": "mass"}
 
-#: distance bins of a grid's binned cumulative-mass profile
+#: squared-distance bins of a grid's binned cumulative-mass profile
 _PROFILE_BINS = 4096
 
 
@@ -99,8 +99,14 @@ class InitialDatum:
         self._validate()
 
     def _validate(self):
-        """Refuse parameters outside the family's domain and store what
-        the family derives from them."""
+        """Refuse parameters outside the family's domain, naming the field
+        (`InvalidFieldError`), and store what the family derives from
+        them."""
+
+    def _positive(self, *names):
+        for name in names:
+            if not getattr(self, name) > 0.0:
+                raise InvalidFieldError(name, "must be positive")
 
     def label(self):
         """family(field=value, ...) over every field but the center."""
@@ -482,28 +488,25 @@ class _GridSnapshot:
 
 class _BinnedGridProfile:
     """The inverse of `_GridSnapshot` about a point, read from one
-    distance histogram and exactly sorted blocks of cells.
+    histogram of squared distances and one exactly sorted block of cells.
 
-    The cells are binned by their squared distances once
-    (`CartesianGrid.distance_histogram`).  A read finds the bins whose
-    prefix sums reach its target within ``eta``, relative, and sorts
-    only their cells, as the snapshot sorts them; each cumulative mass
-    starts from the histogram prefix of the bins before the target's
-    first bin.  ``eta`` bounds, in units of u = 2^-53, the error of that
-    sum and of the snapshot's, for non-negative terms (Higham 2002,
-    section 4): the histogram n + bins, the block's sum and its start
-    2 n, the snapshot n, and the few operations on the target.  So the
-    crossing of a target always lies inside its block, and a radius
-    differs from the snapshot's only where the target lies within
-    ``eta`` of a step of the cumulative mass.
+    Cell k goes to bin min(floor(d2_k B / c^2), B - 1), for its key d2_k
+    (`CartesianGrid.squared_distances`), B = _PROFILE_BINS and c the
+    corner distance: a monotone map of the key, so bins never split the
+    snapshot's order.  The bins a target may cross in are those whose
+    prefix sums reach it within ``eta``, relative.  ``eta`` bounds, in
+    units of u = 2^-53, the error of those sums and of the snapshot's,
+    for non-negative terms (Higham 2002, section 4): the histogram n +
+    bins, a block's sum and its start 2 n, the snapshot n, and the few
+    operations on the target.  So the crossing of a target always lies
+    in those bins, `radius_bounds` brackets its radius from them alone,
+    and a read differs from the snapshot's only where the target lies
+    within ``eta`` of a step of the cumulative mass.
 
-    The bins and the sorts read one key, and a cell's bin never falls as
-    its key grows, so bins never split the snapshot's order.
-
-    An array of fractions (the theta scan) is read from one block.  The
-    first scalar read gathers one more, from the second scan fraction
-    below it to the second above, which holds the golden stage's
-    bracket; a later read outside that block gathers again.
+    `gather` sorts, as the snapshot sorts them, the cells of the bins of
+    a range of fractions, and sums them once from the histogram prefix
+    of the bins before; every read inside that block takes its radius
+    from that sum, and a read outside it gathers again.
     """
 
     def __init__(self, density, z):
@@ -511,9 +514,12 @@ class _BinnedGridProfile:
         self._d2 = density.squared_distances(z)
         self._h2 = density.cell_size ** 2
         self._mass = density.mass()
-        self._bin, hist = density.distance_histogram(
-            self._d2, density.corner_distance(z) / _PROFILE_BINS,
-            _PROFILE_BINS)
+        corner_sq = density.corner_distance(z) ** 2
+        self._wsq = corner_sq / _PROFILE_BINS  # a bin's width in d2
+        self._bin = (self._d2 * (_PROFILE_BINS / corner_sq)).astype(np.intp)
+        np.minimum(self._bin, _PROFILE_BINS - 1, out=self._bin)
+        hist = np.bincount(self._bin, weights=self._w,
+                           minlength=_PROFILE_BINS)
         # the weight of the bins before each bin, and the mass up to the
         # end of each
         prefix = np.cumsum(hist)
@@ -521,56 +527,34 @@ class _BinnedGridProfile:
         self._reach = prefix * self._h2
         self._last = int(np.flatnonzero(hist)[-1])
         self.eta = 4.0 * (self._w.size + _PROFILE_BINS + 1) * 2.0 ** -53
-        self._scan = None   # the scan's targets, ascending
-        self._covers = (math.inf, -math.inf)  # targets of the scalar block
-        self.block = None   # (cells, distances) of the last block gathered
+        self._covers = (math.inf, -math.inf)  # targets of the block
+        self.block = None   # (cells, distances) of the block
 
-    def _gather(self, low, high):
-        """(first bins, last bins, cells, distances) of the block of the
-        bins that may hold the targets from each of ``low`` to its
-        ``high``, the cells sorted as the snapshot sorts them."""
-        lo = np.minimum(self._reach.searchsorted(low * (1.0 - self.eta)),
-                        self._last)
-        hi = np.minimum(self._reach.searchsorted(high * (1.0 + self.eta)),
-                        self._last)
-        in_block = np.zeros(_PROFILE_BINS, dtype=bool)
-        in_block[lo] = in_block[hi] = True
-        for i in np.flatnonzero(hi - lo > 1):  # wide windows are rare
-            in_block[lo[i]:hi[i]] = True
-        cells = np.flatnonzero(in_block[self._bin])
+    def _bins(self, m):
+        """(first, last) bins that may hold the crossing of each mass
+        fraction of ``m``."""
+        target = m * self._mass * (1.0 - 1e-14)
+        return (np.minimum(self._reach.searchsorted(target * (1.0 - self.eta)),
+                           self._last),
+                np.minimum(self._reach.searchsorted(target * (1.0 + self.eta)),
+                           self._last))
+
+    def radius_bounds(self, m):
+        """(lower, upper) bounds on the radius at each mass fraction of
+        ``m``: the edges of its bins, one bin further out on each side for
+        the rounding of the bin of a key."""
+        lo, hi = self._bins(m)
+        return (np.sqrt(np.maximum(lo - 1, 0) * self._wsq),
+                np.sqrt((hi + 2) * self._wsq))
+
+    def gather(self, low, high):
+        """Sort the block of the bins that may hold the crossings of the
+        mass fractions from ``low`` to ``high``."""
+        lo, hi = int(self._bins(low)[0]), int(self._bins(high)[1])
+        cells = np.flatnonzero((self._bin >= lo) & (self._bin <= hi))
         order, d2 = _sort_stable(self._d2[cells])
         cells, d = cells[order], np.sqrt(d2)
         self.block = cells, d
-        return lo, hi, cells, d
-
-    def inverse(self, m):
-        """Distance of the cell that completes the mass fraction m, to
-        the sums' rounding; elementwise, with an array result, for an
-        array m."""
-        target = m * self._mass * (1.0 - 1e-14)
-        if isinstance(m, np.ndarray):
-            self._scan, self._covers = np.sort(target), (math.inf, -math.inf)
-            lo, _, cells, d = self._gather(target, target)
-            csum = np.concatenate([[0.0], np.cumsum(self._w[cells])])
-            # a target's sum starts from the histogram prefix of its
-            # first bin, at that bin's first cell in the block
-            start = self._bin[cells].searchsorted(lo)
-            return d.take(csum[1:].searchsorted(
-                target / self._h2 - self._before[lo] + csum[start]),
-                mode="clip")
-        if not self._covers[0] < target <= self._covers[1]:
-            self._gather_scalar(target)
-        return float(self._radius[self._cum.searchsorted(target)])
-
-    def _gather_scalar(self, target):
-        """The block of the scalar reads about ``target``."""
-        low = high = target
-        scan = self._scan if self._scan is not None else np.empty(0)
-        j = int(scan.searchsorted(target))
-        if 0 < j < scan.size:
-            low, high = scan[max(j - 2, 0)], scan[min(j + 1, scan.size - 1)]
-        (lo,), (hi,), cells, d = self._gather(np.array([low]),
-                                              np.array([high]))
         self._cum = np.cumsum(np.concatenate(
             [[self._before[lo]], self._w[cells]]))[1:] * self._h2
         # a read past the block's last cell takes it, as the snapshot's
@@ -581,6 +565,14 @@ class _BinnedGridProfile:
             self._reach[lo - 1] / (1.0 - self.eta) if lo else -math.inf,
             self._reach[hi] / (1.0 + self.eta) if hi < self._last
             else math.inf)
+
+    def inverse(self, m):
+        """Distance of the cell that completes the mass fraction m, to
+        the sums' rounding."""
+        target = m * self._mass * (1.0 - 1e-14)
+        if not self._covers[0] < target <= self._covers[1]:
+            self.gather(m, m)
+        return float(self._radius[self._cum.searchsorted(target)])
 
 
 @dataclass(frozen=True)
@@ -594,10 +586,7 @@ class Gaussian(InitialDatum):
     is_nonincreasing_radial = True
 
     def _validate(self):
-        if self.total_mass <= 0.0:
-            raise ZeroDatumError("mass must be positive")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        self._positive("total_mass", "sigma")
 
     def mass(self):
         return self.total_mass
@@ -649,8 +638,7 @@ class DiskIndicator(InitialDatum):
     is_nonincreasing_radial = True
 
     def _validate(self):
-        if self.height <= 0.0 or self.radius <= 0.0:
-            raise ValueError("height and radius must be positive")
+        self._positive("height", "radius")
 
     def mass(self):
         return self.height * math.pi * self.radius ** 2
@@ -711,10 +699,9 @@ class Annulus(InitialDatum):
     has_compact_support = True
 
     def _validate(self):
-        if self.height <= 0.0 or self.r_inner <= 0.0:
-            raise ValueError("height and radii must be positive")
+        self._positive("height", "r_inner")
         if not self.r_inner < self.r_outer:
-            raise ValueError("annulus requires r_inner < r_outer")
+            raise InvalidFieldError("r_inner", "must be below r_outer")
 
     def mass(self):
         return self.height * math.pi * (self.r_outer ** 2 - self.r_inner ** 2)
@@ -772,10 +759,9 @@ class PolyGaussian(InitialDatum):
     family = "polygaussian"
 
     def _validate(self):
-        if self.height <= 0.0 or self.rate <= 0.0:
-            raise ValueError("height and rate must be positive")
+        self._positive("height", "rate")
         if self.power < 0 or self.power != int(self.power):
-            raise ValueError("power must be a non-negative integer")
+            raise InvalidFieldError("power", "must be a non-negative integer")
         object.__setattr__(self, "power", int(self.power))
 
     @property
@@ -839,10 +825,9 @@ class DiffGaussians(InitialDatum):
     family = "diffgaussians"
 
     def _validate(self):
-        if self.height <= 0.0 or self.rate_slow <= 0.0:
-            raise ValueError("height and rates must be positive")
+        self._positive("height", "rate_slow")
         if not self.rate_slow < self.rate_fast:
-            raise ValueError("family requires rate_slow < rate_fast")
+            raise InvalidFieldError("rate_slow", "must be below rate_fast")
 
     def mass(self):
         return math.pi * self.height / (self.rate_slow * self.rate_fast)
@@ -900,13 +885,14 @@ class RadialProfile(InitialDatum):
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
         if len(radii) != len(values) or len(radii) < 2:
-            raise ValueError("need matching radii/values with >= 2 knots")
+            raise InvalidFieldError(
+                "values", "must match radii, with at least 2 knots")
         if radii[0] != 0.0:
-            raise ValueError("first knot must sit at radius 0")
+            raise InvalidFieldError("radii", "must start at 0")
         if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("knot radii must increase strictly")
+            raise InvalidFieldError("radii", "must increase strictly")
         if any(v < 0.0 for v in values):
-            raise ValueError("profile values must be non-negative")
+            raise InvalidFieldError("values", "must be non-negative")
         if all(v == 0.0 for v in values):
             raise ZeroDatumError("profile is identically zero")
         # exact integral of 2*pi*r*profile(r) at every knot
@@ -1086,7 +1072,8 @@ class CartesianGrid(InitialDatum):
         A cell goes to the bin whose lower edge is at most its distance,
         checked in squares after the division, so bins never decrease
         with the squared distance; the last bin also takes the cells
-        past it.  tc1's peak bounds and the binned profile bin this way.
+        past it.  tc1's peak bounds, which read the exact lower edges of
+        bins uniform in the distance, bin this way.
         """
         buf = np.sqrt(dist_sq)
         buf /= width

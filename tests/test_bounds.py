@@ -833,7 +833,7 @@ def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
 
 def test_grid_tc2_steering_snapshot_count(monkeypatch):
     # one binned profile per Nelder-Mead probe, which gathers one block
-    # for its theta scan and one for the golden stage, and one sort of
+    # for its theta scan's reads and the golden stage, and one sort of
     # every cell per search, at the winner
     from ksblowup import datum
 
@@ -841,7 +841,7 @@ def test_grid_tc2_steering_snapshot_count(monkeypatch):
     n_cells = grid.cell_coordinates()[0].size
     builds, gathers, full_sorts = [], [], []
     original = datum._BinnedGridProfile.__init__
-    gather = datum._BinnedGridProfile._gather
+    gather = datum._BinnedGridProfile.gather
     sort_stable = datum._sort_stable
 
     def counted(self, *args):
@@ -849,9 +849,8 @@ def test_grid_tc2_steering_snapshot_count(monkeypatch):
         original(self, *args)
 
     def counted_gather(self, *args):
-        block = gather(self, *args)
-        gathers.append(block[2].size)
-        return block
+        gather(self, *args)
+        gathers.append(self.block[0].size)
 
     def counted_sort(d):
         if d.size == n_cells:
@@ -859,13 +858,48 @@ def test_grid_tc2_steering_snapshot_count(monkeypatch):
         return sort_stable(d)
 
     monkeypatch.setattr(datum._BinnedGridProfile, "__init__", counted)
-    monkeypatch.setattr(datum._BinnedGridProfile, "_gather", counted_gather)
+    monkeypatch.setattr(datum._BinnedGridProfile, "gather", counted_gather)
     monkeypatch.setattr(datum, "_sort_stable", counted_sort)
     bounds._tc2_search(grid)
     assert len(builds) == 155
-    assert len(gathers) == 2 * len(builds)
+    assert len(gathers) == len(builds)
     assert max(gathers) < n_cells / 4
     assert len(full_sorts) <= 1
+
+
+def test_grid_tc2_exact_scan_reads_per_probe(monkeypatch):
+    # a probe reads exactly only the theta-scan points whose bounds may
+    # hold the scan's minimum: the reads after its radius bounds and
+    # before its golden stage
+    from ksblowup import datum
+
+    grid = disk_grid(64, shift=(0.2, 0.1))
+    probes, reads, scanning = [], [], [False]
+    radius_bounds = datum._BinnedGridProfile.radius_bounds
+    inverse = datum._BinnedGridProfile.inverse
+    about_scan = bounds.golden_about_scan
+
+    def counted_bounds(self, m):
+        probes.append(1)
+        scanning[0] = True
+        return radius_bounds(self, m)
+
+    def counted_inverse(self, m):
+        if scanning[0]:
+            reads.append(1)
+        return inverse(self, m)
+
+    def golden_stage(*args):
+        scanning[0] = False
+        return about_scan(*args)
+
+    monkeypatch.setattr(datum._BinnedGridProfile, "radius_bounds",
+                        counted_bounds)
+    monkeypatch.setattr(datum._BinnedGridProfile, "inverse", counted_inverse)
+    monkeypatch.setattr(bounds, "golden_about_scan", golden_stage)
+    bounds._tc2_search(grid)
+    assert len(probes) == 155
+    assert len(reads) == 175
 
 
 def _reference_grid_tc2_search(density):

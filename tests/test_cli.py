@@ -351,6 +351,46 @@ def test_bad_grid_spec_names_its_field(tmp_path, capsys, cells, grid,
     assert capsys.readouterr().err.rstrip().endswith(message)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "disk", "height": -1.0, "radius": 1.0},
+     "height must be positive [field: height]"),
+    ({"family": "disk", "height": 1.0, "radius": 0.0},
+     "radius must be positive [field: radius]"),
+    ({"family": "gaussian", "mass": 0.0, "sigma": 1.0},
+     "mass must be positive [field: mass]"),
+    ({"family": "annulus", "height": 1.0, "r_inner": 2.0, "r_outer": 2.0},
+     "r_inner must be below r_outer [field: r_inner]"),
+    ({"family": "polygaussian", "height": 1.0, "power": 1.5, "rate": 1.0},
+     "power must be a non-negative integer [field: power]"),
+    ({"family": "diffgaussians", "height": 1.0, "rate_slow": 2.0,
+      "rate_fast": 1.0}, "rate_slow must be below rate_fast [field: rate_slow]"),
+    ({"family": "radial_profile", "radii": [0.5, 1.0], "values": [1.0, 0.0]},
+     "radii must start at 0 [field: radii]"),
+    ({"family": "radial_profile", "radii": [0.0, 1.0], "values": [1.0, -1.0]},
+     "values must be non-negative [field: values]"),
+], ids=["disk_height", "disk_radius", "gaussian_mass", "annulus_radii",
+        "polygaussian_power", "diffgaussians_rates", "profile_first_knot",
+        "profile_values"])
+def test_radial_spec_outside_its_domain_names_its_field(tmp_path, capsys,
+                                                        spec, message):
+    assert cli.main(["bound", write_spec(tmp_path, "spec.json", spec)]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize("spec, param, message", [
+    ({"family": "disk", "height": 16.0, "radius": 1.0}, "sigma",
+     "sigma=-1.0: height must be positive [field: param]"),
+    ({"family": "gaussian", "mass": 60.0, "sigma": 1.0}, "mass",
+     "mass=-1.0: mass must be positive [field: param]"),
+], ids=["disk_height", "gaussian_mass"])
+def test_sweep_value_outside_the_domain_names_the_param(tmp_path, capsys,
+                                                        spec, param, message):
+    path = write_spec(tmp_path, "spec.json", spec)
+    assert cli.main(["sweep", path, "--param", param, "--from", "-1",
+                     "--to", "60", "--steps", "2"]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(message)
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"family": "disk",', "spec file is not valid JSON"),
     (None, "cannot read spec file"),

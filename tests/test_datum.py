@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -707,11 +708,13 @@ def test_grid_snapshot_inverse_on_two_bumps():
 def _check_binned_profile(grid, z, ms):
     """A binned profile's reads against the snapshot's.
 
-    Radii equal the snapshot's, except where the target lies within the
-    profile's sum-error bound ``eta`` of a step of the cumulative mass;
-    every block holds the snapshot's distances of its cells, in its
-    order, and a scalar block's sums lie within ``eta`` of the
-    snapshot's.
+    `radius_bounds` brackets every snapshot radius.  The block gathered
+    for the range of ``ms``, and each block a read outside it gathers,
+    holds a run of the snapshot's cells, in its order, at its distances,
+    and its sums lie within ``eta`` of the snapshot's.  Radii read from
+    the block, and from a fresh profile one read at a time, equal the
+    snapshot's, except where the target lies within the profile's
+    sum-error bound ``eta`` of a step of the cumulative mass.
     """
     d, cum = _stable_snapshot(grid, z)
     rank = np.empty(d.size, dtype=np.intp)
@@ -726,23 +729,22 @@ def _check_binned_profile(grid, z, ms):
         return any(abs(cum[j] - t) <= prof.eta * t
                    for j in (k - 1, k) if 0 <= j < cum.size)
 
-    def check_block(sums):
-        cells, block_d = prof.block
-        assert block_d.tolist() == d[rank[cells]].tolist()
-        if sums:
+    def check_reads(read):
+        for m, t, r0 in zip(ms, targets, want):
+            r = read.inverse(float(m))
+            assert type(r) is float
+            cells, block_d = read.block
+            assert np.all(np.diff(rank[cells]) == 1)
+            assert block_d.tolist() == d[rank[cells]].tolist()
             exact = cum[rank[cells]]
-            assert np.all(np.abs(prof._cum - exact) <= prof.eta * exact)
+            assert np.all(np.abs(read._cum - exact) <= read.eta * exact)
+            assert r == r0 or near_step(t)
 
-    radii = prof.inverse(ms)
-    assert isinstance(radii, np.ndarray)
-    check_block(sums=False)
-    for t, r, r0 in zip(targets, radii, want):
-        assert r == r0 or near_step(t)
-    for m, t, r0 in zip(ms, targets, want):
-        r = prof.inverse(float(m))
-        assert type(r) is float
-        check_block(sums=True)
-        assert r == r0 or near_step(t)
+    low, high = prof.radius_bounds(ms)
+    assert np.all(low <= want) and np.all(want <= high)
+    prof.gather(ms.min(), ms.max())
+    check_reads(prof)
+    check_reads(grid.binned_profile(z))
 
 
 _fractions = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40).map(
@@ -860,6 +862,60 @@ def test_binned_profile_reads_near_critical_scan():
     c = grid.center
     for z in (c, (c[0] + 0.37, c[1] - 0.21)):
         _check_binned_profile(grid, z, scan.fractions)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_grid(name):
+    if name == "two_bump":
+        return two_bump_grid(48)
+    return ks.CartesianGrid(np.array([[5.0]]), 0.1, (0.3, -0.2))
+
+
+@st.composite
+def _probes(draw):
+    """(grid, z): a pool grid, the two-bump grid or the one-cell grid
+    about a point near its barycenter, or a tied lattice about a cell."""
+    name = draw(st.sampled_from(["dense", "sparse", "two_bump", "one_cell",
+                                 "lattice"]))
+    if name == "lattice":
+        return draw(_lattice_grids())
+    grid = _pool(name, draw(st.integers(0, workloads.GRID_POOL - 1))) \
+        if name in ("dense", "sparse") else _fixed_grid(name)
+    c = grid.center
+    return grid, (c[0] + draw(st.floats(-1.5, 1.5)),
+                  c[1] + draw(st.floats(-1.5, 1.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_probes(), gap=st.floats(-9.0, 1.0))
+@example(case=_edge_tie_case(), gap=0.0)
+@example(case=(_pool("sparse", 0), (0.8426077613246891, 3.0839301268956243)),
+         gap=0.0)
+def test_binned_theta_form_equals_the_snapshot_form(case, gap):
+    # the scan of a mass 8 pi (1 + 10^gap), read exactly only where its
+    # bounds may hold its minimum, has the snapshot form's bits: with the
+    # snapshot's reads always, with the binned reads unless one of them
+    # lies within eta of a step (the explicit sparse example has one)
+    grid, z = case
+    scan = bounds._ThetaScan(bounds.mass_constants(EIGHT_PI * (1.0 + 10.0 ** gap)))
+    snap, prof = grid.mass_profile(z), grid.binned_profile(z)
+    want = scan.form(snap.inverse)
+    pruned = types.SimpleNamespace(radius_bounds=prof.radius_bounds,
+                                   gather=lambda low, high: None,
+                                   inverse=snap.inverse)
+    assert scan.binned_form(pruned) == want
+    _, cum = _stable_snapshot(grid, z)
+    near = []
+
+    def inverse(m):
+        t = m * grid.mass() * (1.0 - 1e-14)
+        k = int(np.searchsorted(cum, t))
+        near.extend(j for j in (k - 1, k)
+                    if 0 <= j < cum.size and abs(cum[j] - t) <= prof.eta * t)
+        return prof_inverse(m)
+
+    prof_inverse, prof.inverse = prof.inverse, inverse
+    assert scan.binned_form(prof) == want or near
 
 
 def _reference_radial_inverse(snap, m):
