@@ -293,7 +293,8 @@ class _RingConvolution:
     computed in place, from rs^2 and 2 rs held with the panels, each
     operation rounded as the plain expression rounds it; off-center
     offsets of one truncation radius, as a scan's 16 mostly are, fill one
-    (offsets, nodes, angles) buffer.  At delta = 0 the kernel is one
+    (offsets, nodes, angles) buffer, and a single offset, as a refinement
+    reads it, a (nodes, angles) one.  At delta = 0 the kernel is one
     column, copied into the columns of a (nodes, angles) buffer.  Each
     offset's angular sum is its own matrix product.
     """
@@ -373,8 +374,7 @@ class _RingConvolution:
             kernel[...] = np.exp(-c * rs_sq ** p)[:, None]
             return [float(((kernel @ self._wphi) * weighted).sum())] * len(ds)
         # exp(-c max(rs^2 + delta^2 - 2 rs delta cos phi, 0)^p), each
-        # operation as the expression rounds it, delta^2 a scalar power;
-        # one offset fills a (nodes, angles) buffer from a scalar delta
+        # operation as the expression rounds it, delta^2 a scalar power
         if len(ds) == 1:
             d = float(ds[0])
             kernel = self._work[:rs.size]

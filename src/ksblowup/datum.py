@@ -104,6 +104,7 @@ class InitialDatum:
         them."""
 
     def _positive(self, *names):
+        """Refuse any of the fields ``names`` that is not positive."""
         for name in names:
             if not getattr(self, name) > 0.0:
                 raise InvalidFieldError(name, "must be positive")
