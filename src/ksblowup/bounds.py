@@ -16,8 +16,9 @@ Other radial data depend on z only through the offset delta =
 |z - center|, so all three share one search of delta,
 `searches.maximize_even`: a scan over [0, tail radius] refined by
 bounded Brent about its best point.  ``tc`` runs it inside one root
-find of the largest H over delta.  Grids run multi-start Nelder-Mead
-over the plane (``tc1`` tries the grid's peak candidates).
+find of the largest H over delta, and on grids over the peaks of H that
+mean-shift climbs reach.  Grid ``tc2`` runs multi-start Nelder-Mead over
+the plane (``tc1`` tries the grid's peak candidates).
 
 Each search computes its invariants once.  One ``tc1`` search builds the
 radial panel nodes of each truncation radius once.  On grids it builds
@@ -65,6 +66,8 @@ from .errors import (
 from .heatmass import HeatMassCurve
 from .quadrature import circle_nodes, merged_edges, panel_nodes
 from .searches import (
+    _WIDTH_REL_TOL,
+    bisect,
     golden_about_scan,
     golden_section,
     grid_then_golden,
@@ -107,7 +110,7 @@ def mass_constants(mass):
 
 
 # The parameter searches of the estimators follow one fixed recipe.
-_NM_MAX_ITER = 80        # Nelder-Mead iterations per start (tc2 uses half)
+_NM_MAX_ITER = 80        # Nelder-Mead iterations of tc4 (tc2: half, per start)
 _THETA_GRID = 96         # coarse scan points of the tc2 theta form
 _THETA_EPS = 1e-6        # the theta scan's distance from 0 and 1
 _RHO_GRID = 96           # coarse scan points of the tc2 rho form
@@ -203,52 +206,54 @@ def _ring_point(density, delta):
 def _tc_search(density, extra_seeds=()):
     """(tc, center) with H(center, tc) >= L(M) as evaluated.
 
-    Radial data that is not non-increasing is searched over the offset
-    delta = |z - center|: tc = inf{s : max_delta H(delta, s) >= L}, one
-    root find over a scan of delta (plus the offsets of ``extra_seeds``)
-    refined about its best point.  The root finder returns a time at
-    which some scanned offset reached L, so a scan that misses the
-    global basin gives a looser bound, never a wrong one.  Grids run
-    multi-start Nelder-Mead over the inversions, each bracket search
-    starting at the end of the last one's nearer its root.  The bits hold
-    (`invert_increasing`): a grid's H as evaluated does not decrease
-    between powers of 4, as -d^2/(4 s) scales exactly.
+    As H increases in s, tc = inf{s : sup_z H(z, s) >= L}: one root find
+    of the largest H found over the center.  Radial data that is not
+    non-increasing search the offset delta = |z - center| on a scan (plus
+    the offsets of ``extra_seeds``) refined about its best point.  On
+    grids each seed (`_search_seeds`) climbs to a peak of H(., s)
+    (`CartesianGrid.heat_mass_peak`) from where it stopped at the last s,
+    and a bisection at the winning peak ends the search.  The root finder
+    sees only H evaluated at a center, so a search that misses the
+    global basin gives a looser bound, never a wrong one.
 
     The target is L times `_TC_TARGET_FACTOR`, which covers the rounding
     of L and of a closed-form H but not quadrature or grid-sum error.
     """
     target = mass_constants(density.mass()).threshold * _TC_TARGET_FACTOR
-    start = [1.0]
-
-    def critical_time(z):
-        s = HeatMassCurve(density, z).invert(target, start[0])
-        # the end of s's bracket nearer s in log scale
-        start[0] = 4.0 ** round(math.log(s, 4.0))
-        return s
-
     if density.is_nonincreasing_radial:
-        z = density.center
-        return critical_time(z), z
-    if not density.is_radial:
-        z, val, _ = minimize_over_plane(
-            critical_time, _search_seeds(density, extra_seeds),
-            max_iter=_NM_MAX_ITER)
-        return val, z
-
-    c = density.center
-    scan = np.union1d(_delta_scan(density), [
-        math.hypot(z[0] - c[0], z[1] - c[1]) for z in extra_seeds])
+        return HeatMassCurve(density).invert(target), density.center
     reached = {}  # s -> the center of the largest H evaluated at s
+    if density.is_radial:
+        c = density.center
+        scan = np.union1d(_delta_scan(density), [
+            math.hypot(z[0] - c[0], z[1] - c[1]) for z in extra_seeds])
 
-    def sup_heat_mass(s):
-        val, delta = maximize_even(
-            lambda d: HeatMassCurve(density, _ring_point(density, d)).evaluate(s),
-            scan)
-        reached[s] = _ring_point(density, delta)
-        return val
+        def sup_heat_mass(s):
+            val, delta = maximize_even(
+                lambda d: HeatMassCurve(density, _ring_point(density, d)).evaluate(s),
+                scan)
+            reached[s] = _ring_point(density, delta)
+            return val
+    else:
+        peaks = _search_seeds(density, extra_seeds)
+
+        def sup_heat_mass(s):
+            peaks[:] = [density.heat_mass_peak(z, s) for z in peaks]
+            val, reached[s] = max(
+                (HeatMassCurve(density, z).evaluate(s), z) for z in peaks)
+            return val
 
     s = invert_increasing(sup_heat_mass, target)
-    return s, reached[s]
+    z = reached[s]
+    if density.is_radial:
+        return s, z
+    # the first float at which H at the winning peak reaches the target;
+    # the step below s doubles while H there still reaches it
+    heat_mass = HeatMassCurve(density, z).evaluate
+    gap = 2.0 * _WIDTH_REL_TOL * s
+    while heat_mass(s - gap) >= target:
+        s, gap = s - gap, 2.0 * gap
+    return bisect(lambda t: heat_mass(t) >= target, s - gap, s)[1], z
 
 
 def tc_bound(density):

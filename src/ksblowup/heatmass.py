@@ -12,7 +12,9 @@ bound in `bounds`.
 it: `InitialDatum.heat_mass` chooses between a family's closed form and
 its quadrature, and `heat_mass_about` fixes what does not depend on s.
 The inversion is `searches.invert_increasing`, which returns a time at
-which H was evaluated and reached the target.
+which H was evaluated and reached the target.  Where H may peak off the
+center, ``tc`` inverts the largest H found over it instead; on grids, H
+at the peaks that `CartesianGrid.heat_mass_peak` climbs to.
 """
 
 from .errors import NonPositiveTimeError, TargetOutOfRangeError
@@ -42,11 +44,10 @@ class HeatMassCurve:
 
     __call__ = evaluate
 
-    def invert(self, target, start=1.0):
+    def invert(self, target):
         """The upper end of a narrow bracket on H(s) = target, for target
-        in (0, M): H(s) >= target there; see `invert_increasing`, whose
-        bracket search begins at ``start``, a power of 4."""
+        in (0, M): H(s) >= target there; see `invert_increasing`."""
         mass = self.datum.mass()
         if not 0.0 < target < mass:
             raise TargetOutOfRangeError(f"target must lie in (0, {mass:.6g})")
-        return invert_increasing(self.evaluate, target, start)
+        return invert_increasing(self.evaluate, target)

@@ -42,7 +42,7 @@ _SQRT_EPS, _GOLDEN_MEAN = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
 _FMINBOUND_MAX_CALLS = 500
 
 
-def invert_increasing(fn, target, start=1.0):
+def invert_increasing(fn, target):
     """The upper end of a narrow bracket on fn(s) = target, fn increasing.
 
     The result is the upper end of a bracket [lo, hi] with
@@ -51,15 +51,12 @@ def invert_increasing(fn, target, start=1.0):
     estimate an increasing function from below, the result still
     carries an evaluation that reached the target.
 
-    The bracket moves by factors of 4 from ``start``, a power of 4,
-    within [4^-200, 4^200].  If fn as evaluated never decreases between
-    powers of 4, every start ends at the same [4^(k-1), 4^k] and end
-    values, which alone fix Brent's iterates: the result keeps its bits.
+    The bracket moves by factors of 4 from 1, within [4^-200, 4^200].
     """
     # the ends are exact powers of 4, so each keeps the value computed
     # when it was first reached
-    lo = hi = start
-    f_lo = f_hi = fn(start) - target
+    lo = hi = 1.0
+    f_lo = f_hi = fn(1.0) - target
     if f_hi < 0.0:
         while not f_hi >= 0.0:
             if hi >= _S_MAX:

@@ -48,6 +48,14 @@ def two_bump_grid(n, mass=30.0 * math.pi, half=3.0):
     return ks.CartesianGrid(vals, h, (float(c[0]), float(c[0])))
 
 
+def mean_shift_step(grid, z, s):
+    """One mean-shift step from z over a grid's cells, for
+    `CartesianGrid.heat_mass_peak`, summed over the cells one by one."""
+    xs, ys, w = grid.cell_coordinates()
+    k = w * np.exp(-((xs - z[0]) ** 2 + (ys - z[1]) ** 2) / (4.0 * s))
+    return float((k * xs).sum() / k.sum()), float((k * ys).sum() / k.sum())
+
+
 @pytest.fixture(scope="session")
 def families_16pi():
     return analytic_families(16.0 * math.pi)

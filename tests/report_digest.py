@@ -12,7 +12,7 @@ For each case it prints the ``repr`` of every ``full_report`` row as
   grids, 12 sparse grids), built from the spec files that
   ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``;
   after each entry's report, the winning (q, lam) of its ``tc1`` search,
-  and after each grid's, the winning centers of its ``tc`` plane search and
+  and after each grid's, the winning centers of its ``tc`` search and
   its ``tc2`` search, so a change that moves a winner shows even where no
   printed value moves, then the grid's ``tc2_forms`` at the barycenter and
   its ``tc4_bound`` at beta = 3, the center-optimized moment form, which
@@ -34,8 +34,9 @@ prints, per row name (``tc2_forms.rho``, ``tc2_forms.theta`` and
 ``tc4_beta3`` for the center forms), how many values were compared, how
 many moved and the largest relative move up and down, then every status,
 ``ordering_ok``, ``tc1`` winner, ``tc`` or ``tc2`` center or sweep exit
-code that changed; it exits 1 when there is any such change.  Producing
-the digest takes about half a minute on one core.
+code that changed, with the distance each changed center moved and the
+largest such distance per kind; it exits 1 when there is any such change.
+Producing the digest takes about half a minute on one core.
 """
 
 import contextlib
@@ -190,9 +191,18 @@ def compare(before_path, after_path):
         row[1] += move != 0.0
         row[2] = max(row[2], move)
         row[3] = min(row[3], move)
+    center_moves = defaultdict(float)
     for case in sorted(before_flags.keys() | after_flags.keys()):
         f0, f1 = before_flags.get(case), after_flags.get(case)
-        if f0 != f1:
+        if f0 == f1:
+            continue
+        kind = next((k for k in ("tc center", "tc2 center")
+                     if case.endswith(" " + k)), None)
+        if kind and f0 and f1:
+            dist = math.dist(eval(f0, _LINE_NAMES), eval(f1, _LINE_NAMES))
+            center_moves[kind] = max(center_moves[kind], dist)
+            changes.append(f"{case}: {f0} -> {f1} (moved {dist:.2g})")
+        else:
             changes.append(f"{case}: {f0} -> {f1}")
 
     print(f"{'row':<24}{'compared':>9}{'moved':>7}{'max up':>11}"
@@ -203,6 +213,8 @@ def compare(before_path, after_path):
     print(f"{len(changes)} status, ordering or exit-code changes")
     for change in changes:
         print(f"  {change}")
+    for kind in sorted(center_moves):
+        print(f"largest {kind} move: {center_moves[kind]:.2g}")
     return 1 if changes else 0
 
 

@@ -27,7 +27,8 @@ from ksblowup.searches import (
 )
 
 from conftest import (
-    EIGHT_PI, analytic_families, analytic_report, disk_grid, two_bump_grid,
+    EIGHT_PI, analytic_families, analytic_report, disk_grid, mean_shift_step,
+    two_bump_grid,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -246,6 +247,83 @@ def test_radial_tc_is_the_centre_inversion_when_it_peaks_there():
     centred = ks.HeatMassCurve(d).invert(
         bounds.mass_constants(d.mass()).threshold * bounds._TC_TARGET_FACTOR)
     assert centred * (1.0 - 1e-13) <= tc <= centred
+
+
+def _lopsided_grid():
+    """A heavy block and a lighter pair of cells on a 9x9 grid."""
+    vals = np.zeros((9, 9))
+    vals[2:4, 2:4] = 400.0
+    vals[7, 6], vals[6, 7] = 300.0, 100.0
+    return ks.CartesianGrid(vals, 0.25)
+
+
+_TC_GRIDS = {
+    "disk": lambda: disk_grid(64, shift=(0.2, 0.1)),
+    "two_bump": lambda: two_bump_grid(40),
+    "lopsided": _lopsided_grid,
+    "pool_dense": lambda: ks.CartesianGrid(*workloads.dense_grid_entry(0)),
+    "pool_sparse": lambda: ks.CartesianGrid(*workloads.sparse_grid_entry(0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tc_grid(name, e=None):
+    """A grid of `_TC_GRIDS`, rescaled to mass 8 pi (1 + 10^e) unless e is
+    None."""
+    grid = _TC_GRIDS[name]()
+    if e is None:
+        return grid
+    scale = EIGHT_PI * (1.0 + 10.0 ** e) / grid.mass()
+    return ks.CartesianGrid(grid.values * scale, grid.cell_size, grid.origin)
+
+
+def _nelder_mead_tc(density):
+    """Grid tc as multi-start Nelder-Mead over the inversions at each
+    center found it, from `_search_seeds`: the search the root find over
+    the peaks of H replaced."""
+    target = bounds.mass_constants(density.mass()).threshold \
+        * bounds._TC_TARGET_FACTOR
+    _, val, _ = minimize_over_plane(
+        lambda z: HeatMassCurve(density, z).invert(target),
+        bounds._search_seeds(density), max_iter=bounds._NM_MAX_ITER)
+    return val
+
+
+@pytest.mark.parametrize("e", [-3, -2, -1, None])
+@pytest.mark.parametrize("name", sorted(_TC_GRIDS))
+def test_grid_tc_is_no_looser_than_nelder_mead(name, e):
+    # at the winning peak tc is the first float at which H reaches the
+    # target; it may sit above the reference only by the rounding of H,
+    # which the closeness to 8 pi amplifies
+    grid = _tc_grid(name, e)
+    mass = grid.mass()
+    tc, z = bounds._tc_search(grid)
+    assert tc <= _nelder_mead_tc(grid) * (
+        1.0 + 1e-15 * (3.0 * mass - EIGHT_PI) / (mass - EIGHT_PI))
+    target = bounds.mass_constants(mass).threshold * bounds._TC_TARGET_FACTOR
+    heat_mass = HeatMassCurve(grid, z).evaluate
+    assert heat_mass(tc) >= target
+    assert heat_mass(np.nextafter(tc, 0.0)) < target
+
+
+@pytest.mark.parametrize("name", sorted(_TC_GRIDS))
+def test_grid_tc_climbs_end_at_rest_points(name, monkeypatch):
+    grid = _tc_grid(name)
+    climbs = []
+    climb = ks.CartesianGrid.heat_mass_peak
+
+    def recorded(self, z, s):
+        climbs.append((z, s, climb(self, z, s)))
+        return climbs[-1][2]
+
+    monkeypatch.setattr(ks.CartesianGrid, "heat_mass_peak", recorded)
+    bounds._tc_search(grid)
+    assert climbs
+    for z, s, peak in climbs:
+        # a climb from a rest point may end an ulp lower, by rounding
+        assert grid.heat_mass(peak, s) >= grid.heat_mass(z, s) * (1.0 - 1e-15)
+        assert math.dist(mean_shift_step(grid, peak, s), peak) \
+            <= 1e-9 * math.sqrt(s)
 
 
 def test_tc_diverges_at_criticality():
@@ -1075,10 +1153,7 @@ def test_tc4_beta3_uses_center_moment(gaussian_16pi):
 def test_grid_tc4_beta3_minimizes_the_moment_over_the_center():
     # a heavy block and a lighter pair of cells: the beta = 3 moment is
     # smallest away from the barycenter, so the center-optimized form wins
-    vals = np.zeros((9, 9))
-    vals[2:4, 2:4] = 400.0
-    vals[7, 6], vals[6, 7] = 300.0, 100.0
-    grid = ks.CartesianGrid(vals, 0.25)
+    grid = _lopsided_grid()
     denom = 4.0 * bounds.mass_constants(grid.mass()).log_inv_ratio
     val = bounds.tc4_bound(grid, 3.0)
     assert val < grid.beta_variance(3.0) / denom

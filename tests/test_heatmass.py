@@ -16,7 +16,7 @@ from ksblowup.errors import (
     TargetOutOfRangeError,
 )
 
-from conftest import analytic_families, two_bump_grid
+from conftest import analytic_families, mean_shift_step, two_bump_grid
 
 ALL_RADIAL = ("gaussian", "disk", "annulus", "polygaussian", "diffgaussians")
 
@@ -255,7 +255,7 @@ def test_invert_returns_the_safe_end_of_a_narrow_bracket(d, z):
         assert curve.invert(target) == s
 
 
-def _counted_inversion(curve, target, start=1.0):
+def _counted_inversion(curve, target):
     """(s, number of evaluate calls) of one inversion."""
     calls = []
     evaluate = curve.evaluate
@@ -265,7 +265,7 @@ def _counted_inversion(curve, target, start=1.0):
         return evaluate(s)
 
     curve.evaluate = counted
-    return curve.invert(target, start), len(calls)
+    return curve.invert(target), len(calls)
 
 
 @pytest.mark.parametrize("d, z, count, secant_count", [
@@ -346,42 +346,37 @@ def _grid(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(_GRIDS)), k=st.integers(-8, 8),
-       fraction=st.floats(0.01, 0.99), u=st.floats(-1.0, 1.0),
-       v=st.floats(-1.0, 1.0))
-def test_grid_inversion_keeps_its_bits_from_any_power_of_4(name, k, fraction,
-                                                          u, v):
+@given(name=st.sampled_from(sorted(_GRIDS)), fraction=st.floats(0.01, 0.99),
+       u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0))
+def test_grid_inversion_keeps_its_bits_from_any_power_of_4(name, fraction, u,
+                                                          v):
     # a grid's H as evaluated does not decrease from one power of 4 to
-    # the next, so every start stops at the bracket that s = 1 finds,
-    # with the same end values and Brent iterates; the end of that
-    # bracket nearer the root, the start the tc search passes on, costs
-    # no more
+    # the next, so the bracket search from s = 1 stops at the powers of 4
+    # about the root, and Brent's iterates from their values fix the bits
     d = _grid(name)
     xs, ys, _ = d.cell_coordinates()
     z = (d.center[0] + u * np.ptp(xs), d.center[1] + v * np.ptp(ys))
     curve = HeatMassCurve(d, z)
     target = fraction * d.mass()
-    want, calls = _counted_inversion(curve, target)
+    want, _ = _counted_inversion(curve, target)
     # the bracket s = 1 finds: the powers of 4 about the root
     h = HeatMassCurve(d, z).evaluate
     j = next(j for j in range(-60, 60) if h(4.0 ** j) >= target)
     assert want == searches._brent(h, target, 4.0 ** (j - 1),
                                    h(4.0 ** (j - 1)) - target, 4.0 ** j,
                                    h(4.0 ** j) - target)
-    assert invert_increasing(h, target, start=4.0 ** k) == want
-    near = 4.0 ** round(math.log(want, 4.0))
-    got, near_calls = _counted_inversion(HeatMassCurve(d, z), target, near)
-    assert got == want
-    assert near_calls <= calls
+    assert invert_increasing(h, target) == want
 
 
 @pytest.mark.parametrize("k", [-8, 0, 8])
 def test_grid_inversion_fails_alike_from_any_power_of_4(k):
-    # about its one cell, a one-cell grid holds all its mass at every s
-    d = _single_cell_grid()
+    # about its one cell, a one-cell grid of any cell size 4^k h holds
+    # all its mass at every s
+    one = _single_cell_grid()
+    d = ks.CartesianGrid(one.values, one.cell_size * 4.0 ** k, one.origin)
     z = tuple(float(c[0]) for c in d.cell_coordinates()[:2])
     with pytest.raises(BracketFailureError, match="shrink"):
-        HeatMassCurve(d, z).invert(0.5 * d.mass(), 4.0 ** k)
+        HeatMassCurve(d, z).invert(0.5 * d.mass())
 
 
 def test_grid_matches_analytic_disk(small_disk_grid, disk_16pi):
@@ -390,3 +385,67 @@ def test_grid_matches_analytic_disk(small_disk_grid, disk_16pi):
         grid_val = HeatMassCurve(small_disk_grid).evaluate(s)
         exact = HeatMassCurve(disk_16pi).evaluate(s)
         assert grid_val == pytest.approx(exact, rel=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# grid peaks of H over the center
+# ---------------------------------------------------------------------------
+
+def _one_bump_grid():
+    """A gaussian bump of width 0.3 about (0.23, -0.17), off the lattice."""
+    c = -1.5 + 0.05 * np.arange(61)
+    X, Y = np.meshgrid(c, c)
+    vals = 40.0 * np.exp(-((X - 0.23) ** 2 + (Y + 0.17) ** 2) / 0.18)
+    return ks.CartesianGrid(vals, 0.05, (-1.5, -1.5))
+
+
+_PEAK_GRIDS = dict(_GRIDS, one_bump=_one_bump_grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_PEAK_GRIDS)), u=st.floats(-0.5, 0.5),
+       v=st.floats(-0.5, 0.5), log4_s=st.floats(-4.0, 2.0))
+def test_grid_heat_mass_peak_never_lowers_h(name, u, v, log4_s):
+    d = _PEAK_GRIDS[name]()
+    xs, ys, _ = d.cell_coordinates()
+    z = (d.center[0] + u * np.ptp(xs), d.center[1] + v * np.ptp(ys))
+    s = 4.0 ** log4_s
+    assert d.heat_mass(d.heat_mass_peak(z, s), s) >= d.heat_mass(z, s)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.1, 1.0])
+def test_grid_heat_mass_peak_finds_a_bump_centre(s):
+    d = _one_bump_grid()
+    for seed in ((-1.0, 1.0), d.center, (0.9, 0.4)):
+        peak = d.heat_mass_peak(seed, s)
+        assert math.dist(peak, (0.23, -0.17)) <= d.cell_size
+
+
+def test_grid_heat_mass_peak_lands_on_the_one_cell():
+    d = _single_cell_grid()
+    cell = tuple(float(c[0]) for c in d.cell_coordinates()[:2])
+    for seed in ((0.3, -0.4), (-2.0, 1.5)):
+        assert d.heat_mass_peak(seed, 1.0) == cell
+
+
+@pytest.mark.parametrize("seed, bump", [((-0.6, 0.3), (-0.9, 0.6)),
+                                        ((0.8, -0.5), (1.1, -0.8))])
+def test_grid_heat_mass_peak_finds_the_bump_near_its_seed(seed, bump):
+    d = two_bump_grid(40)
+    for s in (0.005, 0.02):
+        assert math.dist(d.heat_mass_peak(seed, s), bump) <= d.cell_size
+
+
+def test_grid_heat_mass_peak_stops_at_its_step_cap():
+    # on the diagonal ramp a step at s = 1/256 moves about 2e-3, so 500
+    # steps end short of the peak at the heavy end: H has still not
+    # decreased, and the climb stopped where 500 steps from the seed lead
+    d = _diagonal_grid()
+    seed, s = d.center, 1.0 / 256.0
+    peak = d.heat_mass_peak(seed, s)
+    assert d.heat_mass(peak, s) >= d.heat_mass(seed, s)
+    z = seed
+    for _ in range(500):
+        z = mean_shift_step(d, z, s)
+    assert math.dist(peak, z) <= 1e-9
+    assert math.dist(mean_shift_step(d, peak, s), peak) > 1e-9 * math.sqrt(s)
