@@ -17,8 +17,10 @@ Other radial data depend on z only through the offset delta =
 `searches.maximize_even`: a scan over [0, tail radius] refined by
 bounded Brent about its best point.  ``tc`` runs it inside one root
 find of the largest H over delta, and on grids over the peaks of H that
-mean-shift climbs reach.  Grid ``tc2`` runs multi-start Nelder-Mead over
-the plane (``tc1`` tries the grid's peak candidates).
+mean-shift climbs reach; every ``tc`` ends with a bisection of H at its
+center, so it is the first float at which H there reaches the target.
+Grid ``tc2`` runs multi-start Nelder-Mead over the plane (``tc1`` tries
+the grid's peak candidates).
 
 Each search computes its invariants once.  One ``tc1`` search builds the
 radial panel nodes of each truncation radius once.  On grids it builds
@@ -43,9 +45,10 @@ radial probe sweeps the rings about its center once and reads the scan
 from that profile in one call.  Each grid probe bins the cells by
 squared distance, bounds every scan radius from that histogram, reads
 exactly only the scan points whose bounds may hold the scan's minimum,
-and sorts one block of cells, the bins of their golden brackets; every
-cell is sorted once per search, at the winner, whose exact form decides
-the result.
+and sorts one block of cells, the bins of their golden brackets.  A
+``tc2`` winner off the center whose steering value beats the center's is
+decided once, for every datum, on one profile: 4096 rings, or on a grid
+the search's one sort of every cell.
 """
 
 import dataclasses
@@ -204,51 +207,51 @@ def _ring_point(density, delta):
 # ---------------------------------------------------------------------------
 
 def _tc_search(density, extra_seeds=()):
-    """(tc, center) with H(center, tc) >= L(M) as evaluated.
+    """(tc, center): the first float at which H at that center reaches
+    L(M) times `_TC_TARGET_FACTOR`, as evaluated.
 
     As H increases in s, tc = inf{s : sup_z H(z, s) >= L}: one root find
-    of the largest H found over the center.  Radial data that is not
-    non-increasing search the offset delta = |z - center| on a scan (plus
-    the offsets of ``extra_seeds``) refined about its best point.  On
-    grids each seed (`_search_seeds`) climbs to a peak of H(., s)
-    (`CartesianGrid.heat_mass_peak`) from where it stopped at the last s,
-    and a bisection at the winning peak ends the search.  The root finder
-    sees only H evaluated at a center, so a search that misses the
-    global basin gives a looser bound, never a wrong one.
+    of the largest H found over the center.  Non-increasing radial data
+    invert H at the symmetry center.  Other radial data search the offset
+    delta = |z - center| on a scan (plus the offsets of ``extra_seeds``)
+    refined about its best point.  On grids each seed (`_search_seeds`)
+    climbs to a peak of H(., s) (`CartesianGrid.heat_mass_peak`) from
+    where it stopped at the last s.  For every datum a bisection of H at
+    the winning center ends the search.  The root finder sees only H
+    evaluated at a center, so a search that misses the global basin
+    gives a looser bound, never a wrong one.
 
     The target is L times `_TC_TARGET_FACTOR`, which covers the rounding
     of L and of a closed-form H but not quadrature or grid-sum error.
     """
     target = mass_constants(density.mass()).threshold * _TC_TARGET_FACTOR
     if density.is_nonincreasing_radial:
-        return HeatMassCurve(density).invert(target), density.center
-    reached = {}  # s -> the center of the largest H evaluated at s
-    if density.is_radial:
-        c = density.center
-        scan = np.union1d(_delta_scan(density), [
-            math.hypot(z[0] - c[0], z[1] - c[1]) for z in extra_seeds])
-
-        def sup_heat_mass(s):
-            val, delta = maximize_even(
-                lambda d: HeatMassCurve(density, _ring_point(density, d)).evaluate(s),
-                scan)
-            reached[s] = _ring_point(density, delta)
-            return val
+        s, z = HeatMassCurve(density).invert(target), density.center
     else:
-        peaks = _search_seeds(density, extra_seeds)
+        reached = {}  # s -> the center of the largest H evaluated at s
+        if density.is_radial:
+            c = density.center
+            scan = np.union1d(_delta_scan(density), [
+                math.hypot(z[0] - c[0], z[1] - c[1]) for z in extra_seeds])
 
-        def sup_heat_mass(s):
-            peaks[:] = [density.heat_mass_peak(z, s) for z in peaks]
-            val, reached[s] = max(
-                (HeatMassCurve(density, z).evaluate(s), z) for z in peaks)
-            return val
+            def sup_heat_mass(s):
+                val, delta = maximize_even(lambda d: HeatMassCurve(
+                    density, _ring_point(density, d)).evaluate(s), scan)
+                reached[s] = _ring_point(density, delta)
+                return val
+        else:
+            peaks = _search_seeds(density, extra_seeds)
 
-    s = invert_increasing(sup_heat_mass, target)
-    z = reached[s]
-    if density.is_radial:
-        return s, z
-    # the first float at which H at the winning peak reaches the target;
-    # the step below s doubles while H there still reaches it
+            def sup_heat_mass(s):
+                peaks[:] = [density.heat_mass_peak(z, s) for z in peaks]
+                val, reached[s] = max(
+                    (HeatMassCurve(density, z).evaluate(s), z) for z in peaks)
+                return val
+
+        s = invert_increasing(sup_heat_mass, target)
+        z = reached[s]
+    # the first float at which H at the winner reaches the target; the
+    # step below s doubles while H there still reaches it
     heat_mass = HeatMassCurve(density, z).evaluate
     gap = 2.0 * _WIDTH_REL_TOL * s
     while heat_mass(s - gap) >= target:
@@ -682,9 +685,11 @@ def _tc2_search(density):
     Radial data steer on 512-point ring profiles.  Grids steer on binned
     profiles, whose sums are good to their rounding, each probe reading
     exactly only the scan points that may hold its minimum
-    (`_ThetaScan.binned_form`), and sort every cell once, at the winner:
-    the exact theta form there decides, as it would had every probe been
-    exact.
+    (`_ThetaScan.binned_form`).  A winner off the center whose steering
+    value beats the center's is decided once, for every datum, by both
+    forms on its `_snapshot`: a 4096-point ring profile, or a grid's one
+    sort of every cell in the search, whose exact theta form is the one
+    every probe would have read had it been exact.
     """
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
@@ -699,31 +704,23 @@ def _tc2_search(density):
             lambda d: -scan.form(_snapshot(
                 density, _ring_point(density, d), n=512).inverse),
             _delta_scan(density))
-        val_best = -neg_val
-        z_best = _ring_point(density, delta)
+        z_best, steered = _ring_point(density, delta), -neg_val
     else:
-        z_best, _, _ = minimize_over_plane(
+        z_best, steered, _ = minimize_over_plane(
             lambda z: scan.binned_form(density.binned_profile(z)),
             _search_seeds(density), max_iter=_NM_MAX_ITER // 2)
 
     if math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
-            <= 1e-9 * (1.0 + density._scale_radius()):
+            <= 1e-9 * (1.0 + density._scale_radius()) \
+            or not steered < center_val:
         return center_val, center, centred
-    if not density.is_radial:
-        # the probes read sums good to their rounding; the exact theta
-        # form at the winner decides, from the search's one sort of
-        # every cell, and is the off-center theta form
-        snap = _snapshot(density, z_best)
-        val_best = scan.form(snap.inverse)
-    elif val_best < center_val:
-        snap = _snapshot(density, z_best, n=4096)
-    if val_best < center_val:
-        theta = scan.form(snap.inverse) if density.is_radial else val_best
-        off_val = min(_rho_form_from(snap.mass_at, scan.consts,
-                                     snap.inverse(scan.consts.ratio),
-                                     snap.inverse(1.0 - 1e-12)), theta)
-        if off_val < center_val:
-            return off_val, z_best, centred
+    snap = _snapshot(density, z_best, n=4096)  # a grid ignores n
+    off_val = min(_rho_form_from(snap.mass_at, scan.consts,
+                                 snap.inverse(scan.consts.ratio),
+                                 snap.inverse(1.0 - 1e-12)),
+                  scan.form(snap.inverse))
+    if off_val < center_val:
+        return off_val, z_best, centred
     return center_val, center, centred
 
 

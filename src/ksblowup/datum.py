@@ -144,10 +144,6 @@ class InitialDatum:
             return self._central_heat_mass(s)
         return self._heat_mass_quadrature(z, s)
 
-    def heat_mass_about(self, z):
-        """s -> H(s) about z, what does not depend on s computed once."""
-        return lambda s: self.heat_mass(z, s)
-
     def _central_heat_mass(self, s):
         """H(s) at the center: a family's closed form overrides this."""
         return self._heat_mass_quadrature(None, s)
@@ -1090,30 +1086,19 @@ class CartesianGrid(InitialDatum):
         return idx, np.bincount(idx, weights=self._w, minlength=bins)
 
     def heat_mass(self, z, s):
-        return self.heat_mass_about(z)(s)
-
-    def heat_mass_about(self, z):
-        """s -> H(s) about z, as h^2 * g_y^T V g_x.
+        """H(s) about z, as h^2 * g_y^T V g_x.
 
         exp(-|x - z|^2 / 4s) = g_x(x) * g_y(y), so one evaluation is two
-        1-D exps of -(x - z0)^2 / 4s and -(y - z1)^2 / 4s, whose
-        numerators are computed once per z, and a matrix-vector product
-        over V, the block of rows and columns that hold mass.  Its cost
-        scales with occupied rows times occupied columns, not with the
-        non-zero cells: the same for a full grid, more for mass spread
-        thinly over many rows and columns (a diagonal line of n cells
-        costs n^2).
+        1-D exps of -(x - z0)^2 / 4s and -(y - z1)^2 / 4s and a
+        matrix-vector product over V, the block of rows and columns that
+        hold mass.  Its cost scales with occupied rows times occupied
+        columns, not with the non-zero cells: the same for a full grid,
+        more for mass spread thinly over many rows and columns (a diagonal
+        line of n cells costs n^2).
         """
-        fx = -(self._block_xs - z[0]) ** 2
-        fy = -(self._block_ys - z[1]) ** 2
-        block, h2 = self._block, self.cell_size ** 2
-
-        def heat_mass(s):
-            gx = np.exp(fx / (4.0 * s))
-            gy = np.exp(fy / (4.0 * s))
-            return float(gy @ (block @ gx) * h2)
-
-        return heat_mass
+        gx = np.exp(-(self._block_xs - z[0]) ** 2 / (4.0 * s))
+        gy = np.exp(-(self._block_ys - z[1]) ** 2 / (4.0 * s))
+        return float(gy @ (self._block @ gx) * self.cell_size ** 2)
 
     def heat_mass_peak(self, z, s):
         """A local maximum of H(., s) climbed to from z by mean-shift steps

@@ -9,12 +9,13 @@ inverse at the supercritical threshold drives every critical-time
 bound in `bounds`.
 
 `HeatMassCurve` fixes the center and inverts H.  The datum evaluates
-it: `InitialDatum.heat_mass` chooses between a family's closed form and
-its quadrature, and `heat_mass_about` fixes what does not depend on s.
-The inversion is `searches.invert_increasing`, which returns a time at
-which H was evaluated and reached the target.  Where H may peak off the
+it, in one entry point: `InitialDatum.heat_mass(z, s)` chooses between a
+family's closed form and its quadrature, and a grid sums its cells.  The
+inversion is `searches.invert_increasing`, which returns a time at which
+H was evaluated and reached the target.  Where H may peak off the
 center, ``tc`` inverts the largest H found over it instead; on grids, H
-at the peaks that `CartesianGrid.heat_mass_peak` climbs to.
+at the peaks that `CartesianGrid.heat_mass_peak` climbs to.  Every
+``tc`` search ends with a bisection of this curve at its winner.
 """
 
 from .errors import NonPositiveTimeError, TargetOutOfRangeError
@@ -28,6 +29,7 @@ class HeatMassCurve:
     """Evaluator for s -> H(s) at a fixed center, with monotone inversion.
 
     The center defaults to the datum's center (the barycenter of a grid).
+    Each evaluation is `datum.heat_mass(z, s)`.
     """
 
     def __init__(self, density, z=None):
@@ -35,12 +37,11 @@ class HeatMassCurve:
         if z is None:
             z = density.center
         self.z = (float(z[0]), float(z[1]))
-        self._heat_mass = density.heat_mass_about(self.z)
 
     def evaluate(self, s):
         if s <= 0.0:
             raise NonPositiveTimeError("heat-mass time must be positive")
-        return self._heat_mass(s)
+        return self.datum.heat_mass(self.z, s)
 
     __call__ = evaluate
 

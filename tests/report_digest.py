@@ -11,12 +11,12 @@ For each case it prints the ``repr`` of every ``full_report`` row as
 * the 56 ``bound`` entries of the benchmark pools (32 radial, 12 dense
   grids, 12 sparse grids), built from the spec files that
   ``benchmarks/workloads.py`` writes and read through ``cli.load_datum``;
-  after each entry's report, the winning (q, lam) of its ``tc1`` search,
-  and after each grid's, the winning centers of its ``tc`` search and
-  its ``tc2`` search, so a change that moves a winner shows even where no
-  printed value moves, then the grid's ``tc2_forms`` at the barycenter and
-  its ``tc4_bound`` at beta = 3, the center-optimized moment form, which
-  no report row reads.
+  after each entry's report, the winning (q, lam) of its ``tc1`` search
+  and the winning centers of its ``tc`` search and its ``tc2`` search, so
+  a change that moves a winner shows even where no printed value moves,
+  then, after each grid's, its ``tc2_forms`` at the barycenter and its
+  ``tc4_bound`` at beta = 3, the center-optimized moment form, which no
+  report row reads.
 
 Then it prints the ``ksblowup sweep`` CSV, exit code and stderr of each of
 the 18 sweep pool entries.  Pytest does not collect this file.  A change
@@ -67,11 +67,16 @@ def _print_tc1_winner(density):
     print(f"{_TC1_WINNER}{bounds._tc1_search(density)[1:]!r}")
 
 
-def _print_grid_centers(density):
+def _print_centers(density):
     from ksblowup import bounds
 
     print(f"{_TC_CENTER}{bounds._tc_search(density)[1]!r}")
     print(f"{_TC2_CENTER}{bounds._tc2_search(density)[1]!r}")
+
+
+def _print_grid_forms(density):
+    from ksblowup import bounds
+
     print(f"{_TC2_FORMS}"
           f"{bounds.tc2_forms(density, density.barycenter())!r}")
     print(f"{_TC4_BETA3}{bounds.tc4_bound(density, 3.0)!r}")
@@ -116,7 +121,7 @@ def read_digest(path):
     and a grid's center forms have step 0, a sweep cell the step of its
     line and status "computed" or "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
     code, "<case> tc1 winner" to a pool entry's winning ``tc1`` (q, lam)
-    and "<case> tc center" and "<case> tc2 center" to a grid's winning
+    and "<case> tc center" and "<case> tc2 center" to a pool entry's winning
     ``tc`` and ``tc2`` centers.
     """
     values, flags = {}, {}
@@ -244,8 +249,9 @@ def print_digest():
                 density = cli.load_datum(item["argv"][1])
                 _print_report(item["id"], density)
                 _print_tc1_winner(density)
+                _print_centers(density)
                 if kind != "radial_ring":
-                    _print_grid_centers(density)
+                    _print_grid_forms(density)
         for key in workloads.pool_keys("sweep_closed"):
             _print_sweep(workloads.write_item("sweep_closed", key, tmp))
 

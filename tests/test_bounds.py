@@ -208,19 +208,59 @@ def _certified_cases():
         workloads.radial_entry("radial_profile", 0)[0])
 
 
+def _ring_pool():
+    """The 32 radial pool entries of the benchmark, none non-increasing."""
+    return [cli.datum_from_dict(workloads.radial_entry(f, i)[0])
+            for f, i in workloads.pool_keys("radial_ring")]
+
+
 def test_tc_is_reached_at_its_centre(monkeypatch):
-    # every tc carries the centre of an evaluation that reached L; radial
-    # data find it without the plane search
+    # every tc is the first float at which H at its centre reaches the
+    # target, H(z, tc) >= L (1 + 22u) > H(z, prev(tc)); radial data find
+    # that centre without the plane search
     plane_search = bounds.minimize_over_plane
-    for d in _certified_cases():
+    for d in [*_certified_cases(), *_ring_pool()]:
         def guarded(*args, d=d, **kwargs):
             assert not d.is_radial, d.label()
             return plane_search(*args, **kwargs)
 
         monkeypatch.setattr(bounds, "minimize_over_plane", guarded)
         tc, z = bounds._tc_search(d)
-        threshold = bounds.mass_constants(d.mass()).threshold
-        assert HeatMassCurve(d, z).evaluate(tc) >= threshold, d.label()
+        target = bounds.mass_constants(d.mass()).threshold \
+            * bounds._TC_TARGET_FACTOR
+        heat_mass = HeatMassCurve(d, z).evaluate
+        assert heat_mass(tc) >= target > heat_mass(math.nextafter(tc, 0.0)), \
+            d.label()
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+@pytest.mark.parametrize("kind", ["ring", "grid"])
+def test_tc2_keeps_the_centre_when_the_winner_does_not_beat_it(
+        monkeypatch, kind, factor):
+    # an off-centre winner whose steering value is no better than the
+    # centre's form decides nothing: no profile is built at it
+    if kind == "ring":
+        d = ks.DiffGaussians(32.0, 1.0, 2.0)
+    else:
+        d = ks.CartesianGrid(*workloads.dense_grid_entry(0))
+    center_val = min(bounds.tc2_forms(d))
+    steered = center_val * factor
+    off = (d.center[0] + 0.3, d.center[1])
+    monkeypatch.setattr(bounds, "maximize_even",
+                        lambda fn, scan: (-steered, 0.3))
+    monkeypatch.setattr(bounds, "minimize_over_plane",
+                        lambda fn, seeds, max_iter: (off, steered, []))
+    builds = []
+    snapshot = bounds._snapshot
+
+    def counted(density, z, n=1024):
+        builds.append(z)
+        return snapshot(density, z, n)
+
+    monkeypatch.setattr(bounds, "_snapshot", counted)
+    val, z, _ = bounds._tc2_search(d)
+    assert (val, z) == (center_val, d.center)
+    assert builds == []
 
 
 def test_radial_data_never_search_the_plane(monkeypatch):
