@@ -997,6 +997,11 @@ def full_report(density, tolerance=1e-6):
     for name, value, assumption in density.near_critical_references():
         rows.append(BoundEstimate(name=name, kind="exact-reference",
                                   value=value, assumptions=(assumption,)))
+    # every comparison with NaN is false, so the ordering check would
+    # pass a NaN value: it fails its row
+    for r in rows:
+        if r.status == "computed" and math.isnan(r.value):
+            r.status, r.detail = "failed", "the estimator returned NaN"
 
     rows.sort(key=lambda r: _ROW_ORDER.index(r.name))
 

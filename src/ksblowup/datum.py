@@ -785,10 +785,12 @@ class PolyGaussian(InitialDatum):
         return self.height * (n / self.rate) ** n * math.exp(-n)
 
     def _lp_norm_finite(self, p):
+        # (height^p pi Gamma(np + 1) / (pa)^(np + 1))^(1/p), in logs: at
+        # the large p of the lower bound's q' scan each factor overflows
         n, a = self.power, self.rate
-        val = self.height ** p * math.pi * special.gamma(n * p + 1.0) \
-            / (p * a) ** (n * p + 1.0)
-        return val ** (1.0 / p)
+        return math.exp(math.log(self.height) + (
+            math.log(math.pi) + math.lgamma(n * p + 1.0)
+            - (n * p + 1.0) * math.log(p * a)) / p)
 
     def _central_radial_mass(self, rho):
         # regularized lower incomplete gamma of the squared radius

@@ -56,6 +56,14 @@ def mean_shift_step(grid, z, s):
     return float((k * xs).sum() / k.sum()), float((k * ys).sum() / k.sum())
 
 
+def dilated_polygaussian(spec, lam):
+    """A polygaussian spec dilated by ``lam``: the same mass, height
+    times lam^(-2-2n) and rate over lam^2."""
+    n = spec["power"]
+    return {**spec, "height": spec["height"] * lam ** (-2 - 2 * n),
+            "rate": spec["rate"] / lam ** 2}
+
+
 @pytest.fixture(scope="session")
 def families_16pi():
     return analytic_families(16.0 * math.pi)

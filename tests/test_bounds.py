@@ -27,8 +27,8 @@ from ksblowup.searches import (
 )
 
 from conftest import (
-    EIGHT_PI, analytic_families, analytic_report, disk_grid, mean_shift_step,
-    two_bump_grid,
+    EIGHT_PI, analytic_families, analytic_report, dilated_polygaussian,
+    disk_grid, mean_shift_step, two_bump_grid,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -1439,6 +1439,33 @@ def test_lower_bounds_tc_for_all_families(families_16pi):
         assert bounds.lower_bound(d) <= bounds.tc_bound(d) * (1.0 + 1e-6)
 
 
+def _dilated_polygaussian(index, lam):
+    return cli.datum_from_dict(dilated_polygaussian(
+        workloads.radial_entry("polygaussian", index)[0], lam))
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 3.0, 1e3, 1e6])
+@pytest.mark.parametrize("index", range(8))
+def test_lower_polygaussian_is_dilation_covariant(index, lam):
+    # lower scales as lam^2.  Its form raises a ratio of norms to the power
+    # q', so the ratio's relative error k u becomes q' k u.  The norm is an
+    # exp of a sum of logs, ln(height) + (ln pi + lgamma(nq + 1)
+    # - (nq + 1) ln(q rate)) / q, each term good to u times its size: k
+    # counts twice the size of the terms of both data, plus 32 for L, the
+    # power and the products
+    base, d = _dilated_polygaussian(index, 1.0), _dilated_polygaussian(index, lam)
+    row = bounds.full_report(d).row("lower")
+    assert row.status == "computed" and math.isfinite(row.value), row.detail
+    detail = bounds.lower_bound_detail(base)
+
+    def size(x):
+        return abs(math.log(x.height)) + (x.power + 1) * abs(math.log(x.rate))
+
+    k = 32.0 + 2.0 * (size(base) + size(d))
+    tol = detail.sup_maximizer_qprime * k * 2.0 ** -53
+    assert row.value == pytest.approx(lam ** 2 * detail.value, rel=tol)
+
+
 def test_heat_constant_identity_and_limits():
     for p in (1.0, 1.5, 2.0, 7.0, math.inf):
         assert bounds.heat_constant(2, p, p) == 1.0
@@ -1461,6 +1488,22 @@ def test_sharp_ratio_constant():
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["lower", "tc3", "tc3_jung"])
+def test_a_nan_estimate_fails_its_row(monkeypatch, disk_16pi, name):
+    # every comparison with NaN is false, so a NaN would pass the
+    # ordering check as computed
+    if name == "lower":
+        monkeypatch.setattr(bounds, "lower_bound", lambda d, p: math.nan)
+    else:
+        nan_jung = name == "tc3_jung"
+        monkeypatch.setattr(bounds, "tc3_bound", lambda d: (
+            (1.0, math.nan) if nan_jung else (math.nan, 1.0)))
+    report = bounds.full_report(disk_16pi)
+    row = report.row(name)
+    assert row.status == "failed" and "NaN" in row.detail
+    assert all(r.status == "computed" for r in report.rows if r.name != name)
+
 
 def test_disk_report_chain(disk_16pi):
     report = bounds.full_report(disk_16pi)

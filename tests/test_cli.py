@@ -3,13 +3,19 @@ import dataclasses
 import io
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from ksblowup import bounds, cli
 
-from conftest import analytic_families, analytic_report
+from conftest import analytic_families, analytic_report, dilated_polygaussian
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "benchmarks"))
+import workloads  # noqa: E402
 
 EIGHT_PI = 8.0 * math.pi
 LOG125 = math.log(1.25)
@@ -170,6 +176,17 @@ def test_bound_ordering_violation_exit_code(tmp_path, capsys, monkeypatch):
     _, body = parse_csv(captured.out)
     assert {row[0] for row in body} >= {"tc", "tc4"}
     assert "tc4=0.1 below tc=0.5" in captured.err
+
+
+def test_bound_dilated_polygaussian_exits_0(tmp_path, capsys):
+    # PolyGaussian pool entry 0 dilated by 10^6: its Lp norms at the large
+    # q of the lower bound's scan are computed in logs, so lower is finite
+    spec = dilated_polygaussian(workloads.radial_entry("polygaussian", 0)[0],
+                                1e6)
+    assert cli.main(["bound", write_spec(tmp_path, "pg.json", spec)]) == 0
+    _, body = parse_csv(capsys.readouterr().out)
+    lower = next(row for row in body if row[0] == "lower")
+    assert math.isfinite(float(lower[2])), lower
 
 
 @pytest.mark.parametrize("text", [
