@@ -14,8 +14,11 @@ methods.  The heat-weighted mass H(z, s) is chosen here, in one method,
 (`_central_heat_mass`), else radial panel quadrature with a Bessel
 factor off the center (`_heat_mass_quadrature`).  The gaussian's
 closed form holds about every point, and a grid sums H over its
-occupied block.  Radial families also carry the Laplace transform of
-their squared-radius profile, H at the center over pi.
+occupied block.  A grid reads its cumulative mass and its inverse from
+one class, `_BinnedGridProfile`: binned for the probes of a center
+search, gathered whole for the exact profile.  Radial families also
+carry the Laplace transform of their squared-radius profile, H at the
+center over pi.
 
 A radial family states its dataclass fields, checks them in
 `_validate`, and gives its closed forms: mass and profile, and where it
@@ -455,55 +458,26 @@ def _sort_stable(d):
     return order, ds
 
 
-class _GridSnapshot:
-    """Exact cumulative mass of grid data about a point: every cell
-    sorted by `CartesianGrid.squared_distances`, one step per cell, at
-    the square root of its key.
-
-    A grid builds one about its barycenter, and a tc2 search one more at
-    its winning center; the search's probes read `_BinnedGridProfile`.
-    """
-
-    def __init__(self, density, z):
-        _, _, w = density.cell_coordinates()
-        order, d2 = _sort_stable(density.squared_distances(z))
-        self._d = np.sqrt(d2)
-        self._cum = np.cumsum(w[order]) * density.cell_size ** 2
-        self._mass = density.mass()
-
-    def mass_at(self, rho):
-        idx = int(np.searchsorted(self._d, rho, side="right"))
-        return float(self._cum[idx - 1]) if idx else 0.0
-
-    def inverse(self, m):
-        """Distance of the cell that completes the mass fraction m;
-        elementwise, with an array result, for an array m."""
-        idx = self._cum.searchsorted(m * self._mass * (1.0 - 1e-14))
-        radius = self._d.take(idx, mode="clip")
-        return radius if isinstance(m, np.ndarray) else float(radius)
-
-
 class _BinnedGridProfile:
-    """The inverse of `_GridSnapshot` about a point, read from one
-    histogram of squared distances and one exactly sorted block of cells.
+    """Cumulative mass of grid data about a point, one step per cell at
+    the square root of its key d2_k (`CartesianGrid.squared_distances`)
+    in stable key order, read from one histogram and one sorted block.
 
-    Cell k goes to bin min(floor(d2_k B / c^2), B - 1), for its key d2_k
-    (`CartesianGrid.squared_distances`), B = _PROFILE_BINS and c the
-    corner distance: a monotone map of the key, so bins never split the
-    snapshot's order.  The bins a target may cross in are those whose
-    prefix sums reach it within ``eta``, relative.  ``eta`` bounds, in
-    units of u = 2^-53, the error of those sums and of the snapshot's,
-    for non-negative terms (Higham 2002, section 4): the histogram n +
-    bins, a block's sum and its start 2 n, the snapshot n, and the few
-    operations on the target.  So the crossing of a target always lies
-    in those bins, `radius_bounds` brackets its radius from them alone,
-    and a read differs from the snapshot's only where the target lies
-    within ``eta`` of a step of the cumulative mass.
+    Cell k goes to bin min(floor(d2_k B / c^2), B - 1), for
+    B = _PROFILE_BINS and c the corner distance: a monotone map of the
+    key, so bins never split the order.  The bins a target may cross in
+    are those whose prefix sums reach it within ``eta``, relative.
+    ``eta`` bounds, in units of u = 2^-53, the error of those sums and of
+    the whole profile's, for non-negative terms (Higham 2002, section 4):
+    the histogram n + bins, a block's sum and its start 2 n, the whole
+    sum n, and the few operations on the target.  So `radius_bounds`
+    brackets the radius of a target from those bins alone, and a read
+    differs from the whole profile's only where the target lies within
+    ``eta`` of a step of the cumulative mass.
 
-    `gather` sorts, as the snapshot sorts them, the cells of the bins of
-    a range of fractions, and sums them once from the histogram prefix
-    of the bins before; every read inside that block takes its radius
-    from that sum, and a read outside it gathers again.
+    `gather` sorts the cells of the bins of a range of fractions and sums
+    them from the histogram prefix of the bins before; a read outside
+    that block gathers again.  Gathered from 0 to inf it is the whole.
     """
 
     def __init__(self, density, z):
@@ -546,30 +520,48 @@ class _BinnedGridProfile:
 
     def gather(self, low, high):
         """Sort the block of the bins that may hold the crossings of the
-        mass fractions from ``low`` to ``high``."""
+        mass fractions from ``low`` to ``high``; the profile."""
         lo, hi = int(self._bins(low)[0]), int(self._bins(high)[1])
         cells = np.flatnonzero((self._bin >= lo) & (self._bin <= hi))
         order, d2 = _sort_stable(self._d2[cells])
         cells, d = cells[order], np.sqrt(d2)
         self.block = cells, d
+        self._start = self._before[lo] * self._h2  # the mass before it
         self._cum = np.cumsum(np.concatenate(
             [[self._before[lo]], self._w[cells]]))[1:] * self._h2
-        # a read past the block's last cell takes it, as the snapshot's
-        # clipped read takes the farthest cell
+        # a read past the block's last cell takes it, as a read past the
+        # whole profile takes the farthest cell
         self._radius = np.append(d, d[-1])
         # the targets whose every bin lies in the block
         self._covers = (
             self._reach[lo - 1] / (1.0 - self.eta) if lo else -math.inf,
             self._reach[hi] / (1.0 + self.eta) if hi < self._last
             else math.inf)
+        return self
+
+    def mass_at(self, rho):
+        """Mass of the cells within distance rho, to the sums' rounding.
+        Other bins' cells lie before or past all the block's, so the
+        block decides when it starts the profile or holds a cell within
+        rho, and ends it or holds one past rho; else it gathers all."""
+        first, last = self._covers
+        if self.block is None or not (
+                (first == -math.inf or self.block[1][0] <= rho)
+                and (last == math.inf or rho < self.block[1][-1])):
+            self.gather(0.0, math.inf)
+        idx = int(self.block[1].searchsorted(rho, side="right"))
+        return float(self._cum[idx - 1] if idx else self._start)
 
     def inverse(self, m):
         """Distance of the cell that completes the mass fraction m, to
-        the sums' rounding."""
+        the sums' rounding; elementwise for an array m."""
         target = m * self._mass * (1.0 - 1e-14)
-        if not self._covers[0] < target <= self._covers[1]:
-            self.gather(m, m)
-        return float(self._radius[self._cum.searchsorted(target)])
+        array = isinstance(m, np.ndarray)
+        if not (self._covers[0] < (target.min() if array else target)
+                and (target.max() if array else target) <= self._covers[1]):
+            self.gather(np.min(m), np.max(m))
+        radius = self._radius[self._cum.searchsorted(target)]
+        return radius if array else float(radius)
 
 
 @dataclass(frozen=True)
@@ -1003,12 +995,11 @@ class CartesianGrid(InitialDatum):
             float((xs * w).sum() * h * h / m),
             float((ys * w).sum() * h * h / m)))
         # the estimators read the mass profile about the barycenter on
-        # every evaluation at the center, so its one sort of the cells is
-        # done here, with the weighted median and the heaviest cells;
-        # elsewhere a center search reads binned profiles and sorts every
-        # cell once, at its winner
-        object.__setattr__(self, "_bary_profile",
-                           _GridSnapshot(self, self._bary))
+        # every evaluation at the center, so it is gathered whole here;
+        # a center search reads binned profiles and gathers whole once,
+        # at its winner
+        object.__setattr__(self, "_bary_profile", _BinnedGridProfile(
+            self, self._bary).gather(0.0, math.inf))
         median = []
         for coords in (xs, ys):
             order = np.argsort(coords)
@@ -1145,15 +1136,14 @@ class CartesianGrid(InitialDatum):
         return float(self._w[inside].sum() * self.cell_size ** 2)
 
     def mass_profile(self, z, n=None):
-        """Exact cumulative mass about z, one step per cell; n is unused."""
+        """Exact cumulative mass about z, one step per cell: the binned
+        profile gathered over every bin; n is unused."""
         if (float(z[0]), float(z[1])) == self._bary:
             return self._bary_profile
-        return _GridSnapshot(self, z)
+        return _BinnedGridProfile(self, z).gather(0.0, math.inf)
 
     def binned_profile(self, z):
-        """The inverse of the cumulative mass about z to the rounding of
-        its sums, read without sorting every cell: a center search's
-        steering profile."""
+        """A center search's steering profile about z, gathered by need."""
         return _BinnedGridProfile(self, z)
 
     def generalized_inverse(self, z, m):

@@ -938,13 +938,13 @@ def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
 
     grid = disk_grid(64, shift=(0.2, 0.1))
     builds = []
-    original = datum._GridSnapshot.__init__
+    original = datum._BinnedGridProfile.__init__
 
     def counted(self, *args):
         builds.append(1)
         original(self, *args)
 
-    monkeypatch.setattr(datum._GridSnapshot, "__init__", counted)
+    monkeypatch.setattr(datum._BinnedGridProfile, "__init__", counted)
     bounds.tc2_forms(grid)
     assert len(builds) <= 1
 
@@ -952,13 +952,14 @@ def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
 def test_grid_tc2_steering_snapshot_count(monkeypatch):
     # one binned profile per Nelder-Mead probe, which gathers one block
     # for its theta scan's reads and the golden stage, and one sort of
-    # every cell per search, at the winner
+    # every cell per search, at the winner, whose profile is gathered whole
     from ksblowup import datum
 
     grid = disk_grid(64, shift=(0.2, 0.1))
     n_cells = grid.cell_coordinates()[0].size
-    builds, gathers, full_sorts = [], [], []
+    builds, probes, gathers, full_sorts = [], [], [], []
     original = datum._BinnedGridProfile.__init__
+    binned_profile = datum.CartesianGrid.binned_profile
     gather = datum._BinnedGridProfile.gather
     sort_stable = datum._sort_stable
 
@@ -966,9 +967,14 @@ def test_grid_tc2_steering_snapshot_count(monkeypatch):
         builds.append(1)
         original(self, *args)
 
+    def counted_probe(self, z):
+        probes.append(binned_profile(self, z))
+        return probes[-1]
+
     def counted_gather(self, *args):
         gather(self, *args)
-        gathers.append(self.block[0].size)
+        gathers.append((self, self.block[0].size))
+        return self
 
     def counted_sort(d):
         if d.size == n_cells:
@@ -976,12 +982,16 @@ def test_grid_tc2_steering_snapshot_count(monkeypatch):
         return sort_stable(d)
 
     monkeypatch.setattr(datum._BinnedGridProfile, "__init__", counted)
+    monkeypatch.setattr(datum.CartesianGrid, "binned_profile", counted_probe)
     monkeypatch.setattr(datum._BinnedGridProfile, "gather", counted_gather)
     monkeypatch.setattr(datum, "_sort_stable", counted_sort)
     bounds._tc2_search(grid)
-    assert len(builds) == 155
-    assert len(gathers) == len(builds)
-    assert max(gathers) < n_cells / 4
+    assert len(probes) == 155
+    assert len(builds) == len(probes) + len(full_sorts)
+    probe_gathers = [size for profile, size in gathers
+                     if any(profile is p for p in probes)]
+    assert len(probe_gathers) == len(probes)
+    assert max(probe_gathers) < n_cells / 4
     assert len(full_sorts) <= 1
 
 

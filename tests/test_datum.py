@@ -714,7 +714,9 @@ def _check_binned_profile(grid, z, ms):
     and its sums lie within ``eta`` of the snapshot's.  Radii read from
     the block, and from a fresh profile one read at a time, equal the
     snapshot's, except where the target lies within the profile's
-    sum-error bound ``eta`` of a step of the cumulative mass.
+    sum-error bound ``eta`` of a step of the cumulative mass.  A profile
+    gathered for the fraction 1/2 reads the array ``ms`` so too, and the
+    mass within a radius, in its block or out of it, within ``eta``.
     """
     d, cum = _stable_snapshot(grid, z)
     rank = np.empty(d.size, dtype=np.intp)
@@ -745,6 +747,20 @@ def _check_binned_profile(grid, z, ms):
     prof.gather(ms.min(), ms.max())
     check_reads(prof)
     check_reads(grid.binned_profile(z))
+
+    radii = grid.binned_profile(z).gather(0.5, 0.5).inverse(ms)
+    assert isinstance(radii, np.ndarray)
+    assert all(r == r0 or near_step(t)
+               for r, r0, t in zip(radii.tolist(), want, targets))
+    block_d = grid.binned_profile(z).gather(0.5, 0.5).block[1]
+    for rho in np.concatenate([block_d[[0, block_d.size // 2, -1]],
+                               np.unique(d)[::max(1, d.size // 8)],
+                               [0.0, 2.0 * d[-1]]]):
+        for r in (rho, np.nextafter(rho, 0.0)):
+            k = int(np.searchsorted(d, r, side="right"))
+            exact = cum[k - 1] if k else 0.0
+            mass = grid.binned_profile(z).gather(0.5, 0.5).mass_at(r)
+            assert abs(mass - exact) <= prof.eta * exact
 
 
 _fractions = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40).map(
@@ -795,7 +811,7 @@ def _check_one_key(grid, z, reads):
     holds the same cells by both cumulative masses."""
     assert grid.squared_distances(z).tolist() \
         == _squared_distances(grid, z).tolist()
-    radii = grid.mass_profile(z)._d
+    radii = grid.mass_profile(z).block[1]
     assert radii.tolist() == _stable_snapshot(grid, z)[0].tolist()
     assert grid.support_radius_from(z) == radii[-1]
     # unit weights on the same cells, so both masses count cells exactly
