@@ -216,7 +216,8 @@ def _tc_search(density, extra_seeds=()):
     delta = |z - center| on a scan (plus the offsets of ``extra_seeds``)
     refined about its best point.  On grids each seed (`_search_seeds`)
     climbs to a peak of H(., s) (`CartesianGrid.heat_mass_peak`) from
-    where it stopped at the last s.  For every datum a bisection of H at
+    where it stopped at the last s, seeds that stopped at one point as
+    one.  For every datum a bisection of H at
     the winning center ends the search.  The root finder sees only H
     evaluated at a center, so a search that misses the global basin
     gives a looser bound, never a wrong one.
@@ -243,7 +244,9 @@ def _tc_search(density, extra_seeds=()):
             peaks = _search_seeds(density, extra_seeds)
 
             def sup_heat_mass(s):
-                peaks[:] = [density.heat_mass_peak(z, s) for z in peaks]
+                # seeds that reach one point climb from it once at later s
+                peaks[:] = list(dict.fromkeys(
+                    density.heat_mass_peak(z, s) for z in peaks))
                 val, reached[s] = max(
                     (HeatMassCurve(density, z).evaluate(s), z) for z in peaks)
                 return val

@@ -366,6 +366,25 @@ def test_grid_tc_climbs_end_at_rest_points(name, monkeypatch):
             <= 1e-9 * math.sqrt(s)
 
 
+@pytest.mark.parametrize("name", sorted(_TC_GRIDS))
+def test_grid_tc_climbs_from_each_point_once_per_s(name, monkeypatch):
+    # seeds that stop at one point climb from it once at every later s;
+    # the tc2 winner seeds the search, as in a report
+    grid = _tc_grid(name)
+    seeds = (bounds._tc2_search(grid)[1],)
+    starts = []
+    climb = ks.CartesianGrid.heat_mass_peak
+
+    def recorded(self, z, s):
+        starts.append((tuple(z), s))
+        return climb(self, z, s)
+
+    monkeypatch.setattr(ks.CartesianGrid, "heat_mass_peak", recorded)
+    bounds._tc_search(grid, seeds)
+    assert starts
+    assert len(set(starts)) == len(starts)
+
+
 def test_tc_diverges_at_criticality():
     vals = [bounds.tc_bound(ks.Gaussian(EIGHT_PI * (1.0 + eps), 1.0))
             for eps in (1e-1, 1e-2, 1e-3)]
