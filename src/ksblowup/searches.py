@@ -143,7 +143,9 @@ def maximize_even(fn, scan, vals=None):
     refines about the best scan point; a peak at 0 is refined on
     [-scan[1], scan[1]].  ``fn`` is only called at |delta|, and the
     result is the best point evaluated, so fn(delta) equals the value
-    returned.
+    returned.  A best offset within the refinement's tolerance of 0
+    beats fn(0) only by rounding, so it is 0, with the scan's fn(0): no
+    larger than the best value, so a bound read from it is never tighter.
     """
     best = [-math.inf, float(scan[0])]
 
@@ -155,10 +157,12 @@ def maximize_even(fn, scan, vals=None):
     if vals is None:
         vals = [fn(float(d)) for d in scan]
     k = int(np.argmin([neg(float(d), v) for d, v in zip(scan, vals)]))
+    xatol = _DELTA_XATOL * float(scan[-1])
     _fminbound(lambda d: neg(abs(d), fn(abs(d))),
                float(scan[k - 1]) if k else -float(scan[1]),
-               float(scan[min(k + 1, len(scan) - 1)]),
-               _DELTA_XATOL * float(scan[-1]))
+               float(scan[min(k + 1, len(scan) - 1)]), xatol)
+    if best[1] <= xatol:
+        return vals[0], float(scan[0])
     return tuple(best)
 
 

@@ -278,6 +278,19 @@ def test_radial_data_never_search_the_plane(monkeypatch):
         bounds.tc4_bound(d, 3.0)
 
 
+@pytest.mark.parametrize("family, index", [
+    ("annulus", 2), ("annulus", 3), ("annulus", 7), ("polygaussian", 5),
+    ("diffgaussians", 3), ("diffgaussians", 5), ("radial_profile", 1),
+    ("radial_profile", 2), ("radial_profile", 5)])
+def test_ring_tc_winner_within_rounding_of_the_centre_is_the_centre(
+        family, index):
+    # these ring pool entries peak at their centre; the offset search's
+    # best point lies within its tolerance of 0 and beats H there only by
+    # quadrature rounding, so the centre, with its closed form, wins
+    d = cli.datum_from_dict(workloads.radial_entry(family, index)[0])
+    assert bounds._tc_search(d)[1] == d.center
+
+
 def test_radial_tc_is_the_centre_inversion_when_it_peaks_there():
     # the annulus' largest H sits at its center, where the closed form
     # applies; the delta search returns that inversion, at the same

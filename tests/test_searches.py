@@ -42,6 +42,18 @@ def test_maximize_even_returns_its_best_evaluation(fn, peak):
     assert val >= max(fn(d) for d in np.linspace(0.0, 5.0, 4001))
 
 
+def test_maximize_even_takes_a_best_offset_within_its_tolerance_as_zero():
+    # a peak at 0 that rounding lifts just off it: the best offset the
+    # refinement evaluates lies within its tolerance, 1e-8 of the scanned
+    # range, of 0, so the result is 0 and the scan's fn(0)
+    def fn(d):
+        return 1.0 - d * d + (1e-15 if 0.0 < d <= 5e-8 else 0.0)
+
+    traced, calls = _traced(fn)
+    assert maximize_even(traced, np.linspace(0.0, 5.0, 17)) == (1.0, 0.0)
+    assert any(0.0 < d <= 5e-8 for d in calls)
+
+
 # ---------------------------------------------------------------------------
 # the local minimizers are ports of scipy.optimize's: same calls, same bits
 # ---------------------------------------------------------------------------
