@@ -398,6 +398,53 @@ def test_grid_tc_climbs_from_each_point_once_per_s(name, monkeypatch):
     assert len(set(starts)) == len(starts)
 
 
+def _central_moments(d):
+    """(V2, V4) of an analytic datum about its center in closed form, at
+    the working precision: the means of |x|^2 and |x|^4 under n0 / M."""
+    mpf = mpmath.mpf
+    if d.family == "gaussian":
+        v2 = 4 * mpf(d.sigma)
+        return v2, 2 * v2 * v2
+    if d.family == "disk":
+        r2 = mpf(d.radius) ** 2
+        return r2 / 2, r2 * r2 / 3
+    if d.family == "annulus":
+        a, b = mpf(d.r_inner) ** 2, mpf(d.r_outer) ** 2
+        return (a + b) / 2, (a * a + a * b + b * b) / 3
+    if d.family == "polygaussian":
+        p, rate = d.power, mpf(d.rate)
+        return (p + 1) / rate, (p + 1) * (p + 2) / rate ** 2
+    slow, fast = 1 / mpf(d.rate_slow), 1 / mpf(d.rate_fast)
+    return slow + fast, 2 * (slow * slow + slow * fast + fast * fast)
+
+
+@pytest.mark.parametrize("mass", [
+    9.0 * math.pi, 16.0 * math.pi, 100.0 * math.pi,
+    *(EIGHT_PI * (1.0 + 10.0 ** -e) for e in (2, 4, 6, 8))],
+    ids=["9pi", "16pi", "100pi", "e2", "e4", "e6", "e8"])
+@pytest.mark.parametrize("family", range(5), ids=[
+    "gaussian", "disk", "annulus", "polygaussian", "diffgaussians"])
+def test_tc_is_not_below_the_moment_lower_bound(mass, family):
+    # e^-x <= 1 - x + x^2/2 bounds H about z by M (1 - V2 t/4 + V4 t^2/32)
+    # for t = 1/s, so H < L while t lies between the roots of
+    # V4 t^2/32 - V2 t/4 + c, c = (M - L)/M, when they are real; H grows
+    # with s, so tc(z) >= 1/t1 for the smaller root t1.  Moments about
+    # the winner z* at offset delta from the center: V2 + delta^2 and
+    # V4 + 4 V2 delta^2 + delta^4
+    d = list(cli._ordering_cases((mass,)))[family]
+    tc, z = bounds._tc_search(d)
+    with mpmath.workdps(40):
+        v2c, v4c = _central_moments(d)
+        delta2 = sum((mpmath.mpf(a) - b) ** 2 for a, b in zip(z, d.center))
+        v2 = v2c + delta2
+        v4 = v4c + 4 * v2c * delta2 + delta2 * delta2
+        c = 1 - _exact_threshold(d.mass()) / mpmath.mpf(d.mass())
+        if c >= v2 * v2 / (2 * v4):
+            pytest.skip("the moment quadratic has no real root")
+        t1 = (v2 / 4 - mpmath.sqrt(v2 * v2 / 16 - v4 * c / 8)) * 16 / v4
+        assert tc >= 1 / t1
+
+
 def test_tc_diverges_at_criticality():
     vals = [bounds.tc_bound(ks.Gaussian(EIGHT_PI * (1.0 + eps), 1.0))
             for eps in (1e-1, 1e-2, 1e-3)]
