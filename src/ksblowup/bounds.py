@@ -48,7 +48,7 @@ exactly only the scan points whose bounds may hold the scan's minimum,
 and sorts one block of cells, the bins of their golden brackets.  A
 ``tc2`` winner off the center whose steering value beats the center's is
 decided once, for every datum, on one profile: 4096 rings, or on a grid
-the search's one sort of every cell.
+the binned profile gathered whole, the search's one sort of every cell.
 """
 
 import dataclasses
@@ -690,9 +690,10 @@ def _tc2_search(density):
     exactly only the scan points that may hold its minimum
     (`_ThetaScan.binned_form`).  A winner off the center whose steering
     value beats the center's is decided once, for every datum, by both
-    forms on its `_snapshot`: a 4096-point ring profile, or a grid's one
-    sort of every cell in the search, whose exact theta form is the one
-    every probe would have read had it been exact.
+    forms on its `_snapshot`: a 4096-point ring profile, or a grid's
+    binned profile gathered whole, the one sort of every cell in the
+    search, whose theta form is the one every probe would have read had
+    it been exact.
     """
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
