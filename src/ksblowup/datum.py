@@ -526,7 +526,6 @@ class _BinnedGridProfile:
         order, d2 = _sort_stable(self._d2[cells])
         cells, d = cells[order], np.sqrt(d2)
         self.block = cells, d
-        self._start = self._before[lo] * self._h2  # the mass before it
         self._cum = np.cumsum(np.concatenate(
             [[self._before[lo]], self._w[cells]]))[1:] * self._h2
         # a read past the block's last cell takes it, as a read past the
@@ -540,17 +539,12 @@ class _BinnedGridProfile:
         return self
 
     def mass_at(self, rho):
-        """Mass of the cells within distance rho, to the sums' rounding.
-        Other bins' cells lie before or past all the block's, so the
-        block decides when it starts the profile or holds a cell within
-        rho, and ends it or holds one past rho; else it gathers all."""
-        first, last = self._covers
-        if self.block is None or not (
-                (first == -math.inf or self.block[1][0] <= rho)
-                and (last == math.inf or rho < self.block[1][-1])):
+        """Mass of the cells within distance rho, read from the whole
+        profile, which a profile not gathered whole gathers first."""
+        if self._covers != (-math.inf, math.inf):
             self.gather(0.0, math.inf)
         idx = int(self.block[1].searchsorted(rho, side="right"))
-        return float(self._cum[idx - 1] if idx else self._start)
+        return float(self._cum[idx - 1]) if idx else 0.0
 
     def inverse(self, m):
         """Distance of the cell that completes the mass fraction m, to
