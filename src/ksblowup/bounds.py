@@ -217,10 +217,10 @@ def _tc_search(density, extra_seeds=()):
     refined about its best point.  On grids each seed (`_search_seeds`)
     climbs to a peak of H(., s) (`CartesianGrid.heat_mass_peak`) from
     where it stopped at the last s, seeds that stopped at one point as
-    one.  For every datum a bisection of H at
-    the winning center ends the search.  The root finder sees only H
-    evaluated at a center, so a search that misses the global basin
-    gives a looser bound, never a wrong one.
+    one.  For every datum a bisection of H at the winning center ends the
+    search.  The root finder sees only H evaluated at a center, so a
+    search that misses the global basin gives a looser bound, never a
+    wrong one.
 
     The target is L times `_TC_TARGET_FACTOR`, which covers the rounding
     of L and of a closed-form H but not quadrature or grid-sum error.
@@ -244,7 +244,6 @@ def _tc_search(density, extra_seeds=()):
             peaks = _search_seeds(density, extra_seeds)
 
             def sup_heat_mass(s):
-                # seeds that reach one point climb from it once at later s
                 peaks[:] = list(dict.fromkeys(
                     density.heat_mass_peak(z, s) for z in peaks))
                 val, reached[s] = max(

@@ -520,7 +520,7 @@ class _BinnedGridProfile:
 
     def gather(self, low, high):
         """Sort the block of the bins that may hold the crossings of the
-        mass fractions from ``low`` to ``high``; the profile."""
+        mass fractions from ``low`` to ``high``, and return the profile."""
         lo, hi = int(self._bins(low)[0]), int(self._bins(high)[1])
         cells = np.flatnonzero((self._bin >= lo) & (self._bin <= hi))
         order, d2 = _sort_stable(self._d2[cells])
