@@ -17,8 +17,8 @@ from .bounds import (
     mass_constants,
     tc1_bound,
     tc1_value,
+    tc2_at,
     tc2_bound,
-    tc2_forms,
     tc3_bound,
     tc4_bound,
     tc_bound,
@@ -61,8 +61,8 @@ __all__ = [
     "mass_constants",
     "tc1_bound",
     "tc1_value",
+    "tc2_at",
     "tc2_bound",
-    "tc2_forms",
     "tc3_bound",
     "tc4_bound",
     "tc_bound",

@@ -116,7 +116,6 @@ def mass_constants(mass):
 _NM_MAX_ITER = 80        # Nelder-Mead iterations of tc4 (tc2: half, per start)
 _THETA_GRID = 96         # coarse scan points of the tc2 theta form
 _THETA_EPS = 1e-6        # the theta scan's distance from 0 and 1
-_RHO_GRID = 96           # coarse scan points of the tc2 rho form
 _QPRIME_GRID = 64        # coarse scan points of the lower bound's q'
 _TC1_Q_VALUES = (1.25, 1.5, 2.0, 3.0, 5.0)  # ascending
 _TC1_LAMBDA_GRID = 9     # log-spaced lambda values per q in the tc1 scan
@@ -573,7 +572,7 @@ def _tc1_stages(conv):
 
 
 # ---------------------------------------------------------------------------
-# tc2: radial cumulative mass, rho-form and theta-form
+# tc2: radial cumulative mass, the theta form and the exact cell infimum
 # ---------------------------------------------------------------------------
 
 class _ThetaScan:
@@ -629,42 +628,42 @@ class _ThetaScan:
         return self.form(profile.inverse, radii)
 
 
-def _rho_form_from(mass_at, consts, lo, hi):
-    """inf_rho rho^2 / (4 ln+( mass_in_disk / L )) given a mass evaluator."""
-
-    def objective(rho):
-        frac = mass_at(rho) / consts.threshold
-        if frac <= 1.0:
-            return math.inf
-        return rho ** 2 / (4.0 * math.log(frac))
-
-    if not hi > 0.0:
-        # no radius to scan: on a one-cell grid both radii are 0.  A
-        # positive hi at or below the start, as on a grid whose farthest
-        # cells hold the excess mass, scans a decreasing grid
-        raise HypothesisCheckError(
-            f"rho form: support radius {hi!r} is not positive")
-    grid = np.geomspace(max(lo, 1e-12) * (1.0 + 1e-9), hi, _RHO_GRID)
-    _, val = grid_then_golden(objective, grid)
-    return val
-
-
-def tc2_forms(density, z=None):
-    """(rho_form, theta_form) of the radial-mass bound at a fixed center."""
+def tc2_at(density, z=None):
+    """The radial-mass bound at the fixed center z (the center if None)."""
     scan = _ThetaScan(mass_constants(density.mass()))
-    return _forms_about(scan, density, density.center if z is None else z)[:2]
+    return _tc2_from(scan, density, density.center if z is None else z)[0]
 
 
-def _forms_about(scan, density, z):
-    """`tc2_forms` at z, with the search's theta scan, and the list of
-    the scan's radii there."""
-    hi = density.support_radius_from(z) if density.has_compact_support \
-        else density.generalized_inverse(z, 1.0 - 1e-13)
-    rho = _rho_form_from(lambda r: density.radial_mass(z, r), scan.consts,
-                         density.generalized_inverse(z, scan.consts.ratio), hi)
-    radii = density.generalized_inverse(z, scan.fractions).tolist()
-    return rho, scan.form(lambda m: density.generalized_inverse(z, m),
-                          radii), radii
+def _tc2_from(scan, density, z, profile=None):
+    """(tc2 at z, centred) from one cumulative-mass profile about z:
+    ``profile`` (`_snapshot`), or where None the datum's own inverse.
+
+    tc2 is inf_rho rho^2 / (4 ln(M(z, rho) / L)).  A grid reads it exactly
+    on its binned profile gathered whole (`_BinnedGridProfile.cell_infimum`).
+    Radial data read the theta form, that infimum at rho = R(a^theta),
+    where ln(M(z, rho) / L) = (1 - theta) ln(1/a), and with compact
+    support also its theta = 0 end, the squared support radius from z
+    over 4 ln(1/a), in closed form: an inverse at 1 may read short of it.
+    ``centred`` is (scan, the scan's radii, the theta form) over radial
+    data, None over a grid.
+    """
+    consts = scan.consts
+    if not density.is_radial:
+        if profile is None:
+            profile = density.mass_profile(z)
+        return profile.cell_infimum(consts.threshold), None
+    if profile is None:
+        def inverse(m):
+            return density.generalized_inverse(z, m)
+    else:
+        inverse = profile.inverse
+    radii = inverse(scan.fractions).tolist()
+    theta = scan.form(inverse, radii)
+    val = theta
+    if density.has_compact_support:
+        val = min(val, density.support_radius_from(z) ** 2
+                  / (4.0 * consts.log_inv_ratio))
+    return val, (scan, radii, theta)
 
 
 def _snapshot(density, z, n=1024):
@@ -679,26 +678,22 @@ def tc2_bound(density):
 
 
 def _tc2_search(density):
-    """(tc2, center, centred): the smaller of the form at the center and
-    the form at the center that minimizes the theta form.  ``centred``
-    holds the theta scan, its radii at the center and the theta form
-    there, which the F-method reads.
+    """(tc2, center, centred): the smaller of `_tc2_from` at the center and
+    at the center that minimizes the steering form.  ``centred`` is
+    `_tc2_from`'s at the center, whose theta scan the F-method reads.
 
-    Radial data steer on 512-point ring profiles.  Grids steer on binned
-    profiles, whose sums are good to their rounding, each probe reading
-    exactly only the scan points that may hold its minimum
-    (`_ThetaScan.binned_form`).  A winner off the center whose steering
-    value beats the center's is decided once, for every datum, by both
-    forms on its `_snapshot`: a 4096-point ring profile, or a grid's
-    binned profile gathered whole, the one sort of every cell in the
-    search, whose theta form is the one every probe would have read had
-    it been exact.
+    Radial data steer on the theta form of 512-point ring profiles.
+    Grids steer on the theta form of binned profiles, whose sums are good
+    to their rounding, each probe reading exactly only the scan points
+    that may hold its minimum (`_ThetaScan.binned_form`).  A winner off
+    the center whose steering value beats the center's is decided once,
+    by `_tc2_from` on its `_snapshot`: a 4096-point ring profile, or a
+    grid's binned profile gathered whole, the one sort of every cell in
+    the search.
     """
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
-    rho, theta, radii = _forms_about(scan, density, center)
-    centred = (scan, radii, theta)
-    center_val = min(rho, theta)
+    center_val, centred = _tc2_from(scan, density, center)
     if density.is_nonincreasing_radial:
         return center_val, center, centred
 
@@ -717,11 +712,9 @@ def _tc2_search(density):
             <= 1e-9 * (1.0 + density._scale_radius()) \
             or not steered < center_val:
         return center_val, center, centred
-    snap = _snapshot(density, z_best, n=4096)  # a grid ignores n
-    off_val = min(_rho_form_from(snap.mass_at, scan.consts,
-                                 snap.inverse(scan.consts.ratio),
-                                 snap.inverse(1.0 - 1e-12)),
-                  scan.form(snap.inverse))
+    # a grid ignores n
+    off_val, _ = _tc2_from(scan, density, z_best,
+                           _snapshot(density, z_best, n=4096))
     if off_val < center_val:
         return off_val, z_best, centred
     return center_val, center, centred

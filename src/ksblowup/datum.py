@@ -16,7 +16,7 @@ factor off the center (`_heat_mass_quadrature`).  The gaussian's
 closed form holds about every point, and a grid sums H over its
 occupied block.  A grid reads its cumulative mass and its inverse from
 one class, `_BinnedGridProfile`: binned for the probes of a center
-search, gathered whole for the exact profile.  Radial families also
+search, gathered whole for the exact profile and its tc2 cell infimum.  Radial families also
 carry the Laplace transform of their squared-radius profile, H at the
 center over pi.
 
@@ -37,6 +37,7 @@ import numpy as np
 from scipy import special
 
 from .errors import (
+    HypothesisCheckError,
     InvalidFieldError,
     NormDivergenceError,
     NotRadialError,
@@ -419,9 +420,6 @@ class _RadialSnapshot:
         self._seg_dcum = np.concatenate([[1.0], np.diff(cum), [1.0]])
         self._seg_dus = np.concatenate([[0.0], np.diff(us), [0.0]])
 
-    def mass_at(self, rho):
-        return float(np.interp(rho, self._us, self._cum))
-
     def inverse(self, m):
         """Radius where the profile reaches the mass fraction m, linear
         between nodes; elementwise, with an array result, for an array m.
@@ -477,7 +475,8 @@ class _BinnedGridProfile:
 
     `gather` sorts the cells of the bins of a range of fractions and sums
     them from the histogram prefix of the bins before; a read outside
-    that block gathers again.  Gathered from 0 to inf it is the whole.
+    that block gathers again.  Gathered from 0 to inf it is the whole,
+    which `mass_at` and `cell_infimum`, the exact grid tc2, read.
     """
 
     def __init__(self, density, z):
@@ -520,31 +519,60 @@ class _BinnedGridProfile:
 
     def gather(self, low, high):
         """Sort the block of the bins that may hold the crossings of the
-        mass fractions from ``low`` to ``high``, and return the profile."""
+        mass fractions from ``low`` to ``high``, and return the profile.
+        A whole profile serves every read, so it keeps its block and drops
+        the per-cell keys and bins that only a gather reads."""
+        if self._covers == (-math.inf, math.inf):
+            return self
         lo, hi = int(self._bins(low)[0]), int(self._bins(high)[1])
         cells = np.flatnonzero((self._bin >= lo) & (self._bin <= hi))
         order, d2 = _sort_stable(self._d2[cells])
-        cells, d = cells[order], np.sqrt(d2)
-        self.block = cells, d
-        self._cum = np.cumsum(np.concatenate(
-            [[self._before[lo]], self._w[cells]]))[1:] * self._h2
+        cells = cells[order]
         # a read past the block's last cell takes it, as a read past the
         # whole profile takes the farthest cell
-        self._radius = np.append(d, d[-1])
+        self._radius = np.empty(cells.size + 1)
+        np.sqrt(d2, out=self._radius[:-1])
+        self._radius[-1] = self._radius[-2]
+        self.block = cells, self._radius[:-1]
+        self._cum = np.cumsum(np.concatenate(
+            [[self._before[lo]], self._w[cells]]))[1:] * self._h2
         # the targets whose every bin lies in the block
         self._covers = (
             self._reach[lo - 1] / (1.0 - self.eta) if lo else -math.inf,
             self._reach[hi] / (1.0 + self.eta) if hi < self._last
             else math.inf)
+        if self._covers == (-math.inf, math.inf):
+            del self._d2, self._bin
         return self
 
     def mass_at(self, rho):
         """Mass of the cells within distance rho, read from the whole
         profile, which a profile not gathered whole gathers first."""
-        if self._covers != (-math.inf, math.inf):
-            self.gather(0.0, math.inf)
+        self.gather(0.0, math.inf)
         idx = int(self.block[1].searchsorted(rho, side="right"))
         return float(self._cum[idx - 1]) if idx else 0.0
+
+    def cell_infimum(self, threshold):
+        """min over the cells k, in the whole profile's order, of
+        d_k^2 / (4 ln(m_k (1 - eta) / threshold)): the exact radial-mass
+        bound tc2 about the profile's point, m_k the mass of the first k
+        cells read at the safe end of its rounding.  Only cells whose m_k
+        so read exceeds ``threshold`` count; a tie in distance is won by
+        its last cell, which holds the whole tie's mass."""
+        self.gather(0.0, math.inf)
+        mass = self._cum * (1.0 - self.eta)
+        first = int(mass.searchsorted(threshold, side="right"))
+        if first == mass.size:
+            raise HypothesisCheckError(
+                "tc2: the mass, less its rounding, does not exceed L(M)")
+        d = self.block[1][first:]
+        vals = d * d / (4.0 * np.log(mass[first:] / threshold))
+        k = int(vals.argmin())
+        if d[k] == 0.0:
+            raise HypothesisCheckError(
+                "tc2: the cells at the center hold more than L(M), so "
+                "the infimum over radii is 0")
+        return float(vals[k])
 
     def inverse(self, m):
         """Distance of the cell that completes the mass fraction m, to

@@ -14,7 +14,7 @@ For each case it prints the ``repr`` of every ``full_report`` row as
   after each entry's report, the winning (q, lam) of its ``tc1`` search
   and the winning centers of its ``tc`` search and its ``tc2`` search, so
   a change that moves a winner shows even where no printed value moves,
-  then, after each grid's, its ``tc2_forms`` at the barycenter and its
+  then, after each grid's, its ``tc2_at`` at the barycenter and its
   ``tc4_bound`` at beta = 3, the center-optimized moment form, which no
   report row reads.
 
@@ -30,8 +30,8 @@ A change that moves numbers compares the two digests instead:
 
     python tests/report_digest.py --compare before.txt after.txt
 
-prints, per row name (``tc2_forms.rho``, ``tc2_forms.theta`` and
-``tc4_beta3`` for the center forms), how many values were compared, how
+prints, per row name (``tc2_at`` and ``tc4_beta3`` for the center
+forms), how many values were compared, how
 many moved and the largest relative move up and down, then every status,
 ``ordering_ok``, ``tc1`` winner, ``tc`` or ``tc2`` center or sweep exit
 code that changed, with the distance each changed center moved and the
@@ -77,8 +77,7 @@ def _print_centers(density):
 def _print_grid_forms(density):
     from ksblowup import bounds
 
-    print(f"{_TC2_FORMS}"
-          f"{bounds.tc2_forms(density, density.barycenter())!r}")
+    print(f"{_TC2_AT}{bounds.tc2_at(density, density.barycenter())!r}")
     print(f"{_TC4_BETA3}{bounds.tc4_bound(density, 3.0)!r}")
 
 
@@ -110,6 +109,9 @@ _LINE_NAMES = {"__builtins__": {}, "nan": math.nan, "inf": math.inf,
 _TC1_WINNER = "  tc1 winner: "
 _TC_CENTER = "  tc center: "
 _TC2_CENTER = "  tc2 center: "
+_TC2_AT = "  tc2 at barycenter: "
+#: the line of older digests, (rho form, theta form), whose smaller value
+#: was tc2 at the barycenter
 _TC2_FORMS = "  tc2 forms at barycenter: "
 _TC4_BETA3 = "  tc4 beta=3: "
 
@@ -119,7 +121,8 @@ def read_digest(path):
 
     ``values`` maps (case, row name, step) to (value, status); a report row
     and a grid's center forms have step 0, a sweep cell the step of its
-    line and status "computed" or "blank".  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
+    line and status "computed" or "blank".  An older digest's tc2 forms
+    line reads as ``tc2_at``, the smaller of its two forms.  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
     code, "<case> tc1 winner" to a pool entry's winning ``tc1`` (q, lam)
     and "<case> tc center" and "<case> tc2 center" to a pool entry's winning
     ``tc`` and ``tc2`` centers.
@@ -140,10 +143,13 @@ def read_digest(path):
                 flags[f"{case} tc center"] = line[len(_TC_CENTER):]
             elif line.startswith(_TC2_CENTER):
                 flags[f"{case} tc2 center"] = line[len(_TC2_CENTER):]
+            elif line.startswith(_TC2_AT):
+                values[(case, "tc2_at", 0)] = (
+                    eval(line[len(_TC2_AT):], _LINE_NAMES), "computed")
             elif line.startswith(_TC2_FORMS):
-                rho, theta = eval(line[len(_TC2_FORMS):], _LINE_NAMES)
-                values[(case, "tc2_forms.rho", 0)] = (rho, "computed")
-                values[(case, "tc2_forms.theta", 0)] = (theta, "computed")
+                values[(case, "tc2_at", 0)] = (
+                    min(eval(line[len(_TC2_FORMS):], _LINE_NAMES)),
+                    "computed")
             elif line.startswith(_TC4_BETA3):
                 values[(case, "tc4_beta3", 0)] = (
                     eval(line[len(_TC4_BETA3):], _LINE_NAMES), "computed")

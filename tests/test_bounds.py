@@ -243,7 +243,7 @@ def test_tc2_keeps_the_centre_when_the_winner_does_not_beat_it(
         d = ks.DiffGaussians(32.0, 1.0, 2.0)
     else:
         d = ks.CartesianGrid(*workloads.dense_grid_entry(0))
-    center_val = min(bounds.tc2_forms(d))
+    center_val = bounds.tc2_at(d)
     steered = center_val * factor
     off = (d.center[0] + 0.3, d.center[1])
     monkeypatch.setattr(bounds, "maximize_even",
@@ -967,24 +967,30 @@ def test_tc1_weight_overflow_is_a_named_error(q, lam):
         bounds.tc1_value(ks.Gaussian(100.0, 1.0), q, lam)
 
 
-def test_one_cell_grid_report_names_the_empty_rho_scan():
-    # the support radius is 0 about the cell, so the rho form has no
-    # radius to scan
+def test_one_cell_grid_report_names_the_zero_infimum():
+    # all the mass sits at distance 0 from the center, so the infimum
+    # over radii is 0: the row is inapplicable and says why
     tc2 = bounds.full_report(_one_cell_grid()).row("tc2")
     assert tc2.status == "inapplicable"
-    assert tc2.detail == "rho form: support radius 0.0 is not positive"
+    assert tc2.detail == ("tc2: the cells at the center hold more than "
+                          "L(M), so the infimum over radii is 0")
 
 
-def test_two_cell_grid_scans_the_rho_form_down_to_the_support_radius():
-    # both cells sit at one distance from the center, which holds more
-    # than 1 - L/M of the mass: the scan's start lies just beyond the
-    # support radius and the scan runs down to it
+def test_two_cell_grid_reads_its_cell_infimum():
+    # both cells sit at one distance d from the center: tc2 is
+    # d^2 / (4 ln(M (1 - eta) / L)), the whole mass at its safe end
     vals = np.zeros((5, 5))
     vals[1, 1] = vals[3, 3] = 2000.0
     d = ks.CartesianGrid(vals, 0.1)
-    assert bounds.tc2_forms(d) == (0.029333770741658893, 0.029333800075459004)
+    consts = bounds.mass_constants(d.mass())
+    profile = d.mass_profile(d.center)
+    dist = profile.block[1][-1]
+    assert dist == pytest.approx(math.hypot(0.1, 0.1), rel=1e-15)
+    want = dist * dist / (4.0 * math.log(
+        profile._cum[-1] * (1.0 - profile.eta) / consts.threshold))
+    assert bounds.tc2_at(d) == want
     tc2 = bounds.full_report(d).row("tc2")
-    assert (tc2.status, tc2.value) == ("computed", 0.029333770741658893)
+    assert (tc2.status, tc2.value) == ("computed", want)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,16 +1009,24 @@ def test_tc2_gaussian_frozen_value(gaussian_16pi):
                                                             rel=1e-6)
 
 
-def test_tc2_forms_agree_for_radial(families_16pi):
-    for name in ("gaussian", "disk", "annulus", "polygaussian",
-                 "diffgaussians"):
-        rho_form, theta_form = bounds.tc2_forms(families_16pi[name])
-        assert rho_form == pytest.approx(theta_form, rel=1e-4)
+@pytest.mark.parametrize("mass", [9.0 * math.pi, 16.0 * math.pi,
+                                  100.0 * math.pi], ids=["9pi", "16pi", "100pi"])
+@pytest.mark.parametrize("family", ["disk", "annulus"])
+def test_centred_compact_tc2_reads_the_theta_zero_end(mass, family):
+    # the theta form of the disk and the annulus is least at theta = 0,
+    # R^2 / (4 ln(1/a)) for the outer radius R, which tc2 reads exactly
+    if family == "disk":
+        d, radius = ks.DiskIndicator(mass / math.pi, 1.0), 1.0
+    else:
+        d, radius = ks.Annulus(mass / (3.0 * math.pi), 1.0, 2.0), 2.0
+    want = radius ** 2 / (4.0 * bounds.mass_constants(d.mass()).log_inv_ratio)
+    assert bounds.tc2_at(d) == want
+    assert bounds.full_report(d).computed("tc2") == want
 
 
-def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
-    # every generalized inverse about the barycenter reads one cumulative
-    # mass profile instead of sorting the cells again
+def test_grid_tc2_at_reuses_one_barycenter_profile(monkeypatch):
+    # tc2 about the barycenter reads the profile the grid gathered whole
+    # when it was built, instead of sorting the cells again
     from ksblowup import datum
 
     grid = disk_grid(64, shift=(0.2, 0.1))
@@ -1024,8 +1038,8 @@ def test_grid_tc2_forms_reuse_one_barycenter_profile(monkeypatch):
         original(self, *args)
 
     monkeypatch.setattr(datum._BinnedGridProfile, "__init__", counted)
-    bounds.tc2_forms(grid)
-    assert len(builds) <= 1
+    bounds.tc2_at(grid)
+    assert builds == []
 
 
 def test_grid_tc2_steering_snapshot_count(monkeypatch):
@@ -1130,14 +1144,11 @@ def _reference_grid_tc2_search(density):
         lambda z: theta_form(density.mass_profile(z).inverse),
         bounds._search_seeds(density), max_iter=bounds._NM_MAX_ITER // 2)
     center = density.center
-    center_val = min(bounds.tc2_forms(density, center))
+    center_val = bounds.tc2_at(density, center)
     off_center = math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
         > 1e-9 * (1.0 + density._scale_radius())
     if off_center and val_best < center_val:
-        snap = density.mass_profile(z_best)
-        rho = bounds._rho_form_from(snap.mass_at, consts, snap.inverse(a),
-                                    snap.inverse(1.0 - 1e-12))
-        off_val = min(rho, theta_form(snap.inverse))
+        off_val = bounds.tc2_at(density, z_best)
         if off_val < center_val:
             return off_val, z_best
     return center_val, center
@@ -1201,19 +1212,6 @@ def test_grid_array_inverse_refuses_fractions_outside_the_range(bad):
     for z in (None, (0.3, -0.45)):
         with pytest.raises(ValueError):
             grid.generalized_inverse(z, np.array([0.5, bad, 0.9]))
-
-
-def test_rho_form_ignores_uninformative_radii():
-    # below the threshold the positive-part log vanishes: contribution +inf
-    consts = bounds.mass_constants(16.0 * math.pi)
-    calls = []
-
-    def mass_at(rho):
-        calls.append(rho)
-        return consts.threshold * 0.5  # always below threshold
-
-    val = bounds._rho_form_from(mass_at, consts, 0.1, 10.0)
-    assert val == math.inf and calls
 
 
 # ---------------------------------------------------------------------------
@@ -1357,7 +1355,7 @@ def test_f_method_gaussian_interior_case(gaussian_16pi):
     row = report.row("f_method")
     assert row.status == "computed"
     # the interior case: the centred theta form
-    assert row.value == bounds.tc2_forms(gaussian_16pi)[1]
+    assert row.value == bounds.tc2_at(gaussian_16pi)
     assert row.value == pytest.approx(17.4117935801, rel=1e-7)
     assert row.value > report.computed("tc")
 
@@ -1366,8 +1364,8 @@ def test_f_method_matches_theta_form(families_16pi):
     for name in ("annulus", "polygaussian", "diffgaussians"):
         row = analytic_report(name, 16.0 * math.pi).row("f_method")
         assert row.status == "computed"
-        _, theta_form = bounds.tc2_forms(families_16pi[name])
-        assert row.value == pytest.approx(theta_form, rel=1e-3)
+        centred = bounds._tc2_search(families_16pi[name])[2]
+        assert row.value == pytest.approx(centred[2], rel=1e-3)
 
 
 def test_f_method_plateau_in_window_inapplicable():
@@ -1460,13 +1458,13 @@ def test_f_method_computed_near_critical(family, e):
     report = bounds.full_report(d)
     row = report.row("f_method")
     assert row.status == "computed"
-    assert row.value == bounds.tc2_forms(d)[1]
+    assert row.value == bounds.tc2_at(d)
     assert row.value >= report.computed("tc2")
 
 
 @pytest.mark.parametrize("d, inverse_calls, capped, report_calls", [
-    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 122, 7801),
-    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 122, 7668),
+    (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 122, 7556),
+    (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 122, 7484),
 ])
 def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
                                         capped, report_calls):

@@ -274,7 +274,7 @@ def test_bound_grid_spec(tmp_path, capsys):
 
 
 def test_bound_one_cell_grid(tmp_path, capsys):
-    # all the mass in one cell: tc2's rho form has no radius to scan, and
+    # all the mass in one cell: tc2's infimum over radii is 0, and
     # the row says so instead of the command crashing.  tc fails too, and
     # the rows that read the cell as a point at its center, tc1 (8e-63)
     # and tc3, tc3_jung and tc4 (0), fall below lower: the check names them
