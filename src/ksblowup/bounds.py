@@ -40,18 +40,18 @@ data that is not non-increasing the scan and the golden stages steer on
 a panel rule with 4x fewer kernel entries, and the full rule evaluates
 each stage winner once: the smallest of those values is ``tc1``.  Each
 convolution computes its radial kernels in place, a scan's in one batch.
-One ``tc2`` search computes its 96 theta-scan fractions once.  Each
-radial probe sweeps the rings about its center once and reads the scan
-from that profile in one call.  Each grid probe bins the cells by
-squared distance, bounds every scan radius from that histogram, reads
-exactly only the scan points whose bounds may hold the scan's minimum,
-and sorts one block of cells, the bins of their golden brackets.  A
-``tc2`` winner off the center whose steering value beats the center's is
-decided once, for every datum, on one profile: 4096 rings, or on a grid
-the binned profile gathered whole, the search's one sort of every cell.
+One ``tc2`` search computes its 96 theta-scan fractions once and steers
+on the theta form.  Each radial probe sweeps the rings about its center
+once; each grid probe bins the cells by squared distance, bounds every
+scan radius from that histogram, reads exactly only the scan points
+whose bounds may hold the scan's minimum, and sorts one block of cells,
+the bins of their golden brackets.  One routine decides the center and
+a winner off it that beats the center: on radial data the theta form
+and its theta = 0 end, on a grid the exact cell infimum.
 """
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -635,35 +635,23 @@ def tc2_at(density, z=None):
 
 
 def _tc2_from(scan, density, z, profile=None):
-    """(tc2 at z, centred) from one cumulative-mass profile about z:
-    ``profile`` (`_snapshot`), or where None the datum's own inverse.
-
-    tc2 is inf_rho rho^2 / (4 ln(M(z, rho) / L)).  A grid reads it exactly
-    on its binned profile gathered whole (`_BinnedGridProfile.cell_infimum`).
-    Radial data read the theta form, that infimum at rho = R(a^theta),
-    where ln(M(z, rho) / L) = (1 - theta) ln(1/a), and with compact
-    support also its theta = 0 end, the squared support radius from z
-    over 4 ln(1/a), in closed form: an inverse at 1 may read short of it.
-    ``centred`` is (scan, the scan's radii, the theta form) over radial
-    data, None over a grid.
-    """
-    consts = scan.consts
+    """(tc2 at z, centred) from ``profile``, the cumulative mass about z
+    (`_snapshot`), or where None from the datum's own.  A grid reads the
+    exact infimum over rho of rho^2 / (4 ln(M(z, rho) / L)) on its whole
+    profile (`_BinnedGridProfile.cell_infimum`); radial data the theta form,
+    that infimum at rho = R(a^theta), and with compact support its closed
+    theta = 0 end, (support radius from z)^2 / (4 ln(1/a)), which an inverse
+    at 1 may read short of.  ``centred``: (scan, radii, theta) or None."""
     if not density.is_radial:
-        if profile is None:
-            profile = density.mass_profile(z)
-        return profile.cell_infimum(consts.threshold), None
-    if profile is None:
-        def inverse(m):
-            return density.generalized_inverse(z, m)
-    else:
-        inverse = profile.inverse
+        profile = density.mass_profile(z) if profile is None else profile
+        return profile.cell_infimum(scan.consts.threshold), None
+    inverse = functools.partial(density.generalized_inverse, z) \
+        if profile is None else profile.inverse
     radii = inverse(scan.fractions).tolist()
     theta = scan.form(inverse, radii)
-    val = theta
-    if density.has_compact_support:
-        val = min(val, density.support_radius_from(z) ** 2
-                  / (4.0 * consts.log_inv_ratio))
-    return val, (scan, radii, theta)
+    end = math.inf if not density.has_compact_support else \
+        density.support_radius_from(z) ** 2 / (4.0 * scan.consts.log_inv_ratio)
+    return min(theta, end), (scan, radii, theta)
 
 
 def _snapshot(density, z, n=1024):
@@ -678,18 +666,15 @@ def tc2_bound(density):
 
 
 def _tc2_search(density):
-    """(tc2, center, centred): the smaller of `_tc2_from` at the center and
-    at the center that minimizes the steering form.  ``centred`` is
-    `_tc2_from`'s at the center, whose theta scan the F-method reads.
+    """(tc2, center, centred): `_tc2_from` at the center, or at the center
+    that minimizes the theta form where it is smaller.  ``centred`` is
+    `_tc2_from`'s at the center, whose scan the F-method reads.
 
-    Radial data steer on the theta form of 512-point ring profiles.
-    Grids steer on the theta form of binned profiles, whose sums are good
-    to their rounding, each probe reading exactly only the scan points
-    that may hold its minimum (`_ThetaScan.binned_form`).  A winner off
-    the center whose steering value beats the center's is decided once,
-    by `_tc2_from` on its `_snapshot`: a 4096-point ring profile, or a
-    grid's binned profile gathered whole, the one sort of every cell in
-    the search.
+    Radial data steer on 512-point ring profiles, grids on binned profiles
+    (`_ThetaScan.binned_form`).  A winner off the center whose steering
+    value beats the center's is decided once, on its `_snapshot`: 4096
+    rings, or a grid's binned profile gathered whole, the search's one
+    sort of every cell.
     """
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
@@ -712,9 +697,8 @@ def _tc2_search(density):
             <= 1e-9 * (1.0 + density._scale_radius()) \
             or not steered < center_val:
         return center_val, center, centred
-    # a grid ignores n
-    off_val, _ = _tc2_from(scan, density, z_best,
-                           _snapshot(density, z_best, n=4096))
+    snap = _snapshot(density, z_best, n=4096)  # a grid ignores n
+    off_val, _ = _tc2_from(scan, density, z_best, snap)
     if off_val < center_val:
         return off_val, z_best, centred
     return center_val, center, centred

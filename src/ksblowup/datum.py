@@ -520,8 +520,7 @@ class _BinnedGridProfile:
     def gather(self, low, high):
         """Sort the block of the bins that may hold the crossings of the
         mass fractions from ``low`` to ``high``, and return the profile.
-        A whole profile serves every read, so it keeps its block and drops
-        the per-cell keys and bins that only a gather reads."""
+        A whole profile serves every read: it drops the keys and bins."""
         if self._covers == (-math.inf, math.inf):
             return self
         lo, hi = int(self._bins(low)[0]), int(self._bins(high)[1])
@@ -530,9 +529,7 @@ class _BinnedGridProfile:
         cells = cells[order]
         # a read past the block's last cell takes it, as a read past the
         # whole profile takes the farthest cell
-        self._radius = np.empty(cells.size + 1)
-        np.sqrt(d2, out=self._radius[:-1])
-        self._radius[-1] = self._radius[-2]
+        self._radius = np.sqrt(np.append(d2, d2[-1]))
         self.block = cells, self._radius[:-1]
         self._cum = np.cumsum(np.concatenate(
             [[self._before[lo]], self._w[cells]]))[1:] * self._h2
@@ -553,12 +550,10 @@ class _BinnedGridProfile:
         return float(self._cum[idx - 1]) if idx else 0.0
 
     def cell_infimum(self, threshold):
-        """min over the cells k, in the whole profile's order, of
-        d_k^2 / (4 ln(m_k (1 - eta) / threshold)): the exact radial-mass
-        bound tc2 about the profile's point, m_k the mass of the first k
-        cells read at the safe end of its rounding.  Only cells whose m_k
-        so read exceeds ``threshold`` count; a tie in distance is won by
-        its last cell, which holds the whole tie's mass."""
+        """tc2 about the profile's point, exactly: the least
+        d_k^2 / (4 ln(m_k (1 - eta) / threshold)) over the cells k in order
+        whose m_k, the mass of the first k cells read at the safe end of
+        its rounding, exceeds ``threshold``; a tie goes to its last cell."""
         self.gather(0.0, math.inf)
         mass = self._cum * (1.0 - self.eta)
         first = int(mass.searchsorted(threshold, side="right"))
@@ -1016,9 +1011,8 @@ class CartesianGrid(InitialDatum):
         object.__setattr__(self, "_bary", (
             float((xs * w).sum() * h * h / m),
             float((ys * w).sum() * h * h / m)))
-        # the estimators read the mass profile about the barycenter on
-        # every evaluation at the center, so it is gathered whole here;
-        # a center search reads binned profiles and gathers whole once,
+        # the estimators read the mass profile about the barycenter, so
+        # it is gathered whole here; a center search gathers whole once,
         # at its winner
         object.__setattr__(self, "_bary_profile", _BinnedGridProfile(
             self, self._bary).gather(0.0, math.inf))
