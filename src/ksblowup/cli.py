@@ -233,13 +233,18 @@ def _default_tolerance(args_tol):
 # ---------------------------------------------------------------------------
 
 def _bound_names(arg, default):
-    """The row names that a --bounds value selects, ``default`` for 'all'."""
+    """The row names that a --bounds value selects, each once, where it
+    first appears; ``default`` for 'all'."""
     if arg == "all":
         return default
-    names = tuple(n.strip() for n in arg.split(",") if n.strip())
+    names = tuple(dict.fromkeys(n.strip() for n in arg.split(",")
+                                if n.strip()))
+    if not names:
+        raise DatumSpecError(f"--bounds {arg!r} names no row", field="bounds")
     unknown = [n for n in names if n not in bounds._ROW_ORDER]
     if unknown:
-        raise DatumSpecError(f"unknown bound names: {unknown}")
+        raise DatumSpecError(f"unknown bound names: {unknown}",
+                             field="bounds")
     return names
 
 

@@ -511,6 +511,49 @@ def test_sweep_refuses_unknown_bound_names(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+@pytest.mark.parametrize("selection", ["", " , ", ",,"])
+def test_empty_bound_selection_fails_by_name(tmp_path, capsys, monkeypatch,
+                                             command, selection):
+    # a selection that names no row is refused before any report runs
+    from ksblowup import bounds
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report ran")
+
+    monkeypatch.setattr(bounds, "full_report", refuse)
+    out = tmp_path / "out.csv"
+    argv = [command, disk_spec(tmp_path), "--bounds", selection,
+            "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "sigma", "--from", "12", "--to", "16",
+                 "--steps", "2"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: --bounds {selection!r} names no row [field: bounds]\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_repeated_bound_names_select_each_row_once(tmp_path, capsys):
+    # the first place of a repeated name keeps its column
+    assert cli.main(["sweep", disk_spec(tmp_path), "--param", "sigma",
+                     "--from", "12", "--to", "16", "--steps", "2",
+                     "--bounds", "tc4,tc,tc4, tc"]) == 0
+    header, body = parse_csv(capsys.readouterr().out)
+    assert header == ["sigma", "mass", "tc4", "tc"]
+    assert all(len(row) == 4 for row in body)
+    assert cli.main(["bound", disk_spec(tmp_path), "--bounds", "tc,tc"]) == 0
+    _, body = parse_csv(capsys.readouterr().out)
+    assert [row[0] for row in body] == ["tc"]
+
+
+def test_unknown_bound_names_name_their_field(tmp_path, capsys):
+    assert cli.main(["bound", disk_spec(tmp_path), "--bounds", "tc,tcX"]) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown bound names: ['tcX'] [field: bounds]\n"
+
+
 def test_sweep_param_family_mismatch(tmp_path, capsys):
     assert cli.main(["sweep", disk_spec(tmp_path), "--param", "mass",
                      "--from", "30", "--to", "60", "--steps", "2"]) == 1
