@@ -10,7 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import ksblowup as ks
 from ksblowup import bounds
-from ksblowup.errors import UnboundedSupportError, ZeroDatumError
+from ksblowup.errors import (
+    HypothesisCheckError,
+    UnboundedSupportError,
+    ZeroDatumError,
+)
 from ksblowup.geometry import support_geometry_of_points
 
 from conftest import EIGHT_PI, analytic_families, disk_grid, two_bump_grid
@@ -878,6 +882,56 @@ def test_binned_profile_reads_near_critical_scan():
     c = grid.center
     for z in (c, (c[0] + 0.37, c[1] - 0.21)):
         _check_binned_profile(grid, z, scan.fractions)
+
+
+@st.composite
+def _small_grids(draw):
+    """(grid, z, threshold): a grid of at most 5x5 integer weights on a
+    cell size of a power of 2, so every sum of its cells is exact, about
+    a cell center, where cells tie in distance, or a point off the
+    lattice, against a threshold a fraction in (2/3, 1) of its mass."""
+    side = draw(st.integers(1, 5))
+    vals = np.array(draw(st.lists(st.integers(0, 9), min_size=side * side,
+                                  max_size=side * side)), dtype=float)
+    vals[draw(st.integers(0, side * side - 1))] += 1.0
+    h = draw(st.sampled_from([1.0, 0.5, 0.125]))
+    grid = ks.CartesianGrid(vals.reshape(side, side), h)
+    if draw(st.booleans()):
+        z = (h * draw(st.integers(0, side - 1)),
+             h * draw(st.integers(0, side - 1)))
+    else:
+        z = (draw(st.floats(-h, side * h)), draw(st.floats(-h, side * h)))
+    return grid, z, draw(st.floats(0.67, 0.999)) * grid.mass()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_small_grids())
+@example(case=(ks.CartesianGrid(np.array([[5.0]]), 0.5), (0.0, 0.0), 4.0))
+def test_cell_infimum_is_the_brute_force_minimum(case):
+    # over every cell j at distance d_j, the mass within d_j summed with
+    # fsum and read at its safe end M_j (1 - eta) gives the rho objective
+    # d_j^2 / (4 ln(M_j (1 - eta) / L)); the cell infimum is its least
+    # value, within eta, and at most its value at every cell distance
+    grid, z, threshold = case
+    profile = grid.mass_profile(z)
+    _, _, w = grid.cell_coordinates()
+    d = np.sqrt(grid.squared_distances(z))
+    h2 = grid.cell_size ** 2
+    objective = {}
+    for rho in d.tolist():
+        mass = math.fsum((w[d <= rho] * h2).tolist()) * (1.0 - profile.eta)
+        if mass > threshold:
+            objective[rho] = rho * rho / (4.0 * math.log(mass / threshold))
+    if not objective or min(objective.values()) == 0.0:
+        with pytest.raises(HypothesisCheckError):
+            profile.cell_infimum(threshold)
+        return
+    got = profile.cell_infimum(threshold)
+    want = min(objective.values())
+    assert abs(got - want) <= profile.eta * want
+    # np.log and math.log may round apart by an ulp
+    assert all(got <= value * (1.0 + 2.0 ** -50)
+               for value in objective.values())
 
 
 @functools.lru_cache(maxsize=None)
