@@ -1,11 +1,17 @@
 import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 import ksblowup as ks
 from ksblowup import cli
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "benchmarks"))
+import workloads  # noqa: E402
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -46,6 +52,15 @@ def two_bump_grid(n, mass=30.0 * math.pi, half=3.0):
         bump = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sigma ** 2))
         vals += part * mass * bump / (bump.sum() * h * h)
     return ks.CartesianGrid(vals, h, (float(c[0]), float(c[0])))
+
+
+@functools.lru_cache(maxsize=None)
+def pool_grid(kind, index):
+    """Grid ``index`` of the benchmark's "dense" or "sparse" pool, built
+    once per session."""
+    entry = {"dense": workloads.dense_grid_entry,
+             "sparse": workloads.sparse_grid_entry}[kind](index)
+    return ks.CartesianGrid(*entry)
 
 
 def mean_shift_step(grid, z, s):

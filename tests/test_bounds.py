@@ -28,7 +28,7 @@ from ksblowup.searches import (
 
 from conftest import (
     EIGHT_PI, analytic_families, analytic_report, dilated_polygaussian,
-    disk_grid, mean_shift_step, two_bump_grid,
+    disk_grid, mean_shift_step, pool_grid, two_bump_grid,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -443,6 +443,99 @@ def test_tc_is_not_below_the_moment_lower_bound(mass, family):
             pytest.skip("the moment quadratic has no real root")
         t1 = (v2 / 4 - mpmath.sqrt(v2 * v2 / 16 - v4 * c / 8)) * 16 / v4
         assert tc >= 1 / t1
+
+
+_U = 2.0 ** -53
+
+
+def _moment_floor(mass, v2, v4, heat_mass_error, moment_error):
+    """The least s_- = 1/t1 of the moment sandwich over moments within
+    ``moment_error`` (relative: V2, V4) of ``v2`` and ``v4``, lowered by
+    the rounding that may put a computed tc below the exact tc(z); None
+    where any such quadratic has no real root.
+
+    A computed H within ``heat_mass_error`` of the exact one, relative,
+    reaches the target L (1 + 22u) at t = 1/tc = t1 (1 + delta) only if
+    the bound U(t) = M (1 - V2 t/4 + V4 t^2/32) does there, and U falls
+    from L by M (V2 t1/4 - V4 t1^2/16) delta to first order: so tc is at
+    least s_- / (1 + heat_mass_error L / (M (V2 t1/4 - V4 t1^2/16))).
+    """
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mass)
+        threshold = _exact_threshold(mass)
+        c = 1 - threshold / m
+        floors = []
+        for f2 in (1 - moment_error[0], 1 + moment_error[0]):
+            for f4 in (1 - moment_error[1], 1 + moment_error[1]):
+                a, b = mpmath.mpf(v2) * f2, mpmath.mpf(v4) * f4
+                if c >= a * a / (2 * b):
+                    return None
+                t1 = (a / 4 - mpmath.sqrt(a * a / 16 - b * c / 8)) * 16 / b
+                slope = m * (a * t1 / 4 - b * t1 * t1 / 16)
+                floors.append(1 / t1 / (1 + heat_mass_error * threshold
+                                        / slope))
+        return min(floors)
+
+
+def _profile_moments(d, z):
+    """(V2, V4) of a radial profile about z, exact from its knots: each
+    segment's integral of 2 pi r^(beta+1) (a + s r), moved from the
+    center to z by the offset as in the analytic check."""
+    with mpmath.workdps(40):
+        moments = [0, 0]
+        for r0, r1, y0, y1 in zip(d.radii, d.radii[1:], d.values,
+                                  d.values[1:]):
+            r0, r1, y0, y1 = map(mpmath.mpf, (r0, r1, y0, y1))
+            slope = (y1 - y0) / (r1 - r0)
+            a = y0 - slope * r0
+            for i, k in enumerate((3, 5)):
+                moments[i] += 2 * mpmath.pi * (
+                    a * (r1 ** (k + 1) - r0 ** (k + 1)) / (k + 1)
+                    + slope * (r1 ** (k + 2) - r0 ** (k + 2)) / (k + 2))
+        mass = d._cum[-1]
+        v2c, v4c = moments[0] / mass, moments[1] / mass
+        delta2 = sum((mpmath.mpf(a) - b) ** 2 for a, b in zip(z, d.center))
+        return v2c + delta2, v4c + 4 * v2c * delta2 + delta2 * delta2
+
+
+def test_pool_tc_is_not_below_the_moment_floor():
+    # the moment check of the analytic families, on the 8 radial-profile
+    # pool entries and the 24 pool grids, at each winner z*.  A grid's moments are its cells' as point
+    # masses, summed with fsum: each term has 5 roundings for V2 and 7
+    # for V4, plus the sum and the quotient.  H's counted rounding: a grid
+    # sums a block of rows x cols terms, a profile its panel nodes; each
+    # exp is within 4u per unit of its argument, at most 745, of exact.
+    # The profiles' panel rule error is not counted.  The moment
+    # quadratic has no real root on 12 of the grids, which are skipped;
+    # the smallest gap, 3.7e-4 relative, is the profile nearest 8 pi
+    checked, skipped = [], []
+    cases = [cli.datum_from_dict(
+        workloads.radial_entry("radial_profile", i)[0])
+        for i in range(workloads.RADIAL_POOL)]
+    cases += [pool_grid(kind, i) for kind in ("dense", "sparse")
+              for i in range(workloads.GRID_POOL)]
+    for d in cases:
+        tc, z = bounds._tc_search(d)
+        if d.is_radial:
+            v2, v4 = _profile_moments(d, z)
+            error = (1000 + 4 * 745) * _U
+            mass = d.mass()
+        else:
+            xs, ys, w = d.cell_coordinates()
+            d2 = (xs - z[0]) ** 2 + (ys - z[1]) ** 2
+            total = math.fsum(w.tolist())
+            v2 = math.fsum((w * d2).tolist()) / total
+            v4 = math.fsum((w * d2 * d2).tolist()) / total
+            error = (d._block.shape[0] + d._block.shape[1] + 8
+                     + 4 * 745) * _U
+            mass = total * d.cell_size ** 2
+        floor = _moment_floor(mass, v2, v4, error, (8 * _U, 10 * _U))
+        if floor is None:
+            skipped.append(d.label())
+            continue
+        checked.append(d.label())
+        assert tc >= floor, d.label()
+    assert (len(checked), len(skipped)) == (20, 12)
 
 
 def test_tc_diverges_at_criticality():

@@ -17,7 +17,13 @@ from ksblowup.errors import (
 )
 from ksblowup.geometry import support_geometry_of_points
 
-from conftest import EIGHT_PI, analytic_families, disk_grid, two_bump_grid
+from conftest import (
+    EIGHT_PI,
+    analytic_families,
+    disk_grid,
+    pool_grid,
+    two_bump_grid,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "benchmarks"))
@@ -568,7 +574,7 @@ def _one_cell_grid():
 
 
 @pytest.mark.parametrize("make", [
-    *(lambda k=k, i=i: _pool(k, i)
+    *(lambda k=k, i=i: pool_grid(k, i)
       for k in ("dense", "sparse") for i in range(workloads.GRID_POOL)),
     _one_cell_grid,
     lambda: ks.CartesianGrid(np.ones((1, 300)), 0.1, (0.3, -2.0)),
@@ -771,18 +777,11 @@ _fractions = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40).map(
     lambda ms: np.array(sorted(ms, reverse=True)))
 
 
-@functools.lru_cache(maxsize=None)
-def _pool(kind, index):
-    entry = {"dense": workloads.dense_grid_entry,
-             "sparse": workloads.sparse_grid_entry}[kind](index)
-    return ks.CartesianGrid(*entry)
-
-
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["dense", "sparse"]), index=st.integers(0, 2),
        dx=st.floats(-1.5, 1.5), dy=st.floats(-1.5, 1.5), ms=_fractions)
 def test_binned_profile_reads_pool_grids_off_lattice(kind, index, dx, dy, ms):
-    grid = _pool(kind, index)
+    grid = pool_grid(kind, index)
     c = grid.center
     _check_binned_profile(grid, (c[0] + dx, c[1] + dy), ms)
 
@@ -846,7 +845,7 @@ def test_distance_histogram_bins_keys_from_their_lower_edges(width, bins):
 @given(kind=st.sampled_from(["dense", "sparse"]), index=st.integers(0, 2),
        dx=st.floats(-1.5, 1.5), dy=st.floats(-1.5, 1.5))
 def test_one_key_on_pool_grids(kind, index, dx, dy):
-    grid = _pool(kind, index)
+    grid = pool_grid(kind, index)
     c = grid.center
     _check_one_key(grid, (c[0] + dx, c[1] + dy), reads=97)
 
@@ -949,7 +948,7 @@ def _probes(draw):
                                  "lattice"]))
     if name == "lattice":
         return draw(_lattice_grids())
-    grid = _pool(name, draw(st.integers(0, workloads.GRID_POOL - 1))) \
+    grid = pool_grid(name, draw(st.integers(0, workloads.GRID_POOL - 1))) \
         if name in ("dense", "sparse") else _fixed_grid(name)
     c = grid.center
     return grid, (c[0] + draw(st.floats(-1.5, 1.5)),
@@ -959,7 +958,7 @@ def _probes(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_probes(), gap=st.floats(-9.0, 1.0))
 @example(case=_edge_tie_case(), gap=0.0)
-@example(case=(_pool("sparse", 0), (0.8426077613246891, 3.0839301268956243)),
+@example(case=(pool_grid("sparse", 0), (0.8426077613246891, 3.0839301268956243)),
          gap=0.0)
 def test_binned_theta_form_equals_the_snapshot_form(case, gap):
     # the scan of a mass 8 pi (1 + 10^gap), read exactly only where its
