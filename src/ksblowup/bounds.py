@@ -667,15 +667,12 @@ def tc2_bound(density):
 
 def _tc2_search(density):
     """(tc2, center, centred): `_tc2_from` at the center, or at the center
-    that minimizes the theta form where it is smaller.  ``centred`` is
-    `_tc2_from`'s at the center, whose scan the F-method reads.
-
-    Radial data steer on 512-point ring profiles, grids on binned profiles
-    (`_ThetaScan.binned_form`).  A winner off the center whose steering
-    value beats the center's is decided once, on its `_snapshot`: 4096
-    rings, or a grid's binned profile gathered whole, the search's one
-    sort of every cell.
-    """
+    that minimizes the theta form where it is smaller; ``centred`` is
+    `_tc2_from`'s at the center.  Radial data steer on 512-point ring
+    profiles, grids on binned profiles (`_ThetaScan.binned_form`).  A
+    winner off the center whose steering value beats the center's is
+    decided once, on its `_snapshot`: 4096 rings, or a grid's binned
+    profile gathered whole, the search's one sort of every cell."""
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
     center_val, centred = _tc2_from(scan, density, center)

@@ -237,14 +237,12 @@ def _bound_names(arg, default):
     first appears; ``default`` for 'all'."""
     if arg == "all":
         return default
-    names = tuple(dict.fromkeys(n.strip() for n in arg.split(",")
-                                if n.strip()))
-    if not names:
-        raise DatumSpecError(f"--bounds {arg!r} names no row", field="bounds")
+    names = tuple(dict.fromkeys(filter(None, map(str.strip, arg.split(",")))))
     unknown = [n for n in names if n not in bounds._ROW_ORDER]
-    if unknown:
-        raise DatumSpecError(f"unknown bound names: {unknown}",
-                             field="bounds")
+    if unknown or not names:
+        problem = f"unknown bound names: {unknown}" if unknown \
+            else f"--bounds {arg!r} names no row"
+        raise DatumSpecError(problem, field="bounds")
     return names
 
 

@@ -475,8 +475,7 @@ class _BinnedGridProfile:
 
     `gather` sorts the cells of the bins of a range of fractions and sums
     them from the histogram prefix of the bins before; a read outside
-    that block gathers again.  Gathered from 0 to inf it is the whole,
-    which `mass_at` and `cell_infimum`, the exact grid tc2, read.
+    that block gathers again.  `mass_at` and `cell_infimum` read the whole.
     """
 
     def __init__(self, density, z):

@@ -1558,7 +1558,7 @@ def test_f_method_computed_near_critical(family, e):
 @pytest.mark.parametrize("d, inverse_calls, capped, report_calls", [
     (ks.DiffGaussians(32.0, 1.0, 2.0), 55, 122, 7556),
     (ks.RadialProfile((0.0, 0.5, 1.5), (10.0, 30.0, 0.0)), 55, 122, 7484),
-])
+], ids=["diffgaussians", "radial_profile"])
 def test_bisections_stop_once_converged(monkeypatch, d, inverse_calls,
                                         capped, report_calls):
     # a bisection stops once its midpoint equals an end; ``capped`` is the
