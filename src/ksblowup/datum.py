@@ -16,9 +16,9 @@ factor off the center (`_heat_mass_quadrature`).  The gaussian's
 closed form holds about every point, and a grid sums H over its
 occupied block.  A grid reads its cumulative mass and its inverse from
 one class, `_BinnedGridProfile`: binned for the probes of a center
-search, gathered whole for the exact profile and its tc2 cell infimum.  Radial families also
-carry the Laplace transform of their squared-radius profile, H at the
-center over pi.
+search, gathered whole for the exact profile and its tc2 cell infimum.
+Radial families also carry the Laplace transform of their
+squared-radius profile, H at the center over pi.
 
 A radial family states its dataclass fields, checks them in
 `_validate`, and gives its closed forms: mass and profile, and where it
@@ -1010,8 +1010,9 @@ class CartesianGrid(InitialDatum):
         object.__setattr__(self, "_bary", (
             float((xs * w).sum() * h * h / m),
             float((ys * w).sum() * h * h / m)))
-        # the estimators read the mass profile about the barycenter, so
-        # it is gathered whole here; a center search gathers whole once,
+        # the estimators read the mass profile about the barycenter on
+        # every evaluation at the center, so it is gathered whole here;
+        # a center search reads binned profiles and gathers whole once,
         # at its winner
         object.__setattr__(self, "_bary_profile", _BinnedGridProfile(
             self, self._bary).gather(0.0, math.inf))
