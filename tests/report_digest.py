@@ -122,9 +122,10 @@ def read_digest(path):
     ``values`` maps (case, row name, step) to (value, status); a report row
     and a grid's center forms have step 0, a sweep cell the step of its
     line and status "computed" or "blank".  An older digest's tc2 forms
-    line reads as ``tc2_at``, the smaller of its two forms.  ``flags`` maps each case to its ``ordering_ok`` or sweep exit
-    code, "<case> tc1 winner" to a pool entry's winning ``tc1`` (q, lam)
-    and "<case> tc center" and "<case> tc2 center" to a pool entry's winning
+    line reads as ``tc2_at``, the smaller of its two forms.  ``flags``
+    maps each case to its ``ordering_ok`` or sweep exit code,
+    "<case> tc1 winner" to a pool entry's winning ``tc1`` (q, lam) and
+    "<case> tc center" and "<case> tc2 center" to a pool entry's winning
     ``tc`` and ``tc2`` centers.
     """
     values, flags = {}, {}

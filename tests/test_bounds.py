@@ -500,14 +500,15 @@ def _profile_moments(d, z):
 
 def test_pool_tc_is_not_below_the_moment_floor():
     # the moment check of the analytic families, on the 8 radial-profile
-    # pool entries and the 24 pool grids, at each winner z*.  A grid's moments are its cells' as point
-    # masses, summed with fsum: each term has 5 roundings for V2 and 7
-    # for V4, plus the sum and the quotient.  H's counted rounding: a grid
-    # sums a block of rows x cols terms, a profile its panel nodes; each
-    # exp is within 4u per unit of its argument, at most 745, of exact.
-    # The profiles' panel rule error is not counted.  The moment
-    # quadratic has no real root on 12 of the grids, which are skipped;
-    # the smallest gap, 3.7e-4 relative, is the profile nearest 8 pi
+    # pool entries and the 24 pool grids, at each winner z*.  A grid's
+    # moments are its cells' as point masses, summed with fsum: each term
+    # has 5 roundings for V2 and 7 for V4, plus the sum and the quotient.
+    # H's counted rounding: a grid sums a block of rows x cols terms, a
+    # profile its panel nodes; each exp is within 4u per unit of its
+    # argument, at most 745, of exact.  The profiles' panel rule error is
+    # not counted.  The moment quadratic has no real root on 12 of the
+    # grids, which are skipped; the smallest gap, 3.7e-4 relative, is the
+    # profile nearest 8 pi
     checked, skipped = [], []
     cases = [cli.datum_from_dict(
         workloads.radial_entry("radial_profile", i)[0])
@@ -1102,8 +1103,9 @@ def test_tc2_gaussian_frozen_value(gaussian_16pi):
                                                             rel=1e-6)
 
 
-@pytest.mark.parametrize("mass", [9.0 * math.pi, 16.0 * math.pi,
-                                  100.0 * math.pi], ids=["9pi", "16pi", "100pi"])
+@pytest.mark.parametrize("mass", [
+    9.0 * math.pi, 16.0 * math.pi, 100.0 * math.pi],
+    ids=["9pi", "16pi", "100pi"])
 @pytest.mark.parametrize("family", ["disk", "annulus"])
 def test_centred_compact_tc2_reads_the_theta_zero_end(mass, family):
     # the theta form of the disk and the annulus is least at theta = 0,

@@ -958,8 +958,8 @@ def _probes(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_probes(), gap=st.floats(-9.0, 1.0))
 @example(case=_edge_tie_case(), gap=0.0)
-@example(case=(pool_grid("sparse", 0), (0.8426077613246891, 3.0839301268956243)),
-         gap=0.0)
+@example(case=(pool_grid("sparse", 0),
+               (0.8426077613246891, 3.0839301268956243)), gap=0.0)
 def test_binned_theta_form_equals_the_snapshot_form(case, gap):
     # the scan of a mass 8 pi (1 + 10^gap), read exactly only where its
     # bounds may hold its minimum, has the snapshot form's bits: with the
