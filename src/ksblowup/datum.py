@@ -14,9 +14,12 @@ methods.  The heat-weighted mass H(z, s) is chosen here, in one method,
 (`_central_heat_mass`), else radial panel quadrature with a Bessel
 factor off the center (`_heat_mass_quadrature`).  The gaussian's
 closed form holds about every point, and a grid sums H over its
-occupied block.  A grid reads its cumulative mass and its inverse from
-one class, `_BinnedGridProfile`: binned for the probes of a center
-search, gathered whole for the exact profile and its tc2 cell infimum.
+occupied block.  Radial cumulative mass is a closed form at the center
+or lens quadrature (`radial_mass`), inverted by bisection where no
+closed form exists; tc2 reads radial data at the center, so none is
+tabulated.  A grid reads its cumulative mass and its inverse from one
+class, `_BinnedGridProfile`: binned for the probes of a center search,
+gathered whole for the exact profile and its tc2 cell infimum.
 Radial families also carry the Laplace transform of their
 squared-radius profile, H at the center over pi.
 
@@ -128,16 +131,15 @@ class InitialDatum:
         """Radii where the profile is non-smooth (quadrature panel edges)."""
         return ()
 
-    def tail_radius(self, fraction=TAIL_FRACTION):
-        """Radius about the center holding all but ``fraction`` of the
+    def tail_radius(self):
+        """Radius about the center holding all but TAIL_FRACTION of the
         mass: the support radius of compactly supported data."""
         if self.has_compact_support:
             return self._support_radius()
-        # filled on first use per fraction
-        cache = self.__dict__.setdefault("_tail_cache", {})
-        if fraction not in cache:
-            cache[fraction] = self.generalized_inverse(None, 1.0 - fraction)
-        return cache[fraction]
+        if "_tail_radius" not in self.__dict__:  # filled on first use
+            self.__dict__["_tail_radius"] = self.generalized_inverse(
+                None, 1.0 - TAIL_FRACTION)
+        return self.__dict__["_tail_radius"]
 
     # -- heat-weighted mass ----------------------------------------------
 
@@ -294,10 +296,6 @@ class InitialDatum:
             return self._central_radial_mass(rho)
         return self._offset_radial_mass(delta, rho)
 
-    def mass_profile(self, z, n=1024):
-        """Cumulative mass about z on a dense radius grid of about n points."""
-        return _RadialSnapshot(self, z, n)
-
     def _offset_radial_mass(self, delta, rho):
         # disk about an off-center point: full circles up to rho - delta,
         # then a lens-angle strip up to rho + delta
@@ -377,61 +375,6 @@ class InitialDatum:
     def support_radius_from(self, z):
         """Distance from z to the farthest point of the (compact) support."""
         return _offset(z, self.center) + self._support_radius()
-
-
-class _RadialSnapshot:
-    """Dense cumulative-mass profile of a datum about a fixed point.
-
-    One vectorized angular sweep per center replaces thousands of lens
-    quadratures when the center search probes off-symmetry points; the
-    symmetric center itself always goes through the exact closed forms.
-    """
-
-    def __init__(self, density, z, n):
-        center = density.center
-        delta = math.hypot(z[0] - center[0], z[1] - center[1])
-        umax = density.tail_radius(1e-13) + delta
-        us = np.linspace(0.0, umax, n)
-        # ring-density kinks sit where circles about z touch profile features
-        kinks = []
-        for b in density.radial_breakpoints():
-            kinks.extend((abs(delta - b), delta + b))
-        us = np.unique(np.concatenate(
-            [us, [u for u in kinks if 0.0 < u < umax]]))
-
-        if delta == 0.0:
-            ring = 2.0 * math.pi * us * density.profile(us)
-        else:
-            cos_phi, wphi = circle_nodes(96)
-            dist = np.sqrt(us[:, None] ** 2 + delta ** 2
-                           + 2.0 * us[:, None] * delta * cos_phi[None, :])
-            ring = us * (density.profile(dist.ravel())
-                         .reshape(dist.shape) @ wphi)
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (ring[1:] + ring[:-1]) * np.diff(us))])
-        self._us = us
-        self._cum = cum
-        self._mass = density.mass()
-        # segment i of the inverse runs from (cum[i-1], us[i-1]) to
-        # (cum[i], us[i]); the flat end segments 0 and n return us[0]
-        # below the profile and us[-1] above it
-        self._seg_cum = np.concatenate([cum[:1], cum[:-1], cum[-1:]])
-        self._seg_us = np.concatenate([us[:1], us[:-1], us[-1:]])
-        self._seg_dcum = np.concatenate([[1.0], np.diff(cum), [1.0]])
-        self._seg_dus = np.concatenate([[0.0], np.diff(us), [0.0]])
-
-    def inverse(self, m):
-        """Radius where the profile reaches the mass fraction m, linear
-        between nodes; elementwise, with an array result, for an array m.
-
-        A target above cum[i-1] and at most cum[i] picks segment i, so a
-        flat segment of the profile is never read.
-        """
-        target = m * self._mass
-        i = self._cum.searchsorted(target)
-        rho = self._seg_us[i] + (target - self._seg_cum[i]) \
-            * self._seg_dus[i] / self._seg_dcum[i]
-        return rho if isinstance(m, np.ndarray) else float(rho)
 
 
 def _sort_stable(d):
@@ -1151,9 +1094,9 @@ class CartesianGrid(InitialDatum):
         inside = np.sqrt(self.squared_distances(z)) <= rho
         return float(self._w[inside].sum() * self.cell_size ** 2)
 
-    def mass_profile(self, z, n=None):
+    def mass_profile(self, z):
         """Exact cumulative mass about z, one step per cell: the binned
-        profile gathered over every bin; n is unused."""
+        profile gathered over every bin."""
         if (float(z[0]), float(z[1])) == self._bary:
             return self._bary_profile
         return _BinnedGridProfile(self, z).gather(0.0, math.inf)
@@ -1167,7 +1110,7 @@ class CartesianGrid(InitialDatum):
             raise ValueError("m must lie in (0, 1]")
         return self.mass_profile(self._bary if z is None else z).inverse(m)
 
-    def tail_radius(self, fraction=TAIL_FRACTION):
+    def tail_radius(self):
         return self.support_radius_from(self._bary)
 
     def support_geometry(self):

@@ -8,14 +8,15 @@ the function was evaluated and reached the target, so an upper bound
 read from it is on the safe side of the root.  `bisect` halves a
 bracket on a monotone predicate until no float lies inside it.
 
-`maximize_even` is the one offset search of radial data: ``tc``, ``tc1``
-and ``tc2`` see the center z only through delta = |z - center|, so each
+`maximize_even` is the one offset search of radial data: ``tc`` and
+``tc1`` see the center z only through delta = |z - center|, so each
 scans delta and refines about its best scan point with bounded Brent
-minimization, returning the best offset it evaluated.  The other
+minimization, returning the best offset it evaluated.  Radial ``tc2``
+reads the symmetry center and searches nothing.  The other
 one-dimensional objectives are smooth and unimodal in every worked
 example, so a coarse grid then golden-section refinement certifies an
-upper envelope of the infimum.  Centers in the plane are searched by
-multi-start Nelder-Mead, which records a per-start trace.
+upper envelope of the infimum.  Grid ``tc2`` searches its center in the
+plane by multi-start Nelder-Mead, which records a per-start trace.
 
 The two local minimizers port scipy 1.17's step for step, in plain
 floats, so every report value keeps its bits: `_fminbound` the loop of

@@ -14,9 +14,7 @@ For each case it prints the ``repr`` of every ``full_report`` row as
   after each entry's report, the winning (q, lam) of its ``tc1`` search
   and the winning centers of its ``tc`` search and its ``tc2`` search, so
   a change that moves a winner shows even where no printed value moves,
-  then, after each grid's, its ``tc2_at`` at the barycenter and its
-  ``tc4_bound`` at beta = 3, the center-optimized moment form, which no
-  report row reads.
+  then, after each grid's, its ``tc2_at`` at the barycenter.
 
 Then it prints the ``ksblowup sweep`` CSV, exit code and stderr of each of
 the 18 sweep pool entries.  Pytest does not collect this file.  A change
@@ -30,12 +28,13 @@ A change that moves numbers compares the two digests instead:
 
     python tests/report_digest.py --compare before.txt after.txt
 
-prints, per row name (``tc2_at`` and ``tc4_beta3`` for the center
-forms), how many values were compared, how
-many moved and the largest relative move up and down, then every status,
-``ordering_ok``, ``tc1`` winner, ``tc`` or ``tc2`` center or sweep exit
-code that changed, with the distance each changed center moved and the
-largest such distance per kind; it exits 1 when there is any such change.
+prints, per row name (``tc2_at`` for the center form, and
+``tc4_beta3`` for older digests' center-optimized beta = 3 moment
+form), how many values were compared, how many moved and the largest
+relative move up and down, then every status, ``ordering_ok``, ``tc1``
+winner, ``tc`` or ``tc2`` center or sweep exit code that changed, with
+the distance each changed center moved and the largest such distance per
+kind; it exits 1 when there is any such change.
 Producing the digest takes about half a minute on one core.
 """
 
@@ -74,11 +73,10 @@ def _print_centers(density):
     print(f"{_TC2_CENTER}{bounds._tc2_search(density)[1]!r}")
 
 
-def _print_grid_forms(density):
+def _print_grid_form(density):
     from ksblowup import bounds
 
     print(f"{_TC2_AT}{bounds.tc2_at(density, density.barycenter())!r}")
-    print(f"{_TC4_BETA3}{bounds.tc4_bound(density, 3.0)!r}")
 
 
 def _print_sweep(item):
@@ -113,6 +111,7 @@ _TC2_AT = "  tc2 at barycenter: "
 #: the line of older digests, (rho form, theta form), whose smaller value
 #: was tc2 at the barycenter
 _TC2_FORMS = "  tc2 forms at barycenter: "
+#: the line of older digests, tc4 at beta = 3, which no report row read
 _TC4_BETA3 = "  tc4 beta=3: "
 
 
@@ -258,7 +257,7 @@ def print_digest():
                 _print_tc1_winner(density)
                 _print_centers(density)
                 if kind != "radial_ring":
-                    _print_grid_forms(density)
+                    _print_grid_form(density)
         for key in workloads.pool_keys("sweep_closed"):
             _print_sweep(workloads.write_item("sweep_closed", key, tmp))
 

@@ -968,7 +968,7 @@ def test_binned_theta_form_equals_the_snapshot_form(case, gap):
     grid, z = case
     scan = bounds._ThetaScan(bounds.mass_constants(EIGHT_PI * (1.0 + 10.0 ** gap)))
     snap, prof = grid.mass_profile(z), grid.binned_profile(z)
-    want = scan.form(snap.inverse)
+    want = scan.form(snap.inverse, snap.inverse(scan.fractions).tolist())
     pruned = types.SimpleNamespace(radius_bounds=prof.radius_bounds,
                                    gather=lambda low, high: None,
                                    inverse=snap.inverse)
@@ -985,38 +985,3 @@ def test_binned_theta_form_equals_the_snapshot_form(case, gap):
 
     prof_inverse, prof.inverse = prof.inverse, inverse
     assert scan.binned_form(prof) == want or near
-
-
-def _reference_radial_inverse(snap, m):
-    """The radial snapshot's inverse one fraction at a time, branch by
-    branch."""
-    us, cum = snap._us, snap._cum
-    target = m * snap._mass
-    idx = int(np.searchsorted(cum, target))
-    if idx >= len(us):
-        return float(us[-1])
-    if idx == 0:
-        return float(us[0])
-    c0, c1 = cum[idx - 1], cum[idx]
-    u0, u1 = us[idx - 1], us[idx]
-    if c1 == c0:
-        return float(u1)
-    return float(u0 + (target - c0) * (u1 - u0) / (c1 - c0))
-
-
-@pytest.mark.parametrize("d, z, n", [
-    (ks.Annulus(16.0 / 3.0, 1.0, 2.0), (0.3, 0.0), 512),
-    (ks.Annulus(16.0 / 3.0, 1.0, 2.0), (0.0, 0.0), 4096),
-    (ks.Gaussian(16.0 * math.pi, 1.0), (1.1, -0.4), 512),
-], ids=["annulus_off_center", "annulus_center", "gaussian_off_center"])
-def test_radial_snapshot_inverse_matches_scalar_reference(d, z, n):
-    snap = d.mass_profile(z, n)
-    # below, across and above the profile, the annulus' empty core included
-    ms = np.concatenate([[0.0, 1e-300], np.linspace(1e-4, 1.0, 301),
-                         [1.0 + 1e-9, 2.0]])
-    radii = snap.inverse(ms)
-    assert isinstance(radii, np.ndarray)
-    scalar = [snap.inverse(m) for m in ms]
-    assert all(type(r) is float for r in scalar)
-    assert radii.tolist() == scalar == [
-        _reference_radial_inverse(snap, m) for m in ms]
