@@ -31,7 +31,7 @@ rounding margin computed from the cell count, and only the candidates
 that can hold the maximum are summed exactly, from powers of their
 squared cell distances held at the current q.  At the symmetry center
 every angle of the radial kernel sees the same distance, so ``tc1``
-computes one radial column of it, not 32.  Before the ``tc1`` scan
+reads one radial sum there, not 32 angles.  Before the ``tc1`` scan
 evaluates a (q, lam) point it bounds the supremum there, over radial
 data in closed form from ||n0||_inf and ||omega||_1, over grids by the
 largest histogram bound, and skips the point when that bound shows its
@@ -303,9 +303,10 @@ class _RingConvolution:
     operation rounded as the plain expression rounds it; off-center
     offsets of one truncation radius, as a scan's 16 mostly are, fill one
     (offsets, nodes, angles) buffer, and a single offset, as a refinement
-    reads it, a (nodes, angles) one.  At delta = 0 the kernel is one
-    column, copied into the columns of a (nodes, angles) buffer.  Each
-    offset's angular sum is its own matrix product.
+    reads it, a (nodes, angles) one.  Each offset's angular sum is its
+    own matrix product.  At delta = 0 the kernel does not depend on the
+    angle, so the convolution is one radial sum over the same nodes,
+    times the sum of the angular weights.
     """
 
     def __init__(self, density, order=16, angles=32):
@@ -318,6 +319,7 @@ class _RingConvolution:
         # truncation radius -> (rs, rs^2, 2 rs, profile * rs * wr)
         self._panels = {}
         self._cos_phi, self._wphi = circle_nodes(angles)
+        self._wphi_sum = float(self._wphi.sum())
         self._work = np.empty((0, angles))  # the kernels, in place
 
     def sup(self, q, lam):
@@ -365,23 +367,19 @@ class _RingConvolution:
         hi = min(self._rmax, ds[0] + (45.0 / c) ** (0.5 / p))
         panel = self._panels.get(hi)
         if panel is None:
-            edges = merged_edges(
-                [b for b in self.density.radial_breakpoints() if b < hi],
-                np.linspace(0.0, hi, 14))
-            rs, wr = panel_nodes(edges, order=self._order)
+            breaks = [b for b in self.density.radial_breakpoints() if b < hi]
+            edges = np.linspace(0.0, hi, 14)
+            rs, wr = panel_nodes(merged_edges(breaks, edges) if breaks
+                                 else edges, order=self._order)
             panel = self._panels[hi] = (
                 rs, rs ** 2, 2.0 * rs, self.density.profile(rs) * rs * wr)
         rs, rs_sq, two_rs, weighted = panel
-        if rs.size == 0:
-            return [0.0] * len(ds)
+        if ds[0] == 0.0:
+            # the kernel does not depend on the angle: one radial sum
+            return [float((np.exp(-c * rs_sq ** p) * weighted).sum())
+                    * self._wphi_sum] * len(ds)
         if self._work.shape[0] < len(ds) * rs.size:
             self._work = np.empty((len(ds) * rs.size, self._wphi.size))
-        if ds[0] == 0.0:
-            # one column over the nodes, filled, not broadcast or summed,
-            # to keep the bits of the full kernel; rs^2 >= 0 needs no clamp
-            kernel = self._work[:rs.size]
-            kernel[...] = np.exp(-c * rs_sq ** p)[:, None]
-            return [float(((kernel @ self._wphi) * weighted).sum())] * len(ds)
         # exp(-c max(rs^2 + delta^2 - 2 rs delta cos phi, 0)^p), each
         # operation as the expression rounds it, delta^2 a scalar power
         if len(ds) == 1:

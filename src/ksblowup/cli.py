@@ -108,6 +108,7 @@ def _grid_from_dict(spec, base_dir):
         else:
             values = np.loadtxt(full, delimiter=",", ndmin=2)
         values = np.asarray(values, dtype=float)
+        values.setflags(write=False)  # the grid holds it without a copy
     except (OSError, TypeError, ValueError, EOFError) as exc:
         raise DatumSpecError(f"cannot read grid array: {exc}",
                              field="grid.path")

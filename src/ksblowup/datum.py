@@ -906,6 +906,7 @@ class CartesianGrid(InitialDatum):
 
     ``origin`` is the coordinate of the center of cell [0, 0]; cell
     [i, j] sits at origin + (j, i) * cell_size (row-major samples).
+    Writeable ``values`` are copied; a read-only float64 array is held as is.
     """
 
     values: np.ndarray
@@ -923,7 +924,7 @@ class CartesianGrid(InitialDatum):
             raise InvalidFieldError("values", "must be a 2D array")
         if self.cell_size <= 0.0:
             raise InvalidFieldError("cell_size", "must be positive")
-        vals = vals.copy()
+        vals = vals.copy() if vals.flags.writeable else vals
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         # one full pass finds the non-zero cells; what follows reads those

@@ -597,9 +597,9 @@ def test_tc1_grid_sorts_no_cells(monkeypatch):
     assert sorts == []
 
 
-def _reference_radial_conv(d, q, lam, delta):
-    """The tc1 convolution of radial data at the offset delta, from fresh
-    panels and the full 32-column angular kernel."""
+def _reference_panels(d, q, lam, delta):
+    """(p, c, rs, profile * rs * wr) of the tc1 convolution of radial data
+    at the offset delta, from fresh panels of the full rule."""
     p = q / (q - 1.0)
     c = (4.0 * lam) ** (-p) / p
     reach = (45.0 / c) ** (0.5 / p)
@@ -607,12 +607,30 @@ def _reference_radial_conv(d, q, lam, delta):
     rs, wr = panel_nodes(merged_edges(
         [b for b in d.radial_breakpoints() if b < hi],
         np.linspace(0.0, hi, 14)), order=16)
+    return p, c, rs, d.profile(rs) * rs * wr
+
+
+def _full_kernel_conv(d, q, lam, delta):
+    """The convolution at the offset delta from the full 32-column
+    angular kernel, at delta = 0 too."""
+    p, c, rs, weighted = _reference_panels(d, q, lam, delta)
     phi, wphi = _gl_nodes(32)
     phi = 0.5 * math.pi * (phi + 1.0)
     dist_sq = (rs[:, None] ** 2 + delta ** 2
                - 2.0 * rs[:, None] * delta * np.cos(phi)[None, :])
     ang = np.exp(-c * np.maximum(dist_sq, 0.0) ** p) @ (math.pi * wphi)
-    return float((ang * (d.profile(rs) * rs * wr)).sum())
+    return float((ang * weighted).sum())
+
+
+def _reference_radial_conv(d, q, lam, delta):
+    """The tc1 convolution of radial data at the offset delta: at the
+    center the radial sum times the sum of the angular weights, as the
+    plain expression rounds it; elsewhere the full angular kernel."""
+    if delta != 0.0:
+        return _full_kernel_conv(d, q, lam, delta)
+    p, c, rs, weighted = _reference_panels(d, q, lam, 0.0)
+    angular = float((math.pi * _gl_nodes(32)[1]).sum())
+    return float((np.exp(-c * (rs ** 2) ** p) * weighted).sum()) * angular
 
 
 def _reference_grid_sup(d, p, c):
@@ -777,10 +795,11 @@ _CENTERED = {
 @example(family="gaussian", q=2.0, log2_lam=0.0)
 @example(family="disk", q=1.25, log2_lam=-5.0)
 @example(family="polygaussian", q=5.0, log2_lam=5.0)
-def test_tc1_at_the_center_equals_the_full_kernel(family, q, log2_lam):
-    # at the symmetry center tc1 computes one radial column of the
-    # angular kernel; its value keeps the bits of all 32 columns, at q
-    # off the search grid too, and for the annulus's center convolution
+def test_tc1_at_the_center_equals_the_radial_sum(family, q, log2_lam):
+    # at the symmetry center tc1 computes one radial sum over the panel
+    # nodes, times the angular weights' sum; its value keeps the bits of
+    # that plain expression, at q off the search grid too, and for the
+    # annulus's center convolution
     d = _CENTERED[family]
     lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
     want = _reference_tc1_value(d, q, lam)
@@ -790,6 +809,110 @@ def test_tc1_at_the_center_equals_the_full_kernel(family, q, log2_lam):
     lam = annulus._scale_radius() ** 2 * 2.0 ** log2_lam
     assert bounds._tc1_convolution(annulus).radial(q, lam, 0.0) == (
         _reference_radial_conv(annulus, q, lam, 0.0))
+
+
+_FIVE = {
+    **_CENTERED,
+    "polygaussian": ks.PolyGaussian(16.0, 1, 1.0),
+    "annulus": ks.Annulus(16.0 / 3.0, 1.0, 2.0),
+    "diffgaussians": ks.DiffGaussians(32.0, 1.0, 2.0),
+}
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
+    return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(_FIVE)),
+       q=st.floats(1.05, 6.0, exclude_min=True, exclude_max=True),
+       log2_lam=st.floats(-8.0, 8.0))
+@example(family="gaussian", q=1.0500001, log2_lam=-8.0)
+@example(family="annulus", q=1.25, log2_lam=-7.0)
+@example(family="diffgaussians", q=5.9999, log2_lam=8.0)
+def test_tc1_radial_sum_is_the_full_kernel_within_rounding(family, q,
+                                                           log2_lam):
+    # the radial sum and the 32-column kernel sum the same non-negative
+    # products k_i w_j W_i of n nodes and 32 angles, with the same kernel
+    # values k_i.  Each term carries at most n + 32 roundings on either
+    # side (the radial sum: its product, n - 1 additions, 31 in the
+    # angular weights' sum and the last product; the kernel: its product,
+    # 31 angular additions, the product with W_i and n - 1 additions), so
+    # each side is within gamma_(n+32) of the exact sum (Higham 2002,
+    # section 4), and the two within twice that.  Products that underflow
+    # escape every relative count; 2^-1020 per node covers them
+    d = _FIVE[family]
+    lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
+    with np.errstate(over="ignore"):
+        got = bounds._tc1_convolution(d).radial(q, lam, 0.0)
+        want = _full_kernel_conv(d, q, lam, 0.0)
+    n = _reference_panels(d, q, lam, 0.0)[2].size
+    g = 2.0 * _gamma(n + 32)
+    assert abs(got - want) <= g / (1.0 - g) * want + n * 2.0 ** -1020
+
+
+def _exact_centred_conv(d, q, lam):
+    """2 pi int_0^inf exp(-c r^(2p)) n0(r) r dr in 40-digit mpmath, for
+    the p and c that tc1 computes at (q, lam)."""
+    p, c = (mpmath.mpf(x) for x in bounds._omega_exponents(q, lam))
+    with mpmath.workdps(40):
+        mass = mpmath.mpf(d.mass())
+        if d.family == "gaussian":
+            sigma = mpmath.mpf(d.sigma)
+
+            def profile(r):
+                return mass / (4 * mpmath.pi * sigma) * mpmath.exp(
+                    -r * r / (4 * sigma))
+        elif d.family == "polygaussian":
+            assert d.power == 0
+
+            def profile(r):
+                return d.height * mpmath.exp(-mpmath.mpf(d.rate) * r * r)
+        else:
+            def profile(r):
+                return mpmath.mpf(d.height)
+        # the weight falls from 1 to 0 about r0; past `end` it is below
+        # exp(-200), and a gaussian profile is past 12 scale radii
+        r0 = c ** (-1 / (2 * p))
+        end = (200 / c) ** (1 / (2 * p))
+        if d.has_compact_support:
+            lo = mpmath.mpf(d.r_inner if d.family == "annulus" else 0.0)
+            top = min(end, mpmath.mpf(d._support_radius()))
+            pts = []
+        else:
+            scale = mpmath.mpf(d._scale_radius())
+            lo, top = mpmath.mpf(0), min(end, 12 * scale)
+            pts = [3 * scale]
+        pts += [r0 * k for k in (0.8, 1.0, 1.25)]
+        pts = sorted({lo, top, *(x for x in pts if lo < x < top)})
+        return 2 * mpmath.pi * mpmath.quad(
+            lambda r: mpmath.exp(-c * r ** (2 * p)) * profile(r) * r, pts)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "disk", "polygaussian0",
+                                    "annulus"])
+def test_tc1_centred_convolution_against_mpmath(family):
+    # at the corners and the middle of the search's range, q in
+    # [1.25, 5] and lam in scale^2 [1/128, 128], and at q = 1.06, the
+    # centred convolution reads within 3e-13 of its exact value, plus the
+    # weight past the truncation radius, below exp(-45) times the mass;
+    # and no farther from it than the full 32-column kernel, but for the
+    # two sums' rounding
+    d = {**_CENTERED, "polygaussian0": _CENTERED["polygaussian"],
+         "annulus": _FIVE["annulus"]}[family]
+    conv = bounds._tc1_convolution(d)
+    for q, log2_lam in ((1.25, -7), (1.25, 7), (2.0, 0), (5.0, -7),
+                        (5.0, 7), (1.06, -7), (1.06, 0), (1.06, 7)):
+        lam = d._scale_radius() ** 2 * 2.0 ** log2_lam
+        exact = _exact_centred_conv(d, q, lam)
+        got = conv.radial(q, lam, 0.0)
+        old = _full_kernel_conv(d, q, lam, 0.0)
+        n = _reference_panels(d, q, lam, 0.0)[2].size
+        slack = math.exp(-45.0) * d.mass()
+        assert abs(got - exact) <= 3e-13 * exact + slack, (q, log2_lam)
+        assert abs(got - exact) <= abs(old - exact) \
+            + 2.0 * _gamma(n + 32) * old + slack, (q, log2_lam)
 
 
 _RINGS = {
@@ -808,8 +931,9 @@ _RINGS = {
 @example(family="radial_profile", q=5.0, log2_lam=-8.0, steer=True)
 def test_tc1_batched_scan_equals_each_offset(family, q, log2_lam, steer):
     # the scan computes its off-center kernels in one buffer per
-    # truncation radius; each value keeps the bits of its offset alone,
-    # and of the plain expression on the full rule.  At small lam the
+    # truncation radius, and its first point, the center, as one radial
+    # sum; each value keeps the bits of its offset alone, and of the
+    # plain expression on the full rule.  At small lam the
     # small offsets truncate short of the tail radius, so the scan
     # splits over several radii
     d = _RINGS[family]

@@ -231,6 +231,32 @@ def test_bound_refuses_non_finite_grid_cell(tmp_path, capsys):
     assert "[field: grid.path]" in err
 
 
+@pytest.mark.parametrize("name", ["g.npy", "g.csv"])
+def test_loaded_grid_holds_the_loaded_array(tmp_path, monkeypatch, name):
+    # the loader marks the array it read read-only, so the grid holds it
+    # without a second copy
+    vals = np.zeros((4, 4))
+    vals[1:3, 1:3] = 10.0
+    if name.endswith(".npy"):
+        np.save(tmp_path / name, vals)
+    else:
+        np.savetxt(tmp_path / name, vals, delimiter=",")
+    loaded = []
+    for fn in ("load", "loadtxt"):
+        def record(*args, _original=getattr(np, fn), **kwargs):
+            loaded.append(_original(*args, **kwargs))
+            return loaded[-1]
+        monkeypatch.setattr(np, fn, record)
+    spec = write_spec(tmp_path, "grid.json", {
+        "family": "grid",
+        "grid": {"path": name, "rows": 4, "cols": 4, "cell_size": 0.5}})
+    grid = cli.load_datum(spec)
+    assert len(loaded) == 1
+    assert np.shares_memory(grid.values, loaded[0])
+    assert not grid.values.flags.writeable
+    assert np.array_equal(grid.values, vals)
+
+
 def test_bound_refuses_fractional_power(tmp_path, capsys):
     # the power is read as a number and checked by the family, not
     # truncated to an integer on the way in

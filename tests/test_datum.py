@@ -154,6 +154,32 @@ def test_grid_barycenter_tracks_shift():
     assert abs(by + 0.2) < 0.01
 
 
+def _square_cells():
+    vals = np.zeros((4, 4))
+    vals[1:3, 1:3] = 10.0
+    return vals
+
+
+def test_grid_holds_a_read_only_array_as_is():
+    vals = _square_cells()
+    vals.setflags(write=False)
+    grid = ks.CartesianGrid(vals, 0.5)
+    assert np.shares_memory(grid.values, vals)
+    assert not grid.values.flags.writeable
+
+
+def test_grid_copies_a_writeable_array():
+    # later writes to the caller's array do not reach the grid
+    vals = _square_cells()
+    grid = ks.CartesianGrid(vals, 0.5)
+    assert not np.shares_memory(grid.values, vals)
+    assert not grid.values.flags.writeable
+    mass = grid.mass()
+    vals[...] = 99.0
+    assert grid.values.max() == 10.0
+    assert ks.CartesianGrid(grid.values, 0.5).mass() == mass
+
+
 # ---------------------------------------------------------------------------
 # beta variance
 # ---------------------------------------------------------------------------
