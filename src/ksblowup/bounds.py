@@ -15,13 +15,14 @@ supremum over it.  Non-increasing radial data take the symmetry center.
 Other radial data depend on z only through the offset delta =
 |z - center|, so ``tc`` and ``tc1`` share one search of delta,
 `searches.maximize_even`: a scan over [0, tail radius] refined by
-bounded Brent about its best point.  ``tc`` runs it inside one root
-find of the largest H over delta, and on grids over the peaks of H that
-mean-shift climbs reach; every ``tc`` ends with a bisection of H at its
-center, so it is the first float at which H there reaches the target.
-Radial ``tc2`` reads the symmetry center and searches nothing
-(`_tc2_search` says why).  Grid ``tc2`` runs multi-start Nelder-Mead
-over the plane (``tc1`` tries the grid's peak candidates).
+bounded Brent about its best point.  Radial ``tc`` inverts H at the
+center and runs it once at that root, leaving the center only for an
+offset that beats it with a strictly earlier root; grid ``tc`` is one
+root find over the peaks of H that mean-shift climbs reach.  Every
+``tc`` ends with a bisection of H at its center: the first float at
+which H there reaches the target.  Radial ``tc2`` reads the symmetry
+center (`_tc2_search` says why); grid ``tc2`` runs multi-start
+Nelder-Mead over the plane (``tc1`` tries the grid's peak candidates).
 
 Each search computes its invariants once.  One ``tc1`` search builds the
 radial panel nodes of each truncation radius once.  On grids it builds
@@ -36,11 +37,12 @@ evaluates a (q, lam) point it bounds the supremum there, over radial
 data in closed form from ||n0||_inf and ||omega||_1, over grids by the
 largest histogram bound, and skips the point when that bound shows its
 value is +inf or no smaller than the best so far; the golden stages
-about the scan's winner evaluate every probe.  On radial
-data that is not non-increasing the scan and the golden stages steer on
-a panel rule with 4x fewer kernel entries, and the full rule evaluates
-each stage winner once: the smallest of those values is ``tc1``.  Each
-convolution computes its radial kernels in place, a scan's in one batch.
+about the scan's winner evaluate every probe.  On radial data that is
+not non-increasing the scan and the golden stages steer on a panel rule
+with 4x fewer kernel entries, refining only the offset scans that peak
+off the center, and the full rule's complete search at each stage winner
+decides: the smallest of those values is ``tc1``.  Each convolution
+computes its radial kernels in place, a scan's in one batch.
 One ``tc2`` search computes its 96 theta-scan fractions once.  On radial
 data it reads the theta form at the center and its theta = 0 end.  A
 grid search steers on the theta form: each probe bins the cells by
@@ -178,7 +180,9 @@ _TC1_FLOOR_SLACK = 1.0 - 1e-12
 # the pool and 60 random data; (4, 8) moved 9 of the 32 pool winners, by
 # up to 8.4e-8 relative.  Where the search probes, the rule read at most
 # 4.9% above ||n0||_inf ||omega||_1 on the pool, inside
-# _TC1_RADIAL_MARGIN.
+# _TC1_RADIAL_MARGIN.  Steering also reads a scan that peaks at the center
+# unrefined (`_RingSteering`): 2421 of the pool's 2460 steering scans did,
+# and refining them only confirmed the center.
 _TC1_STEER_RULE = (8, 16)
 
 
@@ -198,11 +202,6 @@ def _delta_scan(density):
     return np.linspace(0.0, density.tail_radius(), _DELTA_SCAN)
 
 
-def _ring_point(density, delta):
-    c = density.center
-    return (c[0] + float(delta), c[1])
-
-
 # ---------------------------------------------------------------------------
 # tc: inversion of the heat-mass curve, minimized over the center
 # ---------------------------------------------------------------------------
@@ -211,43 +210,47 @@ def _tc_search(density, extra_seeds=()):
     """(tc, center): the first float at which H at that center reaches
     L(M) times `_TC_TARGET_FACTOR`, as evaluated.
 
-    As H increases in s, tc = inf{s : sup_z H(z, s) >= L}: one root find
-    of the largest H found over the center.  Non-increasing radial data
-    invert H at the symmetry center.  Other radial data search the offset
-    delta = |z - center| on a scan refined about its best point.  On
-    grids each seed (`_search_seeds`, with ``extra_seeds``)
-    climbs to a peak of H(., s) (`CartesianGrid.heat_mass_peak`) from
-    where it stopped at the last s, seeds that stopped at one point as
-    one.  For every datum a bisection of H at the winning center ends the
-    search.  The root finder sees only H evaluated at a center, so a
-    search that misses the global basin gives a looser bound, never a
-    wrong one.
+    As H increases in s, tc = inf{s : sup_z H(z, s) >= L}.  Radial data
+    invert H at the symmetry center, at s0, then search the offset delta
+    = |z - center| at s0 (not for non-increasing data).  If the center
+    wins there, s0 is the root of the sup: an offset that reached L
+    earlier would beat the center at s0.  An offset that wins becomes z
+    only if its root is strictly earlier, and is searched about in turn.
+    Grids run one root find of the largest H over their seeds
+    (`_search_seeds`, with ``extra_seeds``), each climbing to a peak of
+    H(., s) (`CartesianGrid.heat_mass_peak`) from where it stopped at the
+    last s, seeds that stopped at one point as one.  For every datum a
+    bisection of H at the winning center ends the search.  Each root is
+    of H evaluated at a center, so a search that misses the global basin
+    gives a looser bound, never a wrong one.
 
     The target is L times `_TC_TARGET_FACTOR`, which covers the rounding
     of L and of a closed-form H but not quadrature or grid-sum error.
     """
     target = mass_constants(density.mass()).threshold * _TC_TARGET_FACTOR
-    if density.is_nonincreasing_radial:
-        s, z = HeatMassCurve(density).invert(target), density.center
+    if density.is_radial:
+        (cx, cy), z = density.center, density.center
+        s = HeatMassCurve(density).invert(target)
+        while not density.is_nonincreasing_radial:
+            # a win by rounding alone has no earlier root and moves nothing
+            delta = maximize_even(lambda d: HeatMassCurve(
+                density, (cx + d, cy)).evaluate(s), _delta_scan(density))[1]
+            offset = (cx + delta, cy)
+            root = s if offset == z else \
+                HeatMassCurve(density, offset).invert(target)
+            if not root < s:
+                break
+            z, s = offset, root
     else:
         reached = {}  # s -> the center of the largest H evaluated at s
-        if density.is_radial:
-            scan = _delta_scan(density)
+        peaks = _search_seeds(density, extra_seeds)
 
-            def sup_heat_mass(s):
-                val, delta = maximize_even(lambda d: HeatMassCurve(
-                    density, _ring_point(density, d)).evaluate(s), scan)
-                reached[s] = _ring_point(density, delta)
-                return val
-        else:
-            peaks = _search_seeds(density, extra_seeds)
-
-            def sup_heat_mass(s):
-                peaks[:] = list(dict.fromkeys(
-                    density.heat_mass_peak(z, s) for z in peaks))
-                val, reached[s] = max(
-                    (HeatMassCurve(density, z).evaluate(s), z) for z in peaks)
-                return val
+        def sup_heat_mass(s):
+            peaks[:] = list(dict.fromkeys(
+                density.heat_mass_peak(z, s) for z in peaks))
+            val, reached[s] = max(
+                (HeatMassCurve(density, z).evaluate(s), z) for z in peaks)
+            return val
 
         s = invert_increasing(sup_heat_mass, target)
         z = reached[s]
@@ -297,16 +300,16 @@ class _RingConvolution:
 
     Each truncation radius's panels are integrated with Gauss-Legendre
     rules of ``order`` nodes per panel and ``angles`` angles; the
-    defaults are the full rule that every tc1 value comes from, and
-    `_tc1_search` steers ring data on _TC1_STEER_RULE.  The kernels are
-    computed in place, from rs^2 and 2 rs held with the panels, each
-    operation rounded as the plain expression rounds it; off-center
-    offsets of one truncation radius, as a scan's 16 mostly are, fill one
-    (offsets, nodes, angles) buffer, and a single offset, as a refinement
-    reads it, a (nodes, angles) one.  Each offset's angular sum is its
-    own matrix product.  At delta = 0 the kernel does not depend on the
-    angle, so the convolution is one radial sum over the same nodes,
-    times the sum of the angular weights.
+    defaults are the full rule that every tc1 value comes from, whose
+    `sup` refines every scan (`_RingSteering` refines fewer).  The
+    kernels are computed in place, from rs^2 and 2 rs held with the
+    panels, each operation rounded as the plain expression rounds it;
+    off-center offsets of one truncation radius, as a scan's 16 mostly
+    are, fill one (offsets, nodes, angles) buffer, and a single offset,
+    as a refinement reads it, a (nodes, angles) one.  Each offset's
+    angular sum is its own matrix product.  At delta = 0 the kernel does
+    not depend on the angle, so the convolution is one radial sum over
+    the same nodes, times the sum of the angular weights.
     """
 
     def __init__(self, density, order=16, angles=32):
@@ -473,11 +476,24 @@ class _PeakConvolution:
                          * self._h2)
 
 
-def _tc1_convolution(density, order=16, angles=32):
-    """The supremum of one tc1 search: over radial data on the panel rule
-    (``order``, ``angles``), over a grid on its peak candidates."""
+class _RingSteering(_RingConvolution):
+    """Ring tc1's steering convolution, on _TC1_STEER_RULE: a scan that
+    peaks at the center reads its value there unrefined."""
+
+    def __init__(self, density):
+        super().__init__(density, *_TC1_STEER_RULE)
+
+    def sup(self, q, lam):
+        vals = self.radials(q, lam, self._scan)
+        return maximize_even(lambda d: self.radial(q, lam, d), self._scan,
+                             vals)[0] if max(vals) > vals[0] else vals[0]
+
+
+def _tc1_convolution(density):
+    """The supremum of one tc1 search: over radial data on the full panel
+    rule, over a grid on its peak candidates."""
     if density.is_radial:
-        return _RingConvolution(density, order, angles)
+        return _RingConvolution(density)
     return _PeakConvolution(density)
 
 
@@ -517,17 +533,16 @@ def _tc1_search(density):
     golden stages about the scan's best evaluate every probe.
 
     Radial data that is not non-increasing steer the scan and both
-    golden stages on the cheaper rule _TC1_STEER_RULE, then evaluate
-    the full rule once at each distinct stage winner; the smallest of
-    those values wins, a tie going to the earliest stage.  Every value
-    returned is the full rule's at a point it evaluated.  Other data
-    steer on the full rule itself.
+    golden stages on `_RingSteering`, then evaluate the full rule, with
+    its complete offset search, once at each distinct stage winner; the
+    smallest of those values wins, a tie going to the earliest stage.
+    Every value returned is the full rule's at a point it evaluated.
+    Other data steer on the full rule itself.
     """
     with np.errstate(over="ignore"):
         conv = _tc1_convolution(density)
-        steer = conv
-        if density.is_radial and not density.is_nonincreasing_radial:
-            steer = _tc1_convolution(density, *_TC1_STEER_RULE)
+        ring = density.is_radial and not density.is_nonincreasing_radial
+        steer = _RingSteering(density) if ring else conv
         stages = _tc1_stages(steer)
         if steer is not conv and stages[0][1] is not None:
             full = {}

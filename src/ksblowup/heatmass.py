@@ -12,10 +12,10 @@ bound in `bounds`.
 it, in one entry point: `InitialDatum.heat_mass(z, s)` chooses between a
 family's closed form and its quadrature, and a grid sums its cells.  The
 inversion is `searches.invert_increasing`, which returns a time at which
-H was evaluated and reached the target.  Where H may peak off the
-center, ``tc`` inverts the largest H found over it instead; on grids, H
-at the peaks that `CartesianGrid.heat_mass_peak` climbs to.  Every
-``tc`` search ends with a bisection of this curve at its winner.
+H was evaluated and reached the target.  Radial ``tc`` inverts it at the
+symmetry center, and off it only where an offset beats it; grid ``tc``
+the largest H at the peaks `CartesianGrid.heat_mass_peak` climbs to.
+Every ``tc`` search ends with a bisection of this curve at its winner.
 """
 
 from .errors import NonPositiveTimeError, TargetOutOfRangeError

@@ -11,8 +11,8 @@ bracket on a monotone predicate until no float lies inside it.
 `maximize_even` is the one offset search of radial data: ``tc`` and
 ``tc1`` see the center z only through delta = |z - center|, so each
 scans delta and refines about its best scan point with bounded Brent
-minimization, returning the best offset it evaluated.  Radial ``tc2``
-reads the symmetry center and searches nothing.  The other
+minimization, returning the best offset it evaluated: ``tc`` at the
+center's root of H, ``tc1`` per value and off-center scan peak.  The other
 one-dimensional objectives are smooth and unimodal in every worked
 example, so a coarse grid then golden-section refinement certifies an
 upper envelope of the infimum.  Grid ``tc2`` searches its center in the

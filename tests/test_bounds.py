@@ -19,9 +19,11 @@ from ksblowup.errors import (
 )
 from ksblowup.quadrature import _gl_nodes, merged_edges, panel_nodes
 from ksblowup.searches import (
+    _WIDTH_REL_TOL,
     bisect,
     golden_about_scan,
     golden_section,
+    invert_increasing,
     maximize_even,
     minimize_over_plane,
 )
@@ -277,22 +279,134 @@ def test_radial_data_never_search_the_plane(monkeypatch):
     ("radial_profile", 2), ("radial_profile", 5)])
 def test_ring_tc_winner_within_rounding_of_the_centre_is_the_centre(
         family, index):
-    # these ring pool entries peak at their centre; the offset search's
-    # best point lies within its tolerance of 0 and beats H there only by
-    # quadrature rounding, so the centre, with its closed form, wins
+    # these ring pool entries peak at their centre; at the centre's root
+    # the offset search's best point lies within its tolerance of 0 and
+    # beats H there only by quadrature rounding, so the centre, with its
+    # closed form, wins and no offset is inverted
     d = cli.datum_from_dict(workloads.radial_entry(family, index)[0])
     assert bounds._tc_search(d)[1] == d.center
 
 
 def test_radial_tc_is_the_centre_inversion_when_it_peaks_there():
     # the annulus' largest H sits at its center, where the closed form
-    # applies; the delta search returns that inversion, at the same
-    # target, or a tighter one
+    # applies; the search starts from that inversion, at the same target,
+    # and its descent and bisection only move down from it
     d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
     tc, _ = bounds._tc_search(d)
     centred = ks.HeatMassCurve(d).invert(
         bounds.mass_constants(d.mass()).threshold * bounds._TC_TARGET_FACTOR)
     assert centred * (1.0 - 1e-13) <= tc <= centred
+
+
+def _ring_point(d, delta):
+    return (d.center[0] + delta, d.center[1])
+
+
+def _nested_tc_search(d):
+    """(tc, center) of radial data from one root find of the largest H
+    over the offset, `maximize_even` at every probe, then the descent and
+    bisection at the winner: the search that the centre-first fixed point
+    replaced."""
+    target = bounds.mass_constants(d.mass()).threshold \
+        * bounds._TC_TARGET_FACTOR
+    scan, reached = bounds._delta_scan(d), {}
+
+    def sup_heat_mass(s):
+        val, delta = maximize_even(lambda x: HeatMassCurve(
+            d, _ring_point(d, x)).evaluate(s), scan)
+        reached[s] = _ring_point(d, delta)
+        return val
+
+    s = invert_increasing(sup_heat_mass, target)
+    heat_mass = HeatMassCurve(d, reached[s]).evaluate
+    gap = 2.0 * _WIDTH_REL_TOL * s
+    while heat_mass(s - gap) >= target:
+        s, gap = s - gap, 2.0 * gap
+    return bisect(lambda t: heat_mass(t) >= target, s - gap, s)[1], reached[s]
+
+
+def _plateau_heat_mass(monkeypatch, d, lift):
+    """Patch H of ``d``'s class so that the offsets in [scan[4], scan[6]] of
+    `_delta_scan` read lift(H at the centre, s); every other offset keeps
+    its H.  Returns the recorded inversions, [(center, root)], and the
+    first scan point of the plateau, the best offset of any
+    `maximize_even` whose plateau value beats the rest."""
+    scan = bounds._delta_scan(d)
+    heat_mass, invert = type(d).heat_mass, HeatMassCurve.invert
+
+    def patched(self, z, s):
+        if scan[4] <= math.dist(z, self.center) <= scan[6]:
+            return lift(lambda t: heat_mass(self, self.center, t), s)
+        return heat_mass(self, z, s)
+
+    inversions = []
+
+    def recorded(self, target):
+        inversions.append((self.z, invert(self, target)))
+        return inversions[-1][1]
+
+    monkeypatch.setattr(type(d), "heat_mass", patched)
+    monkeypatch.setattr(HeatMassCurve, "invert", recorded)
+    return inversions, float(scan[4])
+
+
+def test_radial_tc_moves_to_an_offset_that_beats_the_centre(monkeypatch):
+    # an offset band reads the centre's H at 1.25 s, so it beats the centre
+    # at every s: the search inverts the centre, moves to the band's best
+    # offset at a strictly earlier root, finds no offset beating that one,
+    # and ends where the nested search ends
+    d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
+    inversions, delta = _plateau_heat_mass(
+        monkeypatch, d, lambda centre, s: centre(1.25 * s))
+    tc, z = bounds._tc_search(d)
+    assert z == _ring_point(d, delta) != d.center
+    assert [w for w, _ in inversions] == [d.center, z]
+    assert inversions[1][1] < inversions[0][1]
+    target = bounds.mass_constants(d.mass()).threshold \
+        * bounds._TC_TARGET_FACTOR
+    heat_mass = HeatMassCurve(d, z).evaluate
+    assert heat_mass(tc) >= target > heat_mass(math.nextafter(tc, 0.0))
+    assert (tc, z) == _nested_tc_search(d)
+
+
+def test_radial_tc_keeps_the_centre_on_a_rounding_only_win(monkeypatch):
+    # at the centre's root s0 alone, an offset band reads one ulp above the
+    # centre's H, so it wins the offset search there; its own root is not
+    # earlier, so neither the centre nor the time moves
+    d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
+    want = bounds._tc_search(d)
+    s0 = HeatMassCurve(d).invert(bounds.mass_constants(d.mass()).threshold
+                                 * bounds._TC_TARGET_FACTOR)
+    inversions, delta = _plateau_heat_mass(
+        monkeypatch, d, lambda centre, s: math.nextafter(centre(s), math.inf)
+        if s == s0 else centre(s))
+    assert bounds._tc_search(d) == want
+    assert want[1] == d.center
+    assert inversions == [(d.center, s0), (_ring_point(d, delta), s0)]
+
+
+@pytest.mark.parametrize("d", [
+    *(d for d in cli._ordering_cases() if not d.is_nonincreasing_radial),
+    *(cli.datum_from_dict(workloads.radial_entry(f, 0)[0])
+      for f in workloads.RADIAL_FAMILIES)], ids=lambda d: d.label())
+def test_radial_tc_matches_the_nested_search(d):
+    # both searches end with the descent and bisection of H at one centre,
+    # from different starts, so each tc is a point where the computed H
+    # there crosses the one target.  Two such crossings t1 < t2 need
+    # H(t1) >= target > H(prev(t2)) as computed, while the exact H rises
+    # between them, by about E (t2 - t1) / t relative, E = d ln H / d ln s.
+    # With the computed H within eps of the exact one, relative, that rise
+    # is at most 2 eps, so the crossings differ by at most 2 eps / E.  eps
+    # is the 22u that _TC_TARGET_FACTOR budgets for rounding (9u of it for
+    # a closed-form H; the radial profile's H is a quadrature, which agrees
+    # bitwise here).  Pool annulus 0 moves by 2.2e-15, against 1.7e-13
+    tc, z = bounds._tc_search(d)
+    nested_tc, nested_z = _nested_tc_search(d)
+    assert z == nested_z == d.center
+    heat_mass = HeatMassCurve(d, z).evaluate
+    elasticity = math.log(heat_mass(tc * (1.0 + 1e-6))
+                          / heat_mass(tc * (1.0 - 1e-6))) / 2e-6
+    assert abs(tc - nested_tc) <= 2.0 * 22 * 2.0 ** -53 / elasticity * tc
 
 
 def _lopsided_grid():
@@ -941,8 +1055,8 @@ def test_tc1_batched_scan_equals_each_offset(family, q, log2_lam, steer):
     rule = bounds._TC1_STEER_RULE if steer else (16, 32)
     scan = bounds._delta_scan(d)
     with np.errstate(over="ignore"):
-        batch = bounds._tc1_convolution(d, *rule).radials(q, lam, scan)
-        conv = bounds._tc1_convolution(d, *rule)
+        batch = bounds._RingConvolution(d, *rule).radials(q, lam, scan)
+        conv = bounds._RingConvolution(d, *rule)
         assert batch == [conv.radial(q, lam, x) for x in scan]
         if not steer:
             assert batch == [_reference_radial_conv(d, q, lam, float(x))
@@ -1086,8 +1200,10 @@ _SUP_UPPER_DATA = {
 
 
 @functools.lru_cache(maxsize=None)
-def _sup_upper_conv(name, rule=(16, 32)):
-    return bounds._tc1_convolution(_SUP_UPPER_DATA[name](), *rule)
+def _sup_upper_conv(name, rule=None):
+    d = _SUP_UPPER_DATA[name]()
+    return bounds._tc1_convolution(d) if rule is None \
+        else bounds._RingConvolution(d, *rule)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1168,6 +1284,74 @@ def test_tc1_ring_search_decides_on_the_full_rule_at_the_stage_winners(
     monkeypatch.setattr(bounds, "_tc1_value", counted)
     assert math.isfinite(bounds.tc1_bound(ks.Annulus(16.0 / 3.0, 1.0, 2.0)))
     assert orders == [8] * 77 + [16] * 3
+
+
+@pytest.mark.parametrize("log2_lam, peak", [(-5.0, 11), (-2.0, 0), (5.0, 0)])
+def test_tc1_steering_refines_only_off_centre_peaks(monkeypatch, log2_lam,
+                                                    peak):
+    # a steering scan that peaks at the centre reads its centre value and
+    # makes no single-offset read; one that peaks on the ring is refined
+    # as the full rule refines it
+    d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
+    q, lam = 2.0, d._scale_radius() ** 2 * 2.0 ** log2_lam
+    steer = bounds._RingSteering(d)
+    scan = steer.radials(q, lam, steer._scan)
+    assert int(np.argmax(scan)) == peak
+    reads = []
+    radial = bounds._RingConvolution.radial
+
+    def counted(self, *args):
+        reads.append(args)
+        return radial(self, *args)
+
+    monkeypatch.setattr(bounds._RingConvolution, "radial", counted)
+    got = steer.sup(q, lam)
+    assert (reads == []) == (peak == 0)
+    assert got == (bounds._RingConvolution.sup(steer, q, lam) if peak
+                   else scan[0])
+
+
+def test_tc1_full_rule_refines_each_stage_winner(monkeypatch):
+    # the full rule reads each distinct stage winner once, and that read is
+    # one complete offset search
+    d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
+    winners = list(dict.fromkeys(
+        (q, lam) for _, q, lam in bounds._tc1_stages(bounds._RingSteering(d))))
+    searches, reads = [], []
+    maximize, full_sup = bounds.maximize_even, bounds._RingConvolution.sup
+
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return maximize(*args, **kwargs)
+
+    def counted_sup(self, q, lam):
+        before = len(searches)
+        val = full_sup(self, q, lam)
+        reads.append(((q, lam), len(searches) - before))
+        return val
+
+    monkeypatch.setattr(bounds, "maximize_even", counted_search)
+    monkeypatch.setattr(bounds._RingConvolution, "sup", counted_sup)
+    bounds._tc1_search(d)
+    assert reads == [(w, 1) for w in winners]
+
+
+def _tc1_refining_every_steering_sup(d, monkeypatch):
+    """`_tc1_search` with every steering supremum refined by
+    `maximize_even`, centre-peaked scans included."""
+    with monkeypatch.context() as m:
+        m.setattr(bounds._RingSteering, "sup", bounds._RingConvolution.sup)
+        return bounds._tc1_search(d)
+
+
+def test_tc1_unrefined_centre_peaks_keep_the_winner(monkeypatch):
+    # steering decides no value: reading centre-peaked scans unrefined
+    # keeps every winner and value on the ring pool and the ordering cases
+    # that are not non-increasing
+    for d in [*_ring_pool(), *(d for d in cli._ordering_cases()
+                               if not d.is_nonincreasing_radial)]:
+        assert bounds._tc1_search(d) == \
+            _tc1_refining_every_steering_sup(d, monkeypatch), d.label()
 
 
 @pytest.mark.parametrize("q, lam", [(1.05, 1e-20), (1.25, 1e-70)])
