@@ -14,15 +14,17 @@ the symmetry center, so it evaluates no cumulative mass of its own.
 supremum over it.  Non-increasing radial data take the symmetry center.
 Other radial data depend on z only through the offset delta =
 |z - center|, so ``tc`` and ``tc1`` share one search of delta,
-`searches.maximize_even`: a scan over [0, tail radius] refined by
-bounded Brent about its best point.  Radial ``tc`` inverts H at the
-center and runs it once at that root, leaving the center only for an
-offset that beats it with a strictly earlier root; grid ``tc`` is one
-root find over the peaks of H that mean-shift climbs reach.  Every
-``tc`` ends with a bisection of H at its center: the first float at
-which H there reaches the target.  Radial ``tc2`` reads the symmetry
-center (`_tc2_search` says why); grid ``tc2`` runs multi-start
-Nelder-Mead over the plane (``tc1`` tries the grid's peak candidates).
+`searches.maximize_even`: a scan over [0, tail radius] that reads the
+center unless an offset beats it there, and otherwise refines by golden
+section about its best point.  Radial ``tc`` inverts H at the center and
+runs it once at that root, leaving the center only for an offset that
+beats it with a strictly earlier root; grid ``tc`` is one root find over
+the peaks of H that mean-shift climbs reach.  Every ``tc`` ends with a
+bisection of H at its center z*, which certifies H(z*, tc) >= target >
+H(z*, prev(tc)), prev(tc) the float below tc, as computed.  Radial
+``tc2`` reads the symmetry center (`_tc2_search` says why); grid ``tc2``
+runs multi-start Nelder-Mead over the plane (``tc1`` tries the grid's
+peak candidates).
 
 Each search computes its invariants once.  One ``tc1`` search builds the
 radial panel nodes of each truncation radius once.  On grids it builds
@@ -39,10 +41,11 @@ largest histogram bound, and skips the point when that bound shows its
 value is +inf or no smaller than the best so far; the golden stages
 about the scan's winner evaluate every probe.  On radial data that is
 not non-increasing the scan and the golden stages steer on a panel rule
-with 4x fewer kernel entries, refining only the offset scans that peak
-off the center, and the full rule's complete search at each stage winner
-decides: the smallest of those values is ``tc1``.  Each convolution
-computes its radial kernels in place, a scan's in one batch.
+with 4x fewer kernel entries, and the full rule's offset search at each
+stage winner decides: the smallest of those values is ``tc1``.  Both
+rules search the offset alike, refining only a scan that peaks off the
+center.  Each convolution computes its radial kernels in place, a scan's
+in one batch.
 One ``tc2`` search computes its 96 theta-scan fractions once.  On radial
 data it reads the theta form at the center and its theta = 0 end.  A
 grid search steers on the theta form: each probe bins the cells by
@@ -180,9 +183,9 @@ _TC1_FLOOR_SLACK = 1.0 - 1e-12
 # the pool and 60 random data; (4, 8) moved 9 of the 32 pool winners, by
 # up to 8.4e-8 relative.  Where the search probes, the rule read at most
 # 4.9% above ||n0||_inf ||omega||_1 on the pool, inside
-# _TC1_RADIAL_MARGIN.  Steering also reads a scan that peaks at the center
-# unrefined (`_RingSteering`): 2421 of the pool's 2460 steering scans did,
-# and refining them only confirmed the center.
+# _TC1_RADIAL_MARGIN.  Both rules read a scan that peaks at the center
+# unrefined (`maximize_even`): 2421 of the pool's 2460 steering scans and
+# every full-rule scan at the pool's stage winners did.
 _TC1_STEER_RULE = (8, 16)
 
 
@@ -190,11 +193,7 @@ def _search_seeds(density, extra_seeds=()):
     """Multi-start seeds of a grid's plane searches: center (the
     barycenter), the grid's probes, then ``extra_seeds``."""
     seeds = [density.center, *density.search_probes(), *extra_seeds]
-    unique = []
-    for s in seeds:
-        if not any(math.hypot(s[0] - u[0], s[1] - u[1]) < 1e-12 for u in unique):
-            unique.append((float(s[0]), float(s[1])))
-    return unique
+    return list(dict.fromkeys((float(x), float(y)) for x, y in seeds))
 
 
 def _delta_scan(density):
@@ -207,8 +206,9 @@ def _delta_scan(density):
 # ---------------------------------------------------------------------------
 
 def _tc_search(density, extra_seeds=()):
-    """(tc, center): the first float at which H at that center reaches
-    L(M) times `_TC_TARGET_FACTOR`, as evaluated.
+    """(tc, center): H at that center reaches L(M) times
+    `_TC_TARGET_FACTOR` at tc and falls short of it at the float below
+    tc, as evaluated.
 
     As H increases in s, tc = inf{s : sup_z H(z, s) >= L}.  Radial data
     invert H at the symmetry center, at s0, then search the offset delta
@@ -254,8 +254,9 @@ def _tc_search(density, extra_seeds=()):
 
         s = invert_increasing(sup_heat_mass, target)
         z = reached[s]
-    # the first float at which H at the winner reaches the target; the
-    # step below s doubles while H there still reaches it
+    # a float at which H at the winner reaches the target and H at the
+    # float below does not; the step below s doubles while H there still
+    # reaches it
     heat_mass = HeatMassCurve(density, z).evaluate
     gap = 2.0 * _WIDTH_REL_TOL * s
     while heat_mass(s - gap) >= target:
@@ -300,16 +301,16 @@ class _RingConvolution:
 
     Each truncation radius's panels are integrated with Gauss-Legendre
     rules of ``order`` nodes per panel and ``angles`` angles; the
-    defaults are the full rule that every tc1 value comes from, whose
-    `sup` refines every scan (`_RingSteering` refines fewer).  The
-    kernels are computed in place, from rs^2 and 2 rs held with the
-    panels, each operation rounded as the plain expression rounds it;
-    off-center offsets of one truncation radius, as a scan's 16 mostly
-    are, fill one (offsets, nodes, angles) buffer, and a single offset,
-    as a refinement reads it, a (nodes, angles) one.  Each offset's
-    angular sum is its own matrix product.  At delta = 0 the kernel does
-    not depend on the angle, so the convolution is one radial sum over
-    the same nodes, times the sum of the angular weights.
+    defaults are the full rule that every tc1 value comes from, and
+    _TC1_STEER_RULE steers the search; both read `sup` by
+    `maximize_even`.  The kernels are computed in place, from rs^2 and
+    2 rs held with the panels, each operation rounded as the plain
+    expression rounds it; off-center offsets of one truncation radius,
+    as a scan's 16 mostly are, fill one (offsets, nodes, angles) buffer,
+    and a single offset is a batch of one.  Each offset's angular sum is
+    its own matrix product.  At delta = 0 the kernel does not depend on
+    the angle, so the convolution is one radial sum over the same nodes,
+    times the sum of the angular weights.
     """
 
     def __init__(self, density, order=16, angles=32):
@@ -385,23 +386,16 @@ class _RingConvolution:
             self._work = np.empty((len(ds) * rs.size, self._wphi.size))
         # exp(-c max(rs^2 + delta^2 - 2 rs delta cos phi, 0)^p), each
         # operation as the expression rounds it, delta^2 a scalar power
-        if len(ds) == 1:
-            d = float(ds[0])
-            kernel = self._work[:rs.size]
-            np.multiply.outer(d * two_rs, self._cos_phi, out=kernel)
-            np.subtract((d ** 2 + rs_sq)[:, None], kernel, out=kernel)
-        else:
-            kernel = self._work[:len(ds) * rs.size].reshape(len(ds), rs.size, -1)
-            np.multiply.outer(np.multiply.outer(ds, two_rs), self._cos_phi,
-                              out=kernel)
-            d_sq = [float(d) ** 2 for d in ds]
-            np.subtract(np.add.outer(d_sq, rs_sq)[..., None], kernel, out=kernel)
+        kernel = self._work[:len(ds) * rs.size].reshape(len(ds), rs.size, -1)
+        np.multiply.outer(np.multiply.outer(ds, two_rs), self._cos_phi,
+                          out=kernel)
+        d_sq = [float(d) ** 2 for d in ds]
+        np.subtract(np.add.outer(d_sq, rs_sq)[..., None], kernel, out=kernel)
         np.maximum(kernel, 0.0, out=kernel)
         kernel **= p
         kernel *= -c
         np.exp(kernel, out=kernel)
-        sums = ((kernel @ self._wphi) * weighted).sum(axis=-1)
-        return sums.reshape(-1).tolist()  # one offset's sum is 0-d
+        return ((kernel @ self._wphi) * weighted).sum(axis=-1).tolist()
 
 
 class _PeakConvolution:
@@ -476,19 +470,6 @@ class _PeakConvolution:
                          * self._h2)
 
 
-class _RingSteering(_RingConvolution):
-    """Ring tc1's steering convolution, on _TC1_STEER_RULE: a scan that
-    peaks at the center reads its value there unrefined."""
-
-    def __init__(self, density):
-        super().__init__(density, *_TC1_STEER_RULE)
-
-    def sup(self, q, lam):
-        vals = self.radials(q, lam, self._scan)
-        return maximize_even(lambda d: self.radial(q, lam, d), self._scan,
-                             vals)[0] if max(vals) > vals[0] else vals[0]
-
-
 def _tc1_convolution(density):
     """The supremum of one tc1 search: over radial data on the full panel
     rule, over a grid on its peak candidates."""
@@ -533,8 +514,8 @@ def _tc1_search(density):
     golden stages about the scan's best evaluate every probe.
 
     Radial data that is not non-increasing steer the scan and both
-    golden stages on `_RingSteering`, then evaluate the full rule, with
-    its complete offset search, once at each distinct stage winner; the
+    golden stages on _TC1_STEER_RULE, then evaluate the full rule, with
+    its own offset search, once at each distinct stage winner; the
     smallest of those values wins, a tie going to the earliest stage.
     Every value returned is the full rule's at a point it evaluated.
     Other data steer on the full rule itself.
@@ -542,7 +523,7 @@ def _tc1_search(density):
     with np.errstate(over="ignore"):
         conv = _tc1_convolution(density)
         ring = density.is_radial and not density.is_nonincreasing_radial
-        steer = _RingSteering(density) if ring else conv
+        steer = _RingConvolution(density, *_TC1_STEER_RULE) if ring else conv
         stages = _tc1_stages(steer)
         if steer is not conv and stages[0][1] is not None:
             full = {}
@@ -687,9 +668,10 @@ def _tc2_search(density):
     at 40 offsets each, no offset beat it; the closest read 0.11% above.
 
     A grid steers local Nelder-Mead on binned profiles
-    (`_ThetaScan.binned_form`).  A winner off the center whose steering
-    value beats the center's is decided once, on its `_snapshot`: the
-    binned profile gathered whole, the search's one sort of every cell."""
+    (`_ThetaScan.binned_form`).  A winner whose steering value beats the
+    center's is decided once, on its `_snapshot`: the binned profile
+    gathered whole, the search's one sort of every cell, or the cached
+    one at the barycenter itself."""
     scan = _ThetaScan(mass_constants(density.mass()))
     center = density.center
     center_val, centred = _tc2_from(scan, density, center)
@@ -699,9 +681,7 @@ def _tc2_search(density):
     z_best, steered, _ = minimize_over_plane(
         lambda z: scan.binned_form(density.binned_profile(z)),
         _search_seeds(density), max_iter=_NM_MAX_ITER)
-    if math.hypot(z_best[0] - center[0], z_best[1] - center[1]) \
-            <= 1e-9 * (1.0 + density._scale_radius()) \
-            or not steered < center_val:
+    if not steered < center_val:
         return center_val, center, centred
     off_val = _snapshot(density, z_best).cell_infimum(scan.consts.threshold)
     if off_val < center_val:

@@ -10,19 +10,19 @@ bracket on a monotone predicate until no float lies inside it.
 
 `maximize_even` is the one offset search of radial data: ``tc`` and
 ``tc1`` see the center z only through delta = |z - center|, so each
-scans delta and refines about its best scan point with bounded Brent
-minimization, returning the best offset it evaluated: ``tc`` at the
-center's root of H, ``tc1`` per value and off-center scan peak.  The other
-one-dimensional objectives are smooth and unimodal in every worked
-example, so a coarse grid then golden-section refinement certifies an
-upper envelope of the infimum.  Grid ``tc2`` searches its center in the
-plane by multi-start Nelder-Mead, which records a per-start trace.
+scans delta, reads the center's value unless an offset beats it there,
+and otherwise refines about the scan's best point.  That refinement is
+the package's one: golden section about a coarse scan's best point,
+returning the best point evaluated, refines the offset as it refines
+theta, q', lam and q.  Those objectives are smooth and unimodal in
+every worked example, so the value read certifies an upper envelope of
+the infimum.  Grid ``tc2`` searches its center in the plane by
+multi-start Nelder-Mead, which records a per-start trace.
 
-The two local minimizers port scipy 1.17's step for step, in plain
-floats, so every report value keeps its bits: `_fminbound` the loop of
-``optimize.fminbound`` and `_nelder_mead` its non-adaptive Nelder-Mead
-in two variables.  Importing ``scipy.optimize`` for them cost 0.2 s and
-13 MB of every start, and its wrappers more per probe than the loops.
+`_nelder_mead` ports scipy 1.17's non-adaptive Nelder-Mead in two
+variables step for step, in plain floats, so every report value keeps
+its bits.  Importing ``scipy.optimize`` for it cost 0.2 s and 13 MB of
+every start, and its wrapper more per probe than the loop.
 """
 
 import math
@@ -37,10 +37,6 @@ _NM_XATOL, _NM_FATOL = 1e-7, 1e-12  # Nelder-Mead stopping tolerances
 _S_MAX, _S_MIN = 4.0 ** 200, 4.0 ** -200  # the root finder's bracket limits
 # the root finder stops once hi - lo <= _WIDTH_REL_TOL * hi
 _WIDTH_REL_TOL = 1e-13
-_DELTA_XATOL = 1e-8  # offset tolerance of maximize_even, relative to the scanned range
-# scipy's bounded Brent constants, and its cap on calls
-_SQRT_EPS, _GOLDEN_MEAN = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-_FMINBOUND_MAX_CALLS = 500
 
 
 def invert_increasing(fn, target):
@@ -140,77 +136,19 @@ def maximize_even(fn, scan, vals=None):
     """(value, delta) of the largest fn(delta) found for fn even in delta.
 
     ``scan`` ascends from 0; ``vals``, fn on it from one batch, or the
-    scan evaluated in order.  Bounded Brent minimization of -fn then
-    refines about the best scan point; a peak at 0 is refined on
-    [-scan[1], scan[1]].  ``fn`` is only called at |delta|, and the
-    result is the best point evaluated, so fn(delta) equals the value
-    returned.  A best offset within the refinement's tolerance of 0
-    beats fn(0) only by rounding, so it is 0, with the scan's fn(0): no
-    larger than the best value, so a bound read from it is never tighter.
+    scan evaluated in order.  A scan with no value strictly above fn(0)
+    returns (fn(0), 0) and refines nothing; any other is refined by
+    `golden_about_scan` on -fn about its best point, which returns the
+    best point evaluated, so fn(delta) equals the value returned.  The
+    refinement's bracket lies in [0, scan[-1]], so ``fn`` is only called
+    at non-negative offsets.
     """
-    best = [-math.inf, float(scan[0])]
-
-    def neg(delta, val):
-        if val > best[0]:
-            best[:] = [val, delta]
-        return -val
-
     if vals is None:
         vals = [fn(float(d)) for d in scan]
-    k = int(np.argmin([neg(float(d), v) for d, v in zip(scan, vals)]))
-    xatol = _DELTA_XATOL * float(scan[-1])
-    _fminbound(lambda d: neg(abs(d), fn(abs(d))),
-               float(scan[k - 1]) if k else -float(scan[1]),
-               float(scan[min(k + 1, len(scan) - 1)]), xatol)
-    if best[1] <= xatol:
-        return vals[0], float(scan[0])
-    return tuple(best)
-
-
-def _fminbound(fn, a, b, xatol):
-    """(x, fn(x)) of Brent's bounded minimization of fn on [a, b]:
-    scipy's ``_minimize_scalar_bounded`` loop, at most 500 calls, each
-    step rounded as scipy rounds it."""
-    fulc = nfc = xf = a + _GOLDEN_MEAN * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = fn(xf)
-    for _ in range(_FMINBOUND_MAX_CALLS - 1):
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        if not abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:
-            # a parabola through xf, nfc and fulc, if its step is short
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = -p if q > 0.0 else p
-            q = abs(q)
-            r, e = e, rat
-            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
-        if parabolic:
-            rat = (p + 0.0) / q
-            x = xf + rat
-            if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
-                rat = -tol1 if xm - xf < 0.0 else tol1
-        else:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN_MEAN * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0.0 else xf + step
-        fu = fn(x)
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return xf, fx
+    if not any(v > vals[0] for v in vals):
+        return vals[0], 0.0
+    delta, neg = golden_about_scan(lambda d: -fn(d), scan, [-v for v in vals])
+    return -neg, delta
 
 
 def golden_section(fn, lo, hi, rel_tol=1e-9):

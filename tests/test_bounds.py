@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import optimize
 
 import ksblowup as ks
 from ksblowup import HeatMassCurve, bounds, cli, oracles
@@ -259,6 +260,41 @@ def test_tc2_keeps_the_centre_when_the_winner_does_not_beat_it(
     assert builds == []
 
 
+def test_tc2_winner_at_the_barycentre_reads_the_cached_profile(monkeypatch):
+    # a steering winner exactly at the barycentre that beats the centre's
+    # form is decided on the barycentre's own profile, which ties the
+    # centre, so the centre is kept
+    d = ks.CartesianGrid(*workloads.dense_grid_entry(0))
+    center_val = bounds.tc2_at(d)
+    monkeypatch.setattr(bounds, "minimize_over_plane", lambda fn, seeds, max_iter:
+                        (d.center, 0.5 * center_val, []))
+    profiles = []
+    snapshot = bounds._snapshot
+
+    def recorded(density, z):
+        profiles.append(snapshot(density, z))
+        return profiles[-1]
+
+    monkeypatch.setattr(bounds, "_snapshot", recorded)
+    assert bounds._tc2_search(d)[:2] == (center_val, d.center)
+    assert len(profiles) == 1 and profiles[0] is d.mass_profile(d.center)
+
+
+def test_search_seeds_drop_only_exact_repeats():
+    # a plus-shaped grid's weighted median is its barycentre, one seed; a
+    # seed 1e-13 off it is a seed of its own
+    vals = np.zeros((5, 5))
+    vals[2, 2] = 40.0
+    vals[1, 2] = vals[3, 2] = vals[2, 1] = vals[2, 3] = 10.0
+    d = ks.CartesianGrid(vals, 0.5)
+    cx, cy = d.center
+    assert d.search_probes() == (d.center,)
+    assert bounds._search_seeds(d) == [d.center]
+    near = (cx + 1e-13, cy)
+    assert near != d.center
+    assert bounds._search_seeds(d, [near, d.center, near]) == [d.center, near]
+
+
 def test_radial_data_never_search_the_plane(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("plane search on radial data")
@@ -280,9 +316,8 @@ def test_radial_data_never_search_the_plane(monkeypatch):
 def test_ring_tc_winner_within_rounding_of_the_centre_is_the_centre(
         family, index):
     # these ring pool entries peak at their centre; at the centre's root
-    # the offset search's best point lies within its tolerance of 0 and
-    # beats H there only by quadrature rounding, so the centre, with its
-    # closed form, wins and no offset is inverted
+    # the offset scan peaks there, so the centre, with its closed form,
+    # wins and no offset is inverted
     d = cli.datum_from_dict(workloads.radial_entry(family, index)[0])
     assert bounds._tc_search(d)[1] == d.center
 
@@ -329,8 +364,8 @@ def _plateau_heat_mass(monkeypatch, d, lift):
     """Patch H of ``d``'s class so that the offsets in [scan[4], scan[6]] of
     `_delta_scan` read lift(H at the centre, s); every other offset keeps
     its H.  Returns the recorded inversions, [(center, root)], and the
-    first scan point of the plateau, the best offset of any
-    `maximize_even` whose plateau value beats the rest."""
+    plateau's ends, between which the best offset of any `maximize_even`
+    whose plateau value beats the rest lies."""
     scan = bounds._delta_scan(d)
     heat_mass, invert = type(d).heat_mass, HeatMassCurve.invert
 
@@ -347,7 +382,7 @@ def _plateau_heat_mass(monkeypatch, d, lift):
 
     monkeypatch.setattr(type(d), "heat_mass", patched)
     monkeypatch.setattr(HeatMassCurve, "invert", recorded)
-    return inversions, float(scan[4])
+    return inversions, (float(scan[4]), float(scan[6]))
 
 
 def test_radial_tc_moves_to_an_offset_that_beats_the_centre(monkeypatch):
@@ -356,10 +391,11 @@ def test_radial_tc_moves_to_an_offset_that_beats_the_centre(monkeypatch):
     # offset at a strictly earlier root, finds no offset beating that one,
     # and ends where the nested search ends
     d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
-    inversions, delta = _plateau_heat_mass(
+    inversions, (lo, hi) = _plateau_heat_mass(
         monkeypatch, d, lambda centre, s: centre(1.25 * s))
     tc, z = bounds._tc_search(d)
-    assert z == _ring_point(d, delta) != d.center
+    assert z != d.center and z[1] == d.center[1]
+    assert lo <= z[0] - d.center[0] <= hi
     assert [w for w, _ in inversions] == [d.center, z]
     assert inversions[1][1] < inversions[0][1]
     target = bounds.mass_constants(d.mass()).threshold \
@@ -377,12 +413,15 @@ def test_radial_tc_keeps_the_centre_on_a_rounding_only_win(monkeypatch):
     want = bounds._tc_search(d)
     s0 = HeatMassCurve(d).invert(bounds.mass_constants(d.mass()).threshold
                                  * bounds._TC_TARGET_FACTOR)
-    inversions, delta = _plateau_heat_mass(
+    inversions, (lo, hi) = _plateau_heat_mass(
         monkeypatch, d, lambda centre, s: math.nextafter(centre(s), math.inf)
         if s == s0 else centre(s))
     assert bounds._tc_search(d) == want
     assert want[1] == d.center
-    assert inversions == [(d.center, s0), (_ring_point(d, delta), s0)]
+    assert [root for _, root in inversions] == [s0, s0]
+    assert inversions[0][0] == d.center
+    offset = inversions[1][0]
+    assert offset[1] == d.center[1] and lo <= offset[0] - d.center[0] <= hi
 
 
 @pytest.mark.parametrize("d", [
@@ -1291,10 +1330,9 @@ def test_tc1_steering_refines_only_off_centre_peaks(monkeypatch, log2_lam,
                                                     peak):
     # a steering scan that peaks at the centre reads its centre value and
     # makes no single-offset read; one that peaks on the ring is refined
-    # as the full rule refines it
     d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
     q, lam = 2.0, d._scale_radius() ** 2 * 2.0 ** log2_lam
-    steer = bounds._RingSteering(d)
+    steer = bounds._RingConvolution(d, *bounds._TC1_STEER_RULE)
     scan = steer.radials(q, lam, steer._scan)
     assert int(np.argmax(scan)) == peak
     reads = []
@@ -1307,16 +1345,15 @@ def test_tc1_steering_refines_only_off_centre_peaks(monkeypatch, log2_lam,
     monkeypatch.setattr(bounds._RingConvolution, "radial", counted)
     got = steer.sup(q, lam)
     assert (reads == []) == (peak == 0)
-    assert got == (bounds._RingConvolution.sup(steer, q, lam) if peak
-                   else scan[0])
+    assert (got > scan[0]) if peak else (got == scan[0])
 
 
 def test_tc1_full_rule_refines_each_stage_winner(monkeypatch):
     # the full rule reads each distinct stage winner once, and that read is
-    # one complete offset search
+    # one offset search
     d = ks.Annulus(16.0 / 3.0, 1.0, 2.0)
-    winners = list(dict.fromkeys(
-        (q, lam) for _, q, lam in bounds._tc1_stages(bounds._RingSteering(d))))
+    winners = list(dict.fromkeys((q, lam) for _, q, lam in bounds._tc1_stages(
+        bounds._RingConvolution(d, *bounds._TC1_STEER_RULE))))
     searches, reads = [], []
     maximize, full_sup = bounds.maximize_even, bounds._RingConvolution.sup
 
@@ -1327,7 +1364,8 @@ def test_tc1_full_rule_refines_each_stage_winner(monkeypatch):
     def counted_sup(self, q, lam):
         before = len(searches)
         val = full_sup(self, q, lam)
-        reads.append(((q, lam), len(searches) - before))
+        if self._order == 16:  # steering reads the same sup, on order 8
+            reads.append(((q, lam), len(searches) - before))
         return val
 
     monkeypatch.setattr(bounds, "maximize_even", counted_search)
@@ -1336,22 +1374,42 @@ def test_tc1_full_rule_refines_each_stage_winner(monkeypatch):
     assert reads == [(w, 1) for w in winners]
 
 
-def _tc1_refining_every_steering_sup(d, monkeypatch):
-    """`_tc1_search` with every steering supremum refined by
-    `maximize_even`, centre-peaked scans included."""
-    with monkeypatch.context() as m:
-        m.setattr(bounds._RingSteering, "sup", bounds._RingConvolution.sup)
-        return bounds._tc1_search(d)
+def _scipy_maximize_even(fn, scan, vals=None):
+    """`maximize_even` as it was written on scipy.optimize.minimize_scalar:
+    bounded Brent about the scan's best point, a peak at 0 refined on
+    [-scan[1], scan[1]], returning the best offset evaluated, or the scan's
+    fn(0) if that offset lies within the refinement's tolerance of 0."""
+    best = [-math.inf, float(scan[0])]
+
+    def neg(delta):
+        delta = abs(float(delta))
+        val = fn(delta)
+        if val > best[0]:
+            best[:] = [val, delta]
+        return -val
+
+    k = int(np.argmin([neg(d) for d in scan]))
+    optimize.minimize_scalar(
+        neg, method="bounded",
+        bounds=(scan[k - 1] if k else -scan[1], scan[min(k + 1, len(scan) - 1)]),
+        options={"xatol": 1e-8 * scan[-1]})
+    if best[1] <= 1e-8 * scan[-1]:
+        return fn(float(scan[0])), float(scan[0])
+    return tuple(best)
 
 
 def test_tc1_unrefined_centre_peaks_keep_the_winner(monkeypatch):
-    # steering decides no value: reading centre-peaked scans unrefined
-    # keeps every winner and value on the ring pool and the ordering cases
-    # that are not non-increasing
-    for d in [*_ring_pool(), *(d for d in cli._ordering_cases()
-                               if not d.is_nonincreasing_radial)]:
-        assert bounds._tc1_search(d) == \
-            _tc1_refining_every_steering_sup(d, monkeypatch), d.label()
+    # reading centre-peaked scans unrefined, on both rules, keeps every
+    # winner and value of the search that refined every offset scan by
+    # bounded Brent and took a best offset within its tolerance of 0 as
+    # the centre, on the ring pool and the ordering cases that are not
+    # non-increasing
+    cases = [*_ring_pool(), *(d for d in cli._ordering_cases()
+                              if not d.is_nonincreasing_radial)]
+    got = [bounds._tc1_search(d) for d in cases]
+    monkeypatch.setattr(bounds, "maximize_even", _scipy_maximize_even)
+    for d, ours in zip(cases, got):
+        assert ours == bounds._tc1_search(d), d.label()
 
 
 @pytest.mark.parametrize("q, lam", [(1.05, 1e-20), (1.25, 1e-70)])

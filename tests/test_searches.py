@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from ksblowup import searches
-from ksblowup.searches import maximize_even, minimize_over_plane
+from ksblowup.searches import (
+    golden_about_scan,
+    maximize_even,
+    minimize_over_plane,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ksblowup"
 
@@ -42,45 +45,62 @@ def test_maximize_even_returns_its_best_evaluation(fn, peak):
     assert val >= max(fn(d) for d in np.linspace(0.0, 5.0, 4001))
 
 
-def test_maximize_even_takes_a_best_offset_within_its_tolerance_as_zero():
-    # a peak at 0 that rounding lifts just off it: the best offset the
-    # refinement evaluates lies within its tolerance, 1e-8 of the scanned
-    # range, of 0, so the result is 0 and the scan's fn(0)
-    def fn(d):
-        return 1.0 - d * d + (1e-15 if 0.0 < d <= 5e-8 else 0.0)
-
-    traced, calls = _traced(fn)
-    assert maximize_even(traced, np.linspace(0.0, 5.0, 17)) == (1.0, 0.0)
-    assert any(0.0 < d <= 5e-8 for d in calls)
-
-
-# ---------------------------------------------------------------------------
-# the local minimizers are ports of scipy.optimize's: same calls, same bits
-# ---------------------------------------------------------------------------
-
 def _bits(values):
     """``repr`` of a result, which tells -0.0 from 0.0 and equates nans."""
     return repr(values)
 
 
-def _scipy_maximize_even(fn, scan):
-    """`maximize_even` as it was written on scipy.optimize.minimize_scalar."""
-    best = [-math.inf, float(scan[0])]
+_EVEN_OBJECTIVES = {
+    "smooth_ring": lambda d: math.exp(-(d - 1.3) ** 2 / 0.2),
+    "peak_at_zero": lambda d: 1.0 / (1.0 + d * d),
+    "plateau": lambda d: float(math.floor(4.0 - abs(d - 2.2))),
+    "flat": lambda d: 2.5,
+    "two_peaks": lambda d: math.exp(-(d - 0.7) ** 2) + 1.1 * math.exp(
+        -(d - 3.9) ** 2 / 0.05),
+    "peak_at_the_end": lambda d: d ** 3,
+}
+_SCANS = {"wide": np.linspace(0.0, 5.0, 17), "narrow": np.linspace(0.0, 0.3, 5)}
 
-    def neg(delta):
-        delta = abs(float(delta))
-        val = fn(delta)
-        if val > best[0]:
-            best[:] = [val, delta]
-        return -val
 
-    k = int(np.argmin([neg(d) for d in scan]))
-    optimize.minimize_scalar(
-        neg, method="bounded",
-        bounds=(scan[k - 1] if k else -scan[1], scan[min(k + 1, len(scan) - 1)]),
-        options={"xatol": 1e-8 * scan[-1]})
-    return tuple(best)
+@pytest.mark.parametrize("name", ["flat", "peak_at_zero"])
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_maximize_even_reads_a_centre_peak_unrefined(name, scan):
+    # no scan value beats fn(0): the result is the scan's fn(0) at offset
+    # 0, and fn is called at the scan alone
+    fn, scan = _EVEN_OBJECTIVES[name], _SCANS[scan]
+    traced, calls = _traced(fn)
+    assert _bits(maximize_even(traced, scan)) == _bits((fn(0.0), 0.0))
+    assert calls == list(scan)
+    vals = [fn(float(d)) for d in scan]
+    traced, calls = _traced(fn)
+    assert _bits(maximize_even(traced, scan, vals)) == _bits((vals[0], 0.0))
+    assert calls == []
 
+
+@pytest.mark.parametrize("name", ["peak_at_the_end", "plateau", "smooth_ring",
+                                  "two_peaks"])
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_maximize_even_refines_an_off_centre_peak_by_golden_about_scan(
+        name, scan):
+    # a scan value beats fn(0): the result is golden_about_scan on -fn
+    # about the scan's best point, with the same calls
+    fn, scan = _EVEN_OBJECTIVES[name], _SCANS[scan]
+    ours, our_calls = _traced(fn)
+    theirs, their_calls = _traced(lambda d: -fn(d))
+    delta, neg = golden_about_scan(theirs, scan, [-fn(float(d)) for d in scan])
+    assert _bits(maximize_even(ours, scan)) == _bits((-neg, delta))
+    assert our_calls == list(scan) + their_calls
+    # the scan values may come from one batch; the refinement is the same
+    ours, batch_calls = _traced(fn)
+    vals = [fn(float(d)) for d in scan]
+    assert _bits(maximize_even(ours, scan, vals)) == _bits((-neg, delta))
+    assert batch_calls == their_calls
+
+
+# ---------------------------------------------------------------------------
+# the plane search is a port of scipy.optimize's Nelder-Mead: same calls,
+# same bits
+# ---------------------------------------------------------------------------
 
 def _scipy_nelder_mead(fn, seed, max_iter):
     """One start of `minimize_over_plane` as it was written on
@@ -95,69 +115,6 @@ def _scipy_nelder_mead(fn, seed, max_iter):
         options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": max_iter,
                  "initial_simplex": simplex})
     return (float(res.x[0]), float(res.x[1])), float(res.fun)
-
-
-_EVEN_OBJECTIVES = {
-    "smooth_ring": lambda d: math.exp(-(d - 1.3) ** 2 / 0.2),
-    "peak_at_zero": lambda d: 1.0 / (1.0 + d * d),
-    "plateau": lambda d: float(math.floor(4.0 - abs(d - 2.2))),
-    "flat": lambda d: 2.5,
-    "two_peaks": lambda d: math.exp(-(d - 0.7) ** 2) + 1.1 * math.exp(
-        -(d - 3.9) ** 2 / 0.05),
-    "peak_at_the_end": lambda d: d ** 3,
-}
-
-
-@pytest.mark.parametrize("name", sorted(_EVEN_OBJECTIVES))
-@pytest.mark.parametrize("scan", [np.linspace(0.0, 5.0, 17),
-                                  np.linspace(0.0, 0.3, 5)],
-                         ids=["wide", "narrow"])
-def test_maximize_even_repeats_scipy_bounded_brent(name, scan):
-    # a peak at 0 is refined on the bracket [-scan[1], scan[1]]
-    fn = _EVEN_OBJECTIVES[name]
-    ours, our_calls = _traced(fn)
-    theirs, their_calls = _traced(fn)
-    assert _bits(maximize_even(ours, scan)) == _bits(
-        _scipy_maximize_even(theirs, scan))
-    assert our_calls == their_calls
-    # the scan values may come from one batch; the refinement is the same
-    ours, batch_calls = _traced(fn)
-    vals = [fn(float(d)) for d in scan]
-    assert _bits(maximize_even(ours, scan, vals)) == _bits(
-        _scipy_maximize_even(fn, scan))
-    assert batch_calls == their_calls[len(scan):]
-
-
-@pytest.mark.parametrize("a, b, xatol", [
-    (-3.0, 4.0, 1e-5), (0.1, 0.2, 1e-12), (-1e-3, 2.0, 0.0), (5.0, 5.5, 1e-2)])
-@pytest.mark.parametrize("name", ["quadratic", "plateau", "cusp", "wavy",
-                                  "nan"])
-def test_fminbound_repeats_scipy(name, a, b, xatol):
-    fn = {"quadratic": lambda x: (x - 0.31) ** 2,
-          "plateau": lambda x: float(round(3.0 * x) ** 2),
-          "cusp": lambda x: math.sqrt(abs(x - 1.7)),
-          "wavy": lambda x: math.sin(7.0 * x) + 0.05 * x * x,
-          "nan": lambda x: math.nan}[name]
-    ours, our_calls = _traced(fn)
-    theirs, their_calls = _traced(lambda x: fn(float(x)))
-    res = optimize.minimize_scalar(theirs, method="bounded", bounds=(a, b),
-                                   options={"xatol": xatol})
-    assert _bits(searches._fminbound(ours, a, b, xatol)) == _bits(
-        (float(res.x), float(res.fun)))
-    assert our_calls == [float(x) for x in their_calls]
-
-
-def test_fminbound_stops_at_scipys_call_cap():
-    # at xatol = 0 the steps about a minimum at 0 shrink with |x| and
-    # never settle, so both stop at 500 calls
-    ours, our_calls = _traced(abs)
-    theirs, their_calls = _traced(lambda x: abs(float(x)))
-    res = optimize.minimize_scalar(theirs, method="bounded",
-                                   bounds=(-1.0, 2.0), options={"xatol": 0.0})
-    assert _bits(searches._fminbound(ours, -1.0, 2.0, 0.0)) == _bits(
-        (float(res.x), float(res.fun)))
-    assert our_calls == [float(x) for x in their_calls]
-    assert len(our_calls) == 500
 
 
 _PLANE_OBJECTIVES = {
